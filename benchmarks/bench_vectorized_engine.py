@@ -1,16 +1,18 @@
-"""Benchmark the vectorized inference engine against the reference loops.
+"""Benchmark the vectorized inference engine against the loop oracles.
 
 Times the hot paths that the dense-encoding layer (``repro.fusion.encoding``)
 rewrote — posterior queries, array-native fusion-result packaging, the EM
 E-step and full EM/ERM fits (including the warm-started second-order
-M-step) — under both backends, plus two engine-vs-engine cases:
+M-step) — against the per-object loops they replaced, which live on as
+test oracles in ``tests/oracles/`` (the "reference" column), plus two
+engine-vs-engine cases:
 ``sweep_16`` (a 16-point EM sweep run by the batched ``SweepRunner``
 versus sequential isolated fits), ``sweep_16_par`` (the same sweep fanned
 out across ``--sweep-jobs`` worker processes versus serial batched) and
-``stream_append`` (the vectorized streaming fuser over an incremental
-encoding versus the reference dict-per-observation replay).  Writes a
+``stream_append`` (the streaming fuser over an incremental encoding
+versus the oracle's dict-per-observation replay).  Writes a
 ``BENCH_inference.json`` trajectory artifact with
-per-case median runtimes and speedups.  The per-factor reference Gibbs
+per-case median runtimes and speedups.  The per-factor Gibbs sweep
 comparison runs only in full (non-smoke) mode; its equivalence is covered
 by the test suite.
 
@@ -21,8 +23,8 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_vectorized_engine.py --smoke \
         --check-against benchmarks/BENCH_inference.json                    # regression gate
 
-The regression gate compares *speedup ratios* (vectorized vs reference on
-the same machine), which are stable across hardware, and exits nonzero when
+The regression gate compares *speedup ratios* (vectorized vs oracle on the
+same machine), which are stable across hardware, and exits nonzero when
 any case regresses by more than ``--max-regression`` (default 20%) against
 the committed baseline.  Each case also records the process peak RSS
 (``resource.getrusage``) observed after it ran; the gate fails memory
@@ -56,6 +58,8 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 
 DEFAULT_OUTPUT = Path(__file__).parent / "results" / "BENCH_inference.json"
 BASELINE_PATH = Path(__file__).parent / "BENCH_inference.json"
+#: The repo root, where the ``tests.oracles`` package imports from.
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Cases whose regression gate never disarms: a missing or single-core
 #: measurement is a CI failure, not a skip.  sweep_16_par exists to prove
@@ -128,16 +132,17 @@ def run_benchmarks(smoke: bool, n_observations: int, repeats: int, sweep_jobs: i
 
     from repro.core.em import EMLearner
     from repro.core.erm import ERMLearner
-    from repro.core.inference import (
-        expected_correctness,
-        map_assignment,
-        map_rows,
-        posterior_rows,
-        posteriors,
-    )
+    from repro.core.inference import expected_correctness, map_rows, posterior_rows
     from repro.core.structure import build_pair_structure
     from repro.fusion.encoding import encode_dataset
     from repro.fusion.result import FusionResult
+
+    if str(REPO_ROOT) not in sys.path:
+        sys.path.insert(0, str(REPO_ROOT))
+    from tests.oracles import inference as oracle_inference
+    from tests.oracles import learners as oracle_learners
+    from tests.oracles import streaming as oracle_streaming
+    from tests.oracles import structure as oracle_structure
 
     dataset = _generate(
         n_sources=max(30, n_observations // 33),
@@ -160,8 +165,8 @@ def run_benchmarks(smoke: bool, n_observations: int, repeats: int, sweep_jobs: i
     model = ERMLearner().fit(dataset, truth)
     trust = model.trust_scores()
 
-    structure_ref = build_pair_structure(dataset, backend="reference")
-    structure_vec = build_pair_structure(dataset, backend="vectorized")
+    structure_ref = oracle_structure.build_pair_structure(dataset)
+    structure_vec = build_pair_structure(dataset)
     label_rows = structure_vec.label_rows(truth)
 
     cases = []
@@ -186,43 +191,33 @@ def run_benchmarks(smoke: bool, n_observations: int, repeats: int, sweep_jobs: i
 
     case(
         "structure_compile",
-        lambda: build_pair_structure(dataset, backend="reference"),
-        lambda: build_pair_structure(dataset, backend="vectorized"),
+        lambda: oracle_structure.build_pair_structure(dataset),
+        lambda: build_pair_structure(dataset),
     )
 
     def _query_reference():
         # End-to-end MAP query exactly as the pre-vectorization facade ran
         # it: re-walk the dataset into a structure, package per-object
         # dicts, scan them for the argmax.
-        structure = build_pair_structure(dataset, backend="reference")
-        return map_assignment(
-            posteriors(
-                dataset,
-                model,
-                structure=structure,
-                clamp=truth,
-                backend="reference",
-            )
+        structure = oracle_structure.build_pair_structure(dataset)
+        return oracle_inference.map_assignment(
+            oracle_inference.posteriors(dataset, model, structure=structure, clamp=truth)
         )
 
     def _query_vectorized():
-        structure = build_pair_structure(dataset, backend="vectorized")
+        structure = build_pair_structure(dataset)
         return map_rows(structure, posterior_rows(structure, model), clamp=truth)
 
     case("posterior_query", _query_reference, _query_vectorized)
-    # Full fusion-output packaging: the reference walks per-object dicts,
+    # Full fusion-output packaging: the oracle walks per-object dicts,
     # the array-native path scatters the flat row probabilities into a
     # FusionResult (value codes + dense posterior matrix) with no
     # per-object Python loop; the dict views stay unmaterialized.
     accuracies = model.accuracies()
     case(
         "posterior_package",
-        lambda: posteriors(
-            dataset,
-            model,
-            structure=structure_ref,
-            clamp=truth,
-            backend="reference",
+        lambda: oracle_inference.posteriors(
+            dataset, model, structure=structure_ref, clamp=truth
         ),
         lambda: FusionResult.from_rows(
             structure_vec,
@@ -234,38 +229,29 @@ def run_benchmarks(smoke: bool, n_observations: int, repeats: int, sweep_jobs: i
     )
     case(
         "em_estep",
-        lambda: expected_correctness(structure_ref, trust, label_rows, backend="reference"),
-        lambda: expected_correctness(structure_vec, trust, label_rows, backend="vectorized"),
+        lambda: oracle_inference.expected_correctness(structure_ref, trust, label_rows),
+        lambda: expected_correctness(structure_vec, trust, label_rows),
     )
 
     em_rounds = 3 if smoke else 5
     case(
         "em_fit",
-        lambda: EMLearner(
-            max_iterations=em_rounds, tolerance=0.0, backend="reference"
-        ).fit(dataset, truth),
-        lambda: EMLearner(
-            max_iterations=em_rounds, tolerance=0.0, backend="vectorized"
-        ).fit(dataset, truth),
+        lambda: oracle_learners.fit_em(dataset, truth, max_iterations=em_rounds, tolerance=0.0),
+        lambda: EMLearner(max_iterations=em_rounds, tolerance=0.0).fit(dataset, truth),
     )
-    # Warm-started second-order M-step vs the original scipy-per-round
-    # reference path: the headline end-to-end EM comparison.
+    # Warm-started second-order M-step vs the oracle's scipy-per-round
+    # loop: the headline end-to-end EM comparison.
     case(
         "em_fit_warm",
-        lambda: EMLearner(
-            max_iterations=em_rounds, tolerance=0.0, backend="reference"
-        ).fit(dataset, truth),
-        lambda: EMLearner(
-            max_iterations=em_rounds,
-            tolerance=0.0,
-            backend="vectorized",
-            solver="lbfgs-warm",
-        ).fit(dataset, truth),
+        lambda: oracle_learners.fit_em(dataset, truth, max_iterations=em_rounds, tolerance=0.0),
+        lambda: EMLearner(max_iterations=em_rounds, tolerance=0.0, solver="lbfgs-warm").fit(
+            dataset, truth
+        ),
     )
     case(
         "erm_fit",
-        lambda: ERMLearner(backend="reference").fit(dataset, truth),
-        lambda: ERMLearner(backend="vectorized").fit(dataset, truth),
+        lambda: oracle_learners.fit_erm(dataset, truth),
+        lambda: ERMLearner().fit(dataset, truth),
     )
 
     # 16-point EM sweep (train fractions x ridge strengths) over one
@@ -310,21 +296,21 @@ def run_benchmarks(smoke: bool, n_observations: int, repeats: int, sweep_jobs: i
     )
 
     # Streaming ingest: incremental encoding + vectorized batch scatters
-    # versus the reference dict-per-observation replay of the same stream
+    # versus the oracle's dict-per-observation replay of the same stream
     # (same random order, same truth reveal).
     from repro.extensions.streaming import replay_dataset
 
     case(
         "stream_append",
-        lambda: replay_dataset(dataset, truth, seed=0, backend="reference"),
-        lambda: replay_dataset(dataset, truth, seed=0, backend="vectorized", batch_size=256),
+        lambda: oracle_streaming.replay_dataset(dataset, truth, seed=0),
+        lambda: replay_dataset(dataset, truth, seed=0, batch_size=256),
         case_repeats=min(repeats, 3),
     )
 
     if not smoke:
-        # The per-factor reference Gibbs sampler is retired from the CI
-        # smoke run (its equivalence is asserted in the test suite); the
-        # full benchmark keeps it for the occasional deep comparison.
+        # The per-factor Gibbs sweeps are retired from the CI smoke run
+        # (their equivalence is asserted in the test suite); the full
+        # benchmark keeps them for the occasional deep comparison.
         from repro.factorgraph import GibbsSampler, compile_dataset
 
         gibbs_dataset = _generate(
@@ -337,15 +323,11 @@ def run_benchmarks(smoke: bool, n_observations: int, repeats: int, sweep_jobs: i
         gibbs_model = ERMLearner().fit(gibbs_dataset, gibbs_truth)
         compiled = compile_dataset(gibbs_dataset, evidence=gibbs_truth)
         compiled.set_weights_from_model(gibbs_model)
-        n_gibbs = 200
+        sampler = GibbsSampler(n_samples=200, burn_in=40, seed=0)
         case(
             "gibbs_marginals",
-            lambda: GibbsSampler(
-                n_samples=n_gibbs, burn_in=n_gibbs // 5, seed=0, backend="reference"
-            ).run(compiled.graph),
-            lambda: GibbsSampler(
-                n_samples=n_gibbs, burn_in=n_gibbs // 5, seed=0, backend="vectorized"
-            ).run(compiled.graph),
+            lambda: sampler.run_sweeps(compiled.graph),
+            lambda: sampler.run(compiled.graph),
         )
 
     core_cases = ("posterior_query", "posterior_package", "em_estep", "em_fit", "em_fit_warm")

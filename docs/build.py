@@ -137,7 +137,7 @@ def check_public_coverage(paths) -> list:
     ``repro.core.SLiMFast``) are one object with many public paths, and
     documenting one path documents them all.  Identity matching is
     restricted to classes/functions/modules: primitive constants (an
-    ``int`` version, a tuple of backend names) share identity by
+    ``int`` version, a tuple of solver names) share identity by
     interning, so they must be named explicitly.  Resolvability and
     docstrings are then covered by :func:`check_symbols` like any other
     documented name.

@@ -10,6 +10,7 @@ Run:  PYTHONPATH=src python examples/serve_demo.py
 """
 
 from repro.data import as_generator
+from repro.extensions import DecayConfig
 from repro.serve import FusionServer
 
 DOMAIN = ["a", "b", "c", "d"]
@@ -50,9 +51,10 @@ def main() -> None:
     rng = as_generator(7)
     n_batches, drift_at = 12, 6
 
-    # decay discounts old Beta evidence, so reliability estimates track
-    # the *recent* stream; publish_every keeps served snapshots fresh.
-    server = FusionServer(decay=0.9, publish_every=3).start()
+    # Trust decay halves a source's Beta evidence every 7 of its claims,
+    # so reliability estimates track the *recent* stream; publish_every
+    # keeps served snapshots fresh.
+    server = FusionServer(trust_decay=DecayConfig(half_life=7.0), publish_every=3).start()
 
     truth = {}
     for index in range(n_batches):

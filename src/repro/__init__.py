@@ -42,21 +42,15 @@ Package map:
   (:class:`~repro.serve.server.FusionServer`) over immutable published
   snapshots with atomic swap, so reads never block on ingest.
 
-Execution backends
-------------------
+One production path
+-------------------
 
-Every hot path (posteriors, EM E-step, ERM objectives, Gibbs sweeps) runs
-on one of two engines selected by a ``backend`` argument on the learners,
-the inference functions and the :class:`~repro.core.slimfast.SLiMFast`
-facade:
-
-* ``"vectorized"`` (default) — flat NumPy index arrays compiled once per
-  dataset by :mod:`repro.fusion.encoding` (CSR object→observation spans,
-  value codes, candidate-pair rows, cached design matrix); inference is a
-  single segmented softmax over row spans, and EM/ERM solver iterations
-  run on per-source sufficient statistics.
-* ``"reference"`` — the original per-object Python loops, kept as the
-  machine-checked ground truth.
+Every fusion operation (posteriors, EM E-step, ERM objectives, streaming
+updates) has one implementation: flat NumPy index arrays compiled once per
+dataset by :mod:`repro.fusion.encoding` (CSR object→observation spans,
+value codes, candidate-pair rows, cached design matrix).  Inference is a
+single segmented softmax over row spans, and EM/ERM solver iterations run
+on per-source sufficient statistics.
 
 Append-only workloads use
 :class:`~repro.fusion.encoding.IncrementalEncoding` (O(batch) appends
@@ -65,8 +59,10 @@ dataset) and the array-native streaming fuser
 (:class:`~repro.extensions.streaming.StreamingFuser`, with an optional
 periodic warm-started EM re-fit) instead of recompiling per change.
 
-``tests/test_vectorized_equivalence.py`` asserts both engines agree to
-``atol=1e-8`` across random datasets.  Benchmark the engines and refresh
+The per-object Python loops these arrays replaced are kept as test
+oracles in ``tests/oracles/``; ``tests/test_vectorized_equivalence.py``
+asserts the production path agrees with them to ``atol=1e-8`` across
+random datasets.  Benchmark the engine against the oracles and refresh
 the CI regression baseline with::
 
     PYTHONPATH=src python benchmarks/bench_vectorized_engine.py            # full, 10k observations

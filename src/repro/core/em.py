@@ -41,8 +41,8 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from ..fusion.dataset import FusionDataset
-from ..fusion.encoding import check_backend, encode_dataset
-from ..fusion.features import FeatureSpace, build_design_matrix
+from ..fusion.encoding import encode_dataset
+from ..fusion.features import FeatureSpace
 from ..fusion.types import ObjectId, Value
 from ..optim.numerics import logit
 from ..optim.objectives import CorrectnessObjective, reduce_correctness_samples
@@ -98,10 +98,6 @@ class EMConfig:
         ``"lbfgs"``, the relative-decrease stop for ``"lbfgs-warm"``).
         Tighten to make the two solvers' trajectories coincide exactly;
         the default matches scipy's historical behaviour.
-    backend:
-        ``"vectorized"`` (default) runs the E-step clamp and the M-step
-        sufficient statistics as array reductions over the dataset's dense
-        encoding; ``"reference"`` keeps the original per-object loops.
     n_shards:
         When set, every E-step runs shard-by-shard over contiguous object
         ranges (:mod:`repro.fusion.sharding`): each shard computes partial
@@ -111,9 +107,8 @@ class EMConfig:
         bit-identical to the unsharded fit and probabilities/accuracies
         agree at ``atol=1e-10`` for any shard count (only the cross-shard
         float reduce reorders additions; pinned in
-        ``tests/fusion/test_posterior_store.py``).  Requires the
-        vectorized backend and a statistics-reducing solver (not
-        ``"sgd"``).
+        ``tests/fusion/test_posterior_store.py``).  Requires a
+        statistics-reducing solver (not ``"sgd"``).
     shard_jobs:
         Process fan-out for the shard E-steps *within one fit* (requires
         ``n_shards``): values above 1 evaluate shards on a
@@ -139,7 +134,6 @@ class EMConfig:
     l2_features: float = 1.0
     use_features: bool = True
     solver: str = "lbfgs"
-    backend: str = "vectorized"
     sgd_epochs: int = 10
     seed: int = 0
     m_step_tolerance: float = 1e-8
@@ -167,14 +161,11 @@ class EMLearner:
         base = config if config is not None else EMConfig()
         if overrides:
             base = EMConfig(**{**base.__dict__, **overrides})
-        check_backend(base.backend)
         if base.solver not in EM_SOLVERS:
             raise ValueError(f"unknown solver {base.solver!r}; expected one of {EM_SOLVERS}")
         if base.n_shards is not None:
             if int(base.n_shards) < 1:
                 raise ValueError(f"n_shards must be a positive integer, got {base.n_shards!r}")
-            if base.backend != "vectorized":
-                raise ValueError("n_shards requires backend='vectorized'")
             if base.solver == "sgd":
                 raise ValueError(
                     "n_shards requires a statistics-reducing solver "
@@ -231,25 +222,20 @@ class EMLearner:
         :class:`~repro.optim.solvers.SolverResult`).
         """
         truth = dict(truth or {})
-        vectorized = self.config.backend == "vectorized"
         if design is None or feature_space is None:
             if self.config.featurizer is not None:
                 design, feature_space = self.config.featurizer.design_for(dataset)
-            elif vectorized:
-                design, feature_space = encode_dataset(dataset).design(self.config.use_features)
             else:
-                design, feature_space = build_design_matrix(
-                    dataset, use_features=self.config.use_features
-                )
+                design, feature_space = encode_dataset(dataset).design(self.config.use_features)
 
         if structure is None:
-            structure = build_pair_structure(dataset, backend=self.config.backend)
+            structure = build_pair_structure(dataset)
         if label_rows is None:
             label_rows = structure.label_rows(truth)
         # The rows the E-step clamp masks depend only on (structure, truth):
         # computed once here (or passed in), fused into every round's
         # segmented softmax.
-        if blocked_rows is None and vectorized:
+        if blocked_rows is None:
             blocked_rows = clamp_rows(structure, label_rows)
 
         # The M-step model carries an unpenalized shared intercept: ridge
@@ -270,7 +256,7 @@ class EMLearner:
         shard_blocked = None
         shard_pool = None
         shard_reduce = None
-        if vectorized and self.config.n_shards is not None:
+        if self.config.n_shards is not None:
             from ..fusion.sharding import (
                 shard_blocked_rows,
                 shard_structure,
@@ -290,7 +276,7 @@ class EMLearner:
         deltas: List[float] = []
         converged = False
         previous_acc = model.accuracies()
-        reduce_m_step = vectorized and self.config.solver != "sgd"
+        reduce_m_step = self.config.solver != "sgd"
         warm = self.config.solver == "lbfgs-warm"
         # A warm-state handoff must match this fit's parameter layout; an
         # incompatible donor (different feature flag or dataset) is ignored
@@ -349,7 +335,6 @@ class EMLearner:
                         structure,
                         model.trust_scores(),
                         label_rows,
-                        backend=self.config.backend,
                         blocked_rows=blocked_rows,
                     )
 
@@ -450,59 +435,38 @@ class EMLearner:
         truth: Dict[ObjectId, Value],
         design: np.ndarray,
         feature_space: FeatureSpace,
-        structure: Optional[PairStructure] = None,
+        structure: PairStructure,
     ) -> np.ndarray:
         n_params = dataset.n_sources + design.shape[1]
         w = np.zeros(n_params)
         w[: dataset.n_sources] = float(logit(self.config.init_accuracy))
         if truth and self.config.warm_start_erm:
-            vectorized = self.config.backend == "vectorized"
-            # A masked (leave-source-out) structure must also restrict the
-            # warm start — on BOTH backends, or the excluded sources' votes
-            # leak into the initialization.  Unmasked reference fits keep
-            # the original dataset-walking derivations bit-for-bit.
-            masked = structure is not None and (
-                structure.n_objects != dataset.n_objects
-                or structure.obs_source_idx.shape[0] != dataset.n_observations
-            )
+            # The warm start reads the fit's (possibly source-masked)
+            # structure, so a leave-source-out fit never sees the excluded
+            # sources' votes.
             learner = ERMLearner(
                 ERMConfig(
                     l2_sources=self.config.l2_sources,
                     l2_features=self.config.l2_features,
                     use_features=self.config.use_features,
-                    backend=self.config.backend,
                 )
             )
             try:
                 warm = learner.fit(
-                    dataset,
-                    truth,
-                    design=design,
-                    feature_space=feature_space,
-                    structure=structure if (vectorized or masked) else None,
+                    dataset, truth, design=design, feature_space=feature_space, structure=structure
                 )
             except Exception:
                 return w  # fall back to the uniform init
             # Sources without labeled observations keep the uniform prior so
             # the first E-step still behaves like majority vote for objects
             # the labeled sources do not cover.
-            if vectorized or masked:
-                # fit() always resolves a structure before calling here.
-                if structure.encoding is not None:
-                    labeled_all, _ = structure.encoding.truth_codes(truth)
-                    labeled_pos = labeled_all[structure.object_dataset_idx]
-                else:
-                    labeled_pos = np.asarray(
-                        [obj in truth for obj in structure.object_ids], dtype=bool
-                    )
-                obs_positions = structure.pair_object_pos[structure.obs_pair_idx]
-                labeled_sources = np.unique(structure.obs_source_idx[labeled_pos[obs_positions]])
+            if structure.encoding is not None:
+                labeled_all, _ = structure.encoding.truth_codes(truth)
+                labeled_pos = labeled_all[structure.object_dataset_idx]
             else:
-                labeled_sources = {
-                    dataset.sources.index(obs.source)
-                    for obs in dataset.observations
-                    if obs.obj in truth
-                }
+                labeled_pos = np.asarray([obj in truth for obj in structure.object_ids], dtype=bool)
+            obs_positions = structure.pair_object_pos[structure.obs_pair_idx]
+            labeled_sources = np.unique(structure.obs_source_idx[labeled_pos[obs_positions]])
             for s_idx in labeled_sources:
                 w[s_idx] = warm.w_sources[s_idx]
             w[dataset.n_sources :] = warm.w_features
@@ -554,8 +518,6 @@ def fit_incremental(
     if config is None and "solver" not in overrides:
         overrides = {**overrides, "solver": "lbfgs-warm"}
     learner = EMLearner(config, **overrides)
-    if learner.config.backend != "vectorized":
-        raise ValueError("fit_incremental requires the vectorized backend")
     dataset = encoding.to_dataset() if materialize_dataset else encoding.dataset_view()
     structure = build_incremental_structure(encoding)
     if design is None or feature_space is None:

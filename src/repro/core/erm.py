@@ -24,8 +24,8 @@ from typing import Mapping, Optional, Tuple
 import numpy as np
 
 from ..fusion.dataset import FusionDataset
-from ..fusion.encoding import check_backend, encode_dataset
-from ..fusion.features import FeatureSpace, build_design_matrix
+from ..fusion.encoding import encode_dataset
+from ..fusion.features import FeatureSpace
 from ..fusion.types import DatasetError, ObjectId, Value
 from ..optim.objectives import (
     ConditionalObjective,
@@ -60,11 +60,6 @@ class ERMConfig:
         Fit a shared bias; required for unseen-source prediction.
     use_features:
         When False, reduces to the paper's Sources-ERM variant.
-    backend:
-        ``"vectorized"`` (default) derives training pairs from the dataset's
-        dense encoding and batches the correctness objective into per-source
-        sufficient statistics for the deterministic solvers;
-        ``"reference"`` keeps the original observation-walking loops.
     featurizer:
         Optional :class:`repro.featurize.FeaturizerPipeline` (anything
         with ``design_for``) producing the design matrix — data-derived
@@ -80,7 +75,6 @@ class ERMConfig:
     solver: str = "lbfgs"
     intercept: bool = False
     use_features: bool = True
-    backend: str = "vectorized"
     sgd_epochs: int = 40
     sgd_learning_rate: float = 0.5
     seed: int = 0
@@ -90,26 +84,14 @@ class ERMConfig:
 def correctness_training_pairs(
     dataset: FusionDataset,
     truth: Mapping[ObjectId, Value],
-    backend: str = "vectorized",
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(source_idx, correctness label) pairs for observations on labeled objects.
 
-    Both backends return identical arrays in dataset observation order; the
-    vectorized one gathers them from the dense encoding's index arrays.
+    The arrays follow dataset observation order (the order SGD consumes
+    them in), gathered from the dense encoding's index arrays.
     """
-    if check_backend(backend) == "reference":
-        sources = []
-        labels = []
-        for obs in dataset.observations:
-            expected = truth.get(obs.obj)
-            if expected is None:
-                continue
-            sources.append(dataset.sources.index(obs.source))
-            labels.append(1.0 if obs.value == expected else 0.0)
-        return np.asarray(sources, dtype=np.int64), np.asarray(labels, dtype=float)
-
     encoding = encode_dataset(dataset)
-    # A truth entry of None means "unlabeled" in the reference semantics.
+    # A truth entry of None means "unlabeled".
     labeled, codes = encoding.truth_codes(
         {obj: value for obj, value in truth.items() if value is not None}
     )
@@ -160,7 +142,6 @@ class ERMLearner:
             raise ValueError(f"unknown objective {base.objective!r}")
         if base.solver not in ("lbfgs", "lbfgs-warm", "sgd"):
             raise ValueError(f"unknown solver {base.solver!r}")
-        check_backend(base.backend)
         if base.featurizer is not None:
             if not base.use_features:
                 raise ValueError("featurizer requires use_features=True")
@@ -206,12 +187,8 @@ class ERMLearner:
         if design is None or feature_space is None:
             if self.config.featurizer is not None:
                 design, feature_space = self.config.featurizer.design_for(dataset)
-            elif self.config.backend == "vectorized":
-                design, feature_space = encode_dataset(dataset).design(self.config.use_features)
             else:
-                design, feature_space = build_design_matrix(
-                    dataset, use_features=self.config.use_features
-                )
+                design, feature_space = encode_dataset(dataset).design(self.config.use_features)
 
         if self.config.objective == "correctness":
             objective = self._correctness_objective(dataset, truth, design, structure)
@@ -242,19 +219,14 @@ class ERMLearner:
         if structure is not None:
             source_idx, labels = correctness_pairs_from_structure(structure, truth)
         else:
-            source_idx, labels = correctness_training_pairs(
-                dataset, truth, backend=self.config.backend
-            )
+            source_idx, labels = correctness_training_pairs(dataset, truth)
         if source_idx.size == 0:
             raise DatasetError("no observations overlap the provided ground truth")
         sample_weights = None
-        # Not a backend dispatch but an optional compaction: the reference
-        # fallthrough keeps the raw per-observation samples on purpose
-        # (SGD consumes them one at a time), so there is no "reference
-        # branch" to add here.
-        if self.config.backend == "vectorized" and self.config.solver != "sgd":  # repro-analysis: ignore[RA3]
-            # Deterministic solvers see the loss only through per-source
-            # scores, so batch the samples into sufficient statistics.
+        # SGD consumes the raw samples one at a time; deterministic solvers
+        # see the loss only through per-source scores, so batch the samples
+        # into sufficient statistics for them.
+        if self.config.solver != "sgd":
             source_idx, labels, sample_weights = reduce_correctness_samples(
                 source_idx, labels, dataset.n_sources
             )
@@ -277,7 +249,7 @@ class ERMLearner:
         labeled_objects = [obj for obj in dataset.objects if obj in truth]
         if not labeled_objects:
             raise DatasetError("no labeled objects found in the dataset")
-        structure = build_pair_structure(dataset, labeled_objects, backend=self.config.backend)
+        structure = build_pair_structure(dataset, labeled_objects)
         label_rows = structure.label_rows(dict(truth))
         return ConditionalObjective(
             design=design,

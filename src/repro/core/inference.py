@@ -6,11 +6,11 @@ claimed values — no sampling needed.  (The factor-graph Gibbs sampler in
 :mod:`repro.factorgraph` reproduces the paper's DeepDive-based inference and
 is validated against these closed forms.)
 
-The hot paths accept a ``backend`` switch: ``"vectorized"`` (default)
-computes everything as segmented array reductions over the flattened
-(object, value) rows — a single segmented logsumexp per query — while
-``"reference"`` keeps the original per-object Python loops as the
-machine-checked ground truth (see ``tests/test_vectorized_equivalence.py``).
+Everything is computed as segmented array reductions over the flattened
+(object, value) rows — a single segmented logsumexp per query.  The
+per-object loops these reductions replaced are kept as test oracles
+(``tests/oracles/inference.py``, pinned by
+``tests/test_vectorized_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from ..fusion.dataset import FusionDataset
-from ..fusion.encoding import check_backend, expand_spans
+from ..fusion.encoding import expand_spans
 from ..fusion.posterior_store import segmented_argmax
 from ..fusion.types import ObjectId, Value
 from ..optim.objectives import segment_softmax
@@ -77,7 +77,6 @@ def posteriors(
     clamp: Optional[Mapping[ObjectId, Value]] = None,
     extra_scores: Optional[np.ndarray] = None,
     domain_correction: bool = True,
-    backend: str = "vectorized",
 ) -> Dict[ObjectId, Dict[Value, float]]:
     """Posterior distributions ``P(T_o = d | Ω)`` for every object.
 
@@ -89,27 +88,10 @@ def posteriors(
         variables in the compiled factor graph.
     extra_scores:
         Optional per-row additive scores (see :func:`pair_scores`).
-    backend:
-        ``"vectorized"`` (default) or ``"reference"``.
     """
-    check_backend(backend)
     if structure is None:
-        structure = build_pair_structure(dataset, backend=backend)
+        structure = build_pair_structure(dataset)
     probs = posterior_rows(structure, model, extra_scores, domain_correction)
-    clamp = clamp or {}
-
-    if backend == "reference":
-        result: Dict[ObjectId, Dict[Value, float]] = {}
-        for position, obj in enumerate(structure.object_ids):
-            rows = structure.rows_of(position)
-            if obj in clamp:
-                known = clamp[obj]
-                dist = {structure.pair_values[row]: 0.0 for row in rows}
-                dist[known] = 1.0
-                result[obj] = dist
-            else:
-                result[obj] = {structure.pair_values[row]: float(probs[row]) for row in rows}
-        return result
     return package_posteriors(structure, probs, clamp)
 
 
@@ -215,7 +197,6 @@ def expected_correctness(
     label_rows: np.ndarray,
     extra_scores: Optional[np.ndarray] = None,
     domain_correction: bool = True,
-    backend: str = "vectorized",
     blocked_rows: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-observation posterior probability that the claim is correct.
@@ -225,31 +206,19 @@ def expected_correctness(
     label row.  Returns ``(q_obs, row_probs)`` where ``q_obs`` aligns with
     ``structure.obs_*`` arrays.
 
-    On the vectorized backend the clamp is *fused* into the segmented
-    softmax: the non-label rows of labeled objects (``blocked_rows``,
-    precomputed by :func:`clamp_rows` or derived here when omitted) are
-    masked to ``-inf`` score, so one softmax pass produces the clamped
-    posterior directly.  The result is bit-identical to the reference
-    post-hoc scatter: a labeled object's block softmaxes over a single
-    finite score, giving exactly 1.0 on the label row and 0.0 elsewhere.
+    The clamp is *fused* into the segmented softmax: the non-label rows of
+    labeled objects (``blocked_rows``, precomputed by :func:`clamp_rows` or
+    derived here when omitted) are masked to ``-inf`` score, so one softmax
+    pass produces the clamped posterior directly.  The result is
+    bit-identical to a post-hoc scatter of the point masses: a labeled
+    object's block softmaxes over a single finite score, giving exactly 1.0
+    on the label row and 0.0 elsewhere.
     """
-    check_backend(backend)
     scores = pair_scores(structure, trust, extra_scores, domain_correction)
-
-    if backend == "vectorized":
-        if blocked_rows is None:
-            blocked_rows = clamp_rows(structure, label_rows)
-        if blocked_rows.size:
-            # pair_scores returns a fresh array; masking in place is safe.
-            scores[blocked_rows] = -np.inf
-        probs = segment_softmax(scores, structure.pair_object_pos, structure.n_objects)
-        return probs[structure.obs_pair_idx], probs
-
+    if blocked_rows is None:
+        blocked_rows = clamp_rows(structure, label_rows)
+    if blocked_rows.size:
+        # pair_scores returns a fresh array; masking in place is safe.
+        scores[blocked_rows] = -np.inf
     probs = segment_softmax(scores, structure.pair_object_pos, structure.n_objects)
-    labeled = label_rows >= 0
-    if np.any(labeled):
-        for position in np.flatnonzero(labeled):
-            rows = structure.rows_of(int(position))
-            probs[rows.start : rows.stop] = 0.0
-            probs[label_rows[position]] = 1.0
     return probs[structure.obs_pair_idx], probs

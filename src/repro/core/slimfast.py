@@ -29,13 +29,12 @@ import time
 from typing import Dict, Mapping, Optional
 
 from ..fusion.dataset import FusionDataset
-from ..fusion.encoding import check_backend, encode_dataset
-from ..fusion.features import build_design_matrix
+from ..fusion.encoding import encode_dataset
 from ..fusion.result import FusionResult
 from ..fusion.types import DatasetError, NotFittedError, ObjectId, Value
 from .em import EMConfig, EMLearner
 from .erm import ERMConfig, ERMLearner
-from .inference import map_assignment, posterior_rows, posteriors
+from .inference import posterior_rows
 from .model import AccuracyModel
 from .optimizer import OptimizerDecision, decide
 from .structure import build_pair_structure
@@ -68,11 +67,6 @@ class SLiMFast:
         arguments when omitted.
     optimizer_per_observation / optimizer_accuracy_method:
         Optimizer variants, see :mod:`repro.core.optimizer`.
-    backend:
-        Inference/learning engine: ``"vectorized"`` (default, dense-array
-        reductions over the dataset's cached encoding) or ``"reference"``
-        (the original loop implementations).  Ignored for learner configs
-        passed explicitly.
     featurizer:
         Optional :class:`repro.featurize.FeaturizerPipeline`: the design
         matrix comes from data-derived reliability features (plus the
@@ -94,7 +88,6 @@ class SLiMFast:
         em_config: Optional[EMConfig] = None,
         optimizer_per_observation: bool = False,
         optimizer_accuracy_method: str = "domain-corrected",
-        backend: str = "vectorized",
         seed: int = 0,
         featurizer: Optional[object] = None,
     ) -> None:
@@ -106,7 +99,6 @@ class SLiMFast:
         self.use_features = use_features
         self.featurizer = featurizer
         self.tau = tau
-        self.backend = check_backend(backend)
         self.optimizer_per_observation = optimizer_per_observation
         self.optimizer_accuracy_method = optimizer_accuracy_method
         self.erm_config = erm_config or ERMConfig(
@@ -115,7 +107,6 @@ class SLiMFast:
             l2_features=l2_features,
             solver=solver,
             use_features=use_features,
-            backend=backend,
             seed=seed,
             featurizer=featurizer,
         )
@@ -124,7 +115,6 @@ class SLiMFast:
             l2_features=l2_features,
             use_features=use_features,
             solver=solver,
-            backend=backend,
             seed=seed,
             featurizer=featurizer,
         )
@@ -150,12 +140,10 @@ class SLiMFast:
         started = time.perf_counter()
         if self.featurizer is not None:
             design, space = self.featurizer.design_for(dataset)
-        elif self.backend == "vectorized":
+        else:
             # One compile covers the index arrays and the design matrix;
             # both are cached on the dataset for every later consumer.
             design, space = encode_dataset(dataset).design(self.use_features)
-        else:
-            design, space = build_design_matrix(dataset, use_features=self.use_features)
         self.timings_["compile"] = time.perf_counter() - started
 
         started = time.perf_counter()
@@ -194,44 +182,27 @@ class SLiMFast:
         """Infer object values and package the full fusion output.
 
         Training objects are clamped to their known truth; all other
-        objects receive MAP estimates under the learned model.  With the
-        vectorized backend the returned :class:`FusionResult` is
-        array-backed: no per-object dict is built on the predict path, the
-        ``values`` / ``posteriors`` views materialize lazily on demand.
+        objects receive MAP estimates under the learned model.  The returned
+        :class:`FusionResult` is array-backed: no per-object dict is built
+        on the predict path, the ``values`` / ``posteriors`` views
+        materialize lazily on demand.
         """
         if self.model_ is None or self._dataset is None:
             raise NotFittedError("call fit() before predict()")
         started = time.perf_counter()
-        structure = build_pair_structure(self._dataset, backend=self.backend)
+        structure = build_pair_structure(self._dataset)
         diagnostics: Dict[str, object] = {"learner": self.chosen_learner_}
         if self.decision_ is not None:
             diagnostics["optimizer"] = self.decision_
-        if self.backend == "vectorized":
-            probs = posterior_rows(structure, self.model_)
-            result = FusionResult.from_rows(
-                structure,
-                probs,
-                clamp=self._train_truth,
-                accuracy_vector=self.model_.accuracies(),
-                source_ids=self.model_.source_ids,
-                method=self._method_name(),
-                diagnostics=diagnostics,
-            )
-        else:
-            posterior = posteriors(
-                self._dataset,
-                self.model_,
-                structure=structure,
-                clamp=self._train_truth,
-                backend="reference",
-            )
-            result = FusionResult(
-                values=map_assignment(posterior),
-                posteriors=posterior,
-                source_accuracies=self.model_.accuracy_map(),
-                method=self._method_name(),
-                diagnostics=diagnostics,
-            )
+        result = FusionResult.from_rows(
+            structure,
+            posterior_rows(structure, self.model_),
+            clamp=self._train_truth,
+            accuracy_vector=self.model_.accuracies(),
+            source_ids=self.model_.source_ids,
+            method=self._method_name(),
+            diagnostics=diagnostics,
+        )
         self.timings_["inference"] = time.perf_counter() - started
         diagnostics["timings"] = dict(self.timings_)
         return result

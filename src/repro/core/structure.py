@@ -8,10 +8,10 @@ the row of the value it claims.  :class:`PairStructure` builds that once per
 dataset and is shared by the ERM/EM learners, the inference routines and the
 copying extension.
 
-Two construction backends exist: ``"vectorized"`` (default) derives every
-array from the dataset's cached :class:`~repro.fusion.encoding.DenseEncoding`
-with pure NumPy indexing, while ``"reference"`` keeps the original
-observation-walking loops as the machine-checked ground truth.
+Every array derives from the dataset's cached
+:class:`~repro.fusion.encoding.DenseEncoding` with pure NumPy indexing; the
+observation-walking loops these builders replaced live on as test oracles
+(``tests/oracles/structure.py``).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..fusion.dataset import FusionDataset
-from ..fusion.encoding import DenseEncoding, check_backend, encode_dataset, expand_spans
+from ..fusion.encoding import DenseEncoding, encode_dataset, expand_spans
 from ..fusion.types import ObjectId, Value
 
 
@@ -55,8 +55,8 @@ class PairStructure:
         uniformly over the wrong alternatives.  For binary domains the
         offset is zero and the model is exactly the paper's.
     encoding:
-        The dataset encoding this structure was derived from (set by the
-        vectorized builder; enables array-based :meth:`label_rows`).
+        The dataset encoding this structure was derived from (unset on
+        source-masked structures; enables array-based :meth:`label_rows`).
     """
 
     object_ids: List[ObjectId]
@@ -108,20 +108,9 @@ class PairStructure:
 
 
 def build_pair_structure(
-    dataset: FusionDataset,
-    objects: Optional[Sequence[ObjectId]] = None,
-    backend: str = "vectorized",
+    dataset: FusionDataset, objects: Optional[Sequence[ObjectId]] = None
 ) -> PairStructure:
     """Construct the :class:`PairStructure` for ``objects`` (default: all)."""
-    if check_backend(backend) == "vectorized":
-        return _build_vectorized(dataset, objects)
-    return _build_reference(dataset, objects)
-
-
-def _build_vectorized(
-    dataset: FusionDataset, objects: Optional[Sequence[ObjectId]]
-) -> PairStructure:
-    """Array-only construction from the dataset's dense encoding."""
     encoding = encode_dataset(dataset)
     if objects is None:
         return PairStructure(
@@ -175,7 +164,7 @@ def _build_vectorized(
 def build_incremental_structure(encoding) -> PairStructure:
     """Full-coverage :class:`PairStructure` over an incremental encoding.
 
-    The incremental counterpart of the full-dataset vectorized build: the
+    The incremental counterpart of the full-dataset build: the
     structure's arrays are the :class:`~repro.fusion.encoding.IncrementalEncoding`
     snapshot arrays themselves (no re-walk, no re-derivation), so a
     periodic batch re-fit over a growing stream pays only the snapshot
@@ -199,9 +188,7 @@ def build_incremental_structure(encoding) -> PairStructure:
 
 
 def build_masked_structure(
-    dataset: FusionDataset,
-    exclude_sources: Sequence[object],
-    backend: str = "vectorized",
+    dataset: FusionDataset, exclude_sources: Sequence[object]
 ) -> PairStructure:
     """Candidate structure of ``dataset`` with some sources' votes removed.
 
@@ -221,26 +208,11 @@ def build_masked_structure(
     dataset (first-seen among *all* observations here versus first-seen
     among the remaining ones), which permutes candidate rows within an
     object's block but leaves every posterior unchanged.
-
-    ``backend="reference"`` keeps an observation-walking construction as
-    the machine-checked ground truth.
     """
-    exclude_idx = {dataset.sources.index(source) for source in exclude_sources}
-    if check_backend(backend) == "reference":
-        seen = {
-            obs.obj
-            for obs in dataset.observations
-            if dataset.sources.index(obs.source) not in exclude_idx
-        }
-        # Preserve dataset object order and original domain order.
-        kept_objects = [obj for obj in dataset.objects.items if obj in seen]
-        structure = _build_reference(dataset, kept_objects)
-        return _mask_structure_reference(structure, exclude_idx)
-
     encoding = encode_dataset(dataset)
     exclude = np.zeros(dataset.n_sources, dtype=bool)
-    for s_idx in exclude_idx:
-        exclude[s_idx] = True
+    for source in exclude_sources:
+        exclude[dataset.sources.index(source)] = True
     keep_obs = ~exclude[encoding.obs_source_idx]
     obs_object = encoding.obs_object_idx[keep_obs]
     obs_source = encoding.obs_source_idx[keep_obs]
@@ -291,108 +263,3 @@ def build_masked_structure(
         # value matching within the masked blocks.
     )
 
-
-def _mask_structure_reference(structure: PairStructure, exclude_idx: set) -> PairStructure:
-    """Loop-based masking of a reference structure (ground truth)."""
-    kept = [int(s) not in exclude_idx for s in structure.obs_source_idx]
-    keep_obs = np.asarray(kept, dtype=bool)
-    votes = np.bincount(structure.obs_pair_idx[keep_obs], minlength=structure.n_pairs)
-    offsets = [0]
-    pair_object_pos: List[int] = []
-    pair_values: List[Value] = []
-    new_row_of: Dict[int, int] = {}
-    object_ids: List[ObjectId] = []
-    object_dataset_idx: List[int] = []
-    for position, obj in enumerate(structure.object_ids):
-        rows = [row for row in structure.rows_of(position) if votes[row] > 0]
-        if not rows:
-            continue
-        new_position = len(object_ids)
-        object_ids.append(obj)
-        object_dataset_idx.append(int(structure.object_dataset_idx[position]))
-        for row in rows:
-            new_row_of[row] = len(pair_values)
-            pair_object_pos.append(new_position)
-            pair_values.append(structure.pair_values[row])
-        offsets.append(offsets[-1] + len(rows))
-
-    obs_source: List[int] = []
-    obs_pair: List[int] = []
-    obs_log_alt: List[float] = []
-    domain_sizes = np.diff(np.asarray(offsets, dtype=np.int64))
-    for i in np.flatnonzero(keep_obs):
-        row = int(structure.obs_pair_idx[i])
-        new_row = new_row_of[row]
-        obs_source.append(int(structure.obs_source_idx[i]))
-        obs_pair.append(new_row)
-        obs_log_alt.append(float(np.log(max(int(domain_sizes[pair_object_pos[new_row]]) - 1, 1))))
-    obs_pair_arr = np.asarray(obs_pair, dtype=np.int64)
-    base_scores = np.bincount(
-        obs_pair_arr, weights=np.asarray(obs_log_alt, dtype=float), minlength=len(pair_values)
-    )
-    return PairStructure(
-        object_ids=object_ids,
-        object_dataset_idx=np.asarray(object_dataset_idx, dtype=np.int64),
-        pair_object_pos=np.asarray(pair_object_pos, dtype=np.int64),
-        pair_values=pair_values,
-        pair_offsets=np.asarray(offsets, dtype=np.int64),
-        obs_source_idx=np.asarray(obs_source, dtype=np.int64),
-        obs_pair_idx=obs_pair_arr,
-        base_scores=base_scores,
-    )
-
-
-def _build_reference(
-    dataset: FusionDataset, objects: Optional[Sequence[ObjectId]]
-) -> PairStructure:
-    """Original loop-based construction (ground truth for the tests)."""
-    if objects is None:
-        object_ids = dataset.objects.items
-    else:
-        object_ids = list(objects)
-
-    object_dataset_idx = np.asarray(
-        [dataset.objects.index(obj) for obj in object_ids], dtype=np.int64
-    )
-
-    pair_object_pos: List[int] = []
-    pair_values: List[Value] = []
-    offsets = [0]
-    row_base: Dict[int, int] = {}
-    for position, o_idx in enumerate(object_dataset_idx):
-        domain = dataset.domain_by_index(int(o_idx))
-        row_base[int(o_idx)] = offsets[-1]
-        for value in domain:
-            pair_object_pos.append(position)
-            pair_values.append(value)
-        offsets.append(offsets[-1] + len(domain))
-
-    obs_source: List[int] = []
-    obs_pair: List[int] = []
-    obs_log_alt: List[float] = []
-    for o_idx in object_dataset_idx:
-        base = row_base[int(o_idx)]
-        domain = dataset.domain_by_index(int(o_idx))
-        log_alt = float(np.log(max(len(domain) - 1, 1)))
-        for row in dataset.object_observation_rows(int(o_idx)):
-            obs = dataset.observations[row]
-            obs_source.append(dataset.sources.index(obs.source))
-            obs_pair.append(base + domain.index(obs.value))
-            obs_log_alt.append(log_alt)
-
-    obs_pair_arr = np.asarray(obs_pair, dtype=np.int64)
-    base_scores = np.bincount(
-        obs_pair_arr,
-        weights=np.asarray(obs_log_alt, dtype=float),
-        minlength=len(pair_values),
-    )
-    return PairStructure(
-        object_ids=object_ids,
-        object_dataset_idx=object_dataset_idx,
-        pair_object_pos=np.asarray(pair_object_pos, dtype=np.int64),
-        pair_values=pair_values,
-        pair_offsets=np.asarray(offsets, dtype=np.int64),
-        obs_source_idx=np.asarray(obs_source, dtype=np.int64),
-        obs_pair_idx=obs_pair_arr,
-        base_scores=base_scores,
-    )

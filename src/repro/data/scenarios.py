@@ -240,7 +240,8 @@ class Scenario:
 
         Each step's batch is observed (as one bulk batch, or observation
         by observation when ``one_by_one`` — the mode that is bit-identical
-        to the reference backend), then the step's truth reveals are fed.
+        to the sequential streaming oracle), then the step's truth reveals
+        are fed.
         Returns the fuser.
         """
         for step in self.steps:

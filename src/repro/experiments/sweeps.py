@@ -68,7 +68,7 @@ from ..core.model import AccuracyModel
 from ..core.optimizer import decide, estimate_average_accuracy
 from ..core.structure import PairStructure, build_masked_structure, build_pair_structure
 from ..fusion.dataset import FusionDataset
-from ..fusion.encoding import DenseEncoding, check_backend, encode_dataset
+from ..fusion.encoding import DenseEncoding, encode_dataset
 from ..fusion.result import FusionResult
 from ..fusion.types import DatasetError, ObjectId, SourceId, Value
 from ..optim.solvers import WarmStartState
@@ -190,9 +190,6 @@ class SweepRunner:
         to the contracted ``"lbfgs-warm"`` solver; ``"isolated"`` runs each
         spec through the existing per-fit path (fresh derivations, classic
         ``"lbfgs"`` default, no cross-fit state).
-    backend:
-        Engine for structure/inference work (``"vectorized"`` or
-        ``"reference"``); batched sharing requires ``"vectorized"``.
     warm_start:
         Disable the cross-fit warm-state handoff while keeping the other
         batched sharing (useful for ablation).
@@ -226,16 +223,12 @@ class SweepRunner:
         self,
         dataset: FusionDataset,
         mode: str = "batched",
-        backend: str = "vectorized",
         warm_start: bool = True,
         n_jobs: Optional[int] = 1,
         shared_memory: object = "auto",
     ) -> None:
         if mode not in SWEEP_MODES:
             raise ValueError(f"unknown mode {mode!r}; expected one of {SWEEP_MODES}")
-        check_backend(backend)
-        if mode == "batched" and backend != "vectorized":
-            raise ValueError('batched sweeps require backend="vectorized"')
         self.n_jobs = resolve_n_jobs(n_jobs)
         if self.n_jobs > 1 and mode != "batched":
             raise ValueError(
@@ -247,7 +240,6 @@ class SweepRunner:
         self.shared_memory = shared_memory
         self.dataset = dataset
         self.mode = mode
-        self.backend = backend
         self.warm_start = warm_start and mode == "batched"
 
         self._structures: Dict[Tuple[int, ...], PairStructure] = {}
@@ -275,11 +267,9 @@ class SweepRunner:
         cached = self._structures.get(key)
         if cached is None:
             if key:
-                cached = build_masked_structure(
-                    self.dataset, exclude_sources, backend=self.backend
-                )
+                cached = build_masked_structure(self.dataset, exclude_sources)
             else:
-                cached = build_pair_structure(self.dataset, backend=self.backend)
+                cached = build_pair_structure(self.dataset)
             self._structures[key] = cached
         return cached
 
@@ -400,7 +390,7 @@ class SweepRunner:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _config_for(spec: FitSpec, learner_used: str, backend: str, batched: bool):
+    def _config_for(spec: FitSpec, learner_used: str, batched: bool):
         """Learner config from a spec's overrides.
 
         Explicit-learner specs pass overrides through verbatim (typos fail
@@ -416,7 +406,7 @@ class SweepRunner:
             overrides = {k: v for k, v in overrides.items() if k in known}
         if batched and learner_used == "em":
             overrides.setdefault("solver", "lbfgs-warm")
-        return config_cls(use_features=spec.use_features, backend=backend, **overrides)
+        return config_cls(use_features=spec.use_features, **overrides)
 
     @staticmethod
     def _erm_structure(spec: FitSpec, config: ERMConfig, structure: PairStructure):
@@ -424,9 +414,8 @@ class SweepRunner:
 
         The structure-based sample path covers the deterministic
         correctness objective; SGD and the conditional objective keep their
-        classic dataset-walking derivations (SGD's sample stream is
-        bitwise-pinned to the reference engine), which is only impossible
-        for source-masked specs.
+        dataset-order derivations (SGD's sample stream is bitwise-pinned to
+        the loop oracle), which is only impossible for source-masked specs.
         """
         if config.objective == "correctness" and config.solver != "sgd":
             return structure
@@ -466,7 +455,7 @@ class SweepRunner:
             self._nearest_state(spec, learner_used) if learner_used == "em" else (None, None)
         )
 
-        config = self._config_for(spec, learner_used, self.backend, batched=True)
+        config = self._config_for(spec, learner_used, batched=True)
         if learner_used == "em":
             learner = EMLearner(config)
             model = learner.fit(
@@ -510,17 +499,15 @@ class SweepRunner:
         learners' own derivations, exactly as a direct per-fit call would.
         """
         if spec.exclude_sources:
-            structure = build_masked_structure(
-                self.dataset, spec.exclude_sources, backend=self.backend
-            )
+            structure = build_masked_structure(self.dataset, spec.exclude_sources)
             fit_structure = structure
         else:
-            structure = build_pair_structure(self.dataset, backend=self.backend)
+            structure = build_pair_structure(self.dataset)
             fit_structure = None
         design, space = self._design_for_spec(spec, cached=False)
         learner_used, decision = self._choose_learner(spec, truth, design.shape[1], cached=False)
 
-        config = self._config_for(spec, learner_used, self.backend, batched=False)
+        config = self._config_for(spec, learner_used, batched=False)
         if learner_used == "em":
             learner = EMLearner(config)
             model = learner.fit(
@@ -658,7 +645,6 @@ class SweepRunner:
 
         payload = _SweepPayload(
             dataset=self.dataset,  # pickles without its cached encoding
-            backend=self.backend,
             warm_start=self.warm_start,
             encoding_arrays=arrays,
             encoding_pair_values=state["pair_values"],
@@ -700,15 +686,10 @@ class SweepRunner:
                 },
             },
         )
-        runner = cls(
-            dataset,
-            mode="batched",
-            backend=payload.backend,
-            warm_start=payload.warm_start,
-        )
+        runner = cls(dataset, mode="batched", warm_start=payload.warm_start)
         for key, state in payload.structures.items():
             runner._structures[key] = PairStructure(**resolve_shared(state, arrays))
-        runner._structures[()] = build_pair_structure(dataset, backend=payload.backend)
+        runner._structures[()] = build_pair_structure(dataset)
         runner._label_plans = dict(payload.label_plans)
         runner._avg_accuracy = payload.avg_accuracy
         return runner, segment
@@ -725,7 +706,6 @@ class _SweepPayload:
     """
 
     dataset: FusionDataset
-    backend: str
     warm_start: bool
     encoding_arrays: Dict[str, object]
     encoding_pair_values: List[Value]

@@ -9,38 +9,30 @@ streaming counterpart of SLiMFast's accuracy model:
   fused estimate of each object (self-training, optional);
 * object posteriors are maintained incrementally — each arriving
   observation only touches its own object's score table;
-* exponential decay lets source reliability drift over time (sources go
-  stale; the decay half-life is configurable).
+* trust decay lets source reliability drift over time (sources go stale;
+  see :class:`DecayConfig`).
 
 This trades the batch model's guarantees for O(batch) work per ingested
-batch (O(1) dict work per observation on the reference engine).
+batch.  Source states live in flat Beta-count vectors, the per-object score
+table is **ragged** (per-object spans over one flat array with doubling
+slack, mirroring the incremental encoding's slot store — memory stays
+``O(total claimed values)`` even when one object's domain is huge), and
+each :meth:`StreamingFuser.observe_batch` updates everything with bulk
+NumPy scatters over an :class:`~repro.fusion.encoding.IncrementalEncoding`
+(which also gives the fuser O(batch) appends and a snapshot compatible
+with the batch learners).  Batches use *batch-start* source trusts for
+scoring and apply source-state feedback after the batch, so a batch of
+size 1 reproduces the sequential dict-per-observation model **exactly** —
+its loop oracle lives in ``tests/oracles/streaming.py`` — while larger
+batches are a mini-batch approximation (the equivalence tolerances are
+pinned in ``tests/test_incremental_encoding.py``).  Optionally, a periodic
+warm-started EM re-fit (:func:`repro.core.em.fit_incremental`) re-anchors
+source reliabilities and rebuilds the score table from the accumulated
+stream.
 
-Two engines implement the model, selected by ``backend``:
-
-* ``"vectorized"`` (default) — array-native: source states live in flat
-  Beta-count vectors, the per-object score table is **ragged** (per-object
-  spans over one flat array with doubling slack, mirroring the
-  incremental encoding's slot store — memory stays ``O(total claimed
-  values)`` even when one object's domain is huge), and each
-  :meth:`StreamingFuser.observe_batch`
-  updates everything with bulk NumPy scatters over an
-  :class:`~repro.fusion.encoding.IncrementalEncoding` (which also gives the
-  fuser O(batch) appends and a snapshot compatible with the batch
-  learners).  Batches use *batch-start* source trusts for scoring and
-  apply source-state feedback after the batch, so a batch of size 1
-  reproduces the reference engine **exactly**; larger batches are a
-  mini-batch approximation (the equivalence tolerances are pinned in
-  ``tests/test_incremental_encoding.py``).  Optionally, a periodic
-  warm-started EM re-fit (:func:`repro.core.em.fit_incremental`) re-anchors
-  source reliabilities and rebuilds the score table from the accumulated
-  stream.
-* ``"reference"`` — the original dict-per-observation Python loops, kept
-  as the machine-checked ground truth.
-
-The vectorized engine enforces dataset semantics (duplicate
-``(source, object)`` claims raise), because its backing encoding must stay
-equivalent to a cold compile of the accumulated stream; the reference
-engine keeps its historical lenient behaviour.
+The fuser enforces dataset semantics (duplicate ``(source, object)``
+claims raise), because its backing encoding must stay equivalent to a cold
+compile of the accumulated stream.
 """
 
 from __future__ import annotations
@@ -52,12 +44,7 @@ import numpy as np
 
 from .._rng import as_generator
 from ..fusion.dataset import FusionDataset
-from ..fusion.encoding import (
-    IncrementalEncoding,
-    _AppendBuffer,
-    check_backend,
-    expand_spans,
-)
+from ..fusion.encoding import IncrementalEncoding, _AppendBuffer, expand_spans
 from ..fusion.result import FusionResult
 from ..fusion.types import ObjectId, Observation, SourceId, Value
 from ..optim.numerics import logit
@@ -75,8 +62,8 @@ class DecayConfig:
     half_life:
         Exponential forgetting: a source's pseudo-counts are halved every
         ``half_life`` observations *that source* makes (activity-based
-        time, matching the legacy per-observation ``decay`` parameter:
-        ``half_life=h`` is exactly ``decay=2**(-1/h)``).
+        time: each of its observations multiplies both counts by
+        :attr:`factor` ``= 2**(-1/half_life)``).
     window:
         Sliding-window forgetting via an effective-sample-size cap:
         whenever a source's total pseudo-count exceeds ``window``, both
@@ -115,128 +102,8 @@ class DecayConfig:
         return float(2.0 ** (-1.0 / self.half_life))
 
 
-@dataclass
-class _SourceState:
-    """Beta-posterior correctness state of one source (reference engine)."""
-
-    correct: float
-    total: float
-
-    def accuracy(self) -> float:
-        return self.correct / self.total
-
-
-class _ReferenceEngine:
-    """Original dict-per-observation implementation (ground truth)."""
-
-    def __init__(self, fuser: "StreamingFuser") -> None:
-        self._config = fuser
-        self._sources: Dict[SourceId, _SourceState] = {}
-        self._truth: Dict[ObjectId, Value] = {}
-        # per-object score table: value -> accumulated trust
-        self._scores: Dict[ObjectId, Dict[Value, float]] = {}
-        # per-object claims: source -> value (for retrospective credit)
-        self._claims: Dict[ObjectId, Dict[SourceId, Value]] = {}
-        self.n_processed = 0
-
-    # ------------------------------------------------------------------
-    def _state(self, source: SourceId) -> _SourceState:
-        state = self._sources.get(source)
-        if state is None:
-            state = _SourceState(self._config.prior_correct, self._config.prior_total)
-            self._sources[source] = state
-        return state
-
-    def observe(self, observation: Observation) -> None:
-        source, obj, value = observation
-        state = self._state(source)
-        if self._config.decay < 1.0:
-            state.correct *= self._config.decay
-            state.total *= self._config.decay
-            state.correct = max(state.correct, 1e-6)
-            state.total = max(state.total, 2e-6)
-
-        trust = float(logit(state.accuracy()))
-        self._scores.setdefault(obj, {})
-        self._scores[obj][value] = self._scores[obj].get(value, 0.0) + trust
-        self._claims.setdefault(obj, {})[source] = value
-
-        expected = self._truth.get(obj)
-        if expected is not None:
-            state.correct += 1.0 if value == expected else 0.0
-            state.total += 1.0
-        elif self._config.self_training:
-            confidence = self.posterior(obj).get(value, 0.0)
-            state.correct += confidence
-            state.total += 1.0
-        self._apply_window(state)
-        self.n_processed += 1
-
-    def _apply_window(self, state: _SourceState) -> None:
-        """Cap the effective sample size at the configured trust window."""
-        window = self._config.trust_window
-        if window is not None and state.total > window:
-            scale = window / state.total
-            state.correct *= scale
-            state.total *= scale
-
-    def observe_batch(self, observations: Sequence[Observation]) -> None:
-        for observation in observations:
-            self.observe(observation)
-
-    def preset_truth(self, obj: ObjectId, value: Value) -> None:
-        self._truth[obj] = value
-
-    def reveal_truth(self, obj: ObjectId, value: Value) -> None:
-        self._truth[obj] = value
-        for source, claimed in self._claims.get(obj, {}).items():
-            state = self._state(source)
-            state.correct += 1.0 if claimed == value else 0.0
-            state.total += 1.0
-            self._apply_window(state)
-
-    # ------------------------------------------------------------------
-    def posterior(self, obj: ObjectId) -> Dict[Value, float]:
-        scores = self._scores.get(obj)
-        if not scores:
-            return {}
-        if obj in self._truth:
-            clamped = {value: 0.0 for value in scores}
-            clamped[self._truth[obj]] = 1.0  # truth may be unclaimed
-            return clamped
-        values = list(scores)
-        arr = np.asarray([scores[v] for v in values])
-        arr = arr - arr.max()
-        probs = np.exp(arr)
-        probs /= probs.sum()
-        return {value: float(p) for value, p in zip(values, probs)}
-
-    def source_accuracies(self) -> Dict[SourceId, float]:
-        return {source: state.accuracy() for source, state in self._sources.items()}
-
-    def to_result(self, dataset: Optional[FusionDataset] = None) -> FusionResult:
-        values = {obj: _argmax_posterior(self.posterior(obj)) for obj in self._scores}
-        posteriors = {obj: self.posterior(obj) for obj in self._scores}
-        result = FusionResult(
-            values=values,
-            posteriors=posteriors,
-            source_accuracies=self.source_accuracies(),
-            method="streaming",
-            diagnostics={"n_processed": self.n_processed, "backend": "reference"},
-        )
-        if dataset is not None:
-            result.attach_dataset(dataset)
-        return result
-
-
-def _argmax_posterior(posterior: Dict[Value, float]) -> Optional[Value]:
-    if not posterior:
-        return None
-    return max(posterior, key=posterior.get)
-
-
-class _VectorizedEngine:
-    """Array-native engine over an incremental encoding.
+class StreamingFuser:
+    """Single-pass fusion with online source-reliability tracking.
 
     Source Beta states are flat vectors; the score table is *ragged* —
     object ``o``'s scores live in
@@ -245,13 +112,82 @@ class _VectorizedEngine:
     relocate-and-double discipline of the incremental encoding's slot
     store.  Batches are processed with bulk scatters; see the module
     docstring for the batch semantics.
+
+    Parameters
+    ----------
+    prior_correct, prior_total:
+        Beta prior pseudo-counts; the default Beta(1.4, 0.6)-style prior
+        starts every source at 0.7 — the same optimistic initialization
+        the batch EM uses.
+    self_training:
+        When True, observations on unlabeled objects update their source's
+        counts with the current fused estimate (weighted by its posterior
+        confidence); when False only ground-truth feedback counts.
+    source_features:
+        Optional source metadata, forwarded to the periodic re-fit's
+        design matrix.
+    refit_every:
+        When set, every ``refit_every`` processed observations trigger a
+        warm-started EM re-fit over the accumulated stream (:meth:`refit`
+        can also be called explicitly).
+    refit_overrides:
+        Keyword overrides forwarded to :func:`repro.core.em.fit_incremental`
+        (e.g. ``{"max_iterations": 10}``).
+    trust_decay:
+        A :class:`DecayConfig` bounding trust memory so re-anchoring can
+        track accuracy drift: ``half_life=h`` is exponential forgetting,
+        ``window=w`` caps each source's effective sample size at ``w``
+        pseudo-counts.  ``None`` and ``DecayConfig()`` are flat counting.
+    featurizer:
+        Optional :class:`repro.featurize.FeaturizerPipeline`: the fuser
+        maintains :class:`~repro.featurize.stats.RunningSourceStats` in
+        O(batch) per append, and every periodic re-fit uses a design of
+        data-derived reliability features assembled from those running
+        accumulators instead of the metadata-only matrix.
     """
 
-    def __init__(self, fuser: "StreamingFuser") -> None:
-        self._config = fuser
-        self.encoding = IncrementalEncoding(
-            source_features=fuser.source_features, name="streaming"
-        )
+    def __init__(
+        self,
+        prior_correct: float = 1.4,
+        prior_total: float = 2.0,
+        self_training: bool = True,
+        source_features: Optional[Mapping[SourceId, Mapping[str, object]]] = None,
+        refit_every: Optional[int] = None,
+        refit_overrides: Optional[Dict[str, object]] = None,
+        trust_decay: Optional[DecayConfig] = None,
+        featurizer: Optional[object] = None,
+    ) -> None:
+        if prior_total <= 0 or prior_correct <= 0 or prior_correct >= prior_total:
+            raise ValueError("priors must satisfy 0 < correct < total")
+        if (
+            trust_decay is not None
+            and trust_decay.window is not None
+            and trust_decay.window < prior_total
+        ):
+            raise ValueError(
+                "trust_decay.window must be at least prior_total "
+                "(the prior pseudo-counts must fit inside the window)"
+            )
+        if refit_every is not None and refit_every <= 0:
+            raise ValueError("refit_every must be a positive observation count")
+        if featurizer is not None and not hasattr(featurizer, "design_from_stats"):
+            raise ValueError(
+                "featurizer must provide design_from_stats "
+                "(e.g. repro.featurize.FeaturizerPipeline), got "
+                f"{type(featurizer).__name__}"
+            )
+        self.prior_correct = prior_correct
+        self.prior_total = prior_total
+        self.trust_decay = trust_decay
+        self.trust_window = trust_decay.window if trust_decay is not None else None
+        self._decay = trust_decay.factor if trust_decay is not None else 1.0
+        self.self_training = self_training
+        self.source_features = source_features
+        self.refit_every = refit_every
+        self.refit_overrides = refit_overrides
+        self.featurizer = featurizer
+
+        self.encoding = IncrementalEncoding(source_features=source_features, name="streaming")
         self._correct = np.zeros(8)
         self._total = np.zeros(8)
         self._n_sources = 0
@@ -269,11 +205,11 @@ class _VectorizedEngine:
         self._last_refit_at = 0
         self._warm_state = None
         self._running_stats = None
-        if fuser.featurizer is not None:
+        if featurizer is not None:
             from ..featurize.stats import DEFAULT_HALF_LIFE, RunningSourceStats
 
             self._running_stats = RunningSourceStats(
-                half_life=getattr(fuser.featurizer, "half_life", DEFAULT_HALF_LIFE)
+                half_life=getattr(featurizer, "half_life", DEFAULT_HALF_LIFE)
             )
 
     # ------------------------------------------------------------------
@@ -288,8 +224,8 @@ class _VectorizedEngine:
                 fresh = np.zeros(new_capacity)
                 fresh[: self._n_sources] = old[: self._n_sources]
                 setattr(self, name, fresh)
-        self._correct[self._n_sources : n_sources] = self._config.prior_correct
-        self._total[self._n_sources : n_sources] = self._config.prior_total
+        self._correct[self._n_sources : n_sources] = self.prior_correct
+        self._total[self._n_sources : n_sources] = self.prior_total
         self._n_sources = n_sources
 
     def _grow_objects(self, n_objects: int) -> None:
@@ -331,9 +267,7 @@ class _VectorizedEngine:
             self._grow_flat(position + new_cap)
             if cap:
                 start = int(self._score_start.data[o_idx])
-                self._score_flat[position : position + cap] = self._score_flat[
-                    start : start + cap
-                ]
+                self._score_flat[position : position + cap] = self._score_flat[start : start + cap]
             self._score_start.data[o_idx] = position
             self._score_cap.data[o_idx] = new_cap
             self._score_used = position + new_cap
@@ -342,9 +276,19 @@ class _VectorizedEngine:
     # Ingestion
     # ------------------------------------------------------------------
     def observe(self, observation: Observation) -> None:
+        """Ingest one observation: a batch of size 1.
+
+        Each call pays a constant NumPy dispatch overhead, so high-rate
+        feeds should prefer :meth:`observe_batch`.
+        """
         self.observe_batch([observation])
 
-    def observe_batch(self, observations: Sequence[Observation]) -> None:
+    def observe_batch(self, observations: Sequence[Observation | tuple]) -> None:
+        """Ingest a batch of observations in bulk.
+
+        One O(batch) append into the incremental encoding plus a constant
+        number of array scatters, regardless of batch size.
+        """
         batch = self.encoding.append(observations)
         if len(batch) == 0:
             return
@@ -352,7 +296,6 @@ class _VectorizedEngine:
             # O(batch + touched-object claims): keeps the featurized
             # refit's design inputs current without any snapshot pass.
             self._running_stats.observe(self.encoding, batch)
-        config = self._config
         n_objects_before = self._n_objects
         self._grow_sources(self.encoding.n_sources)
         self._grow_objects(self.encoding.n_objects)
@@ -380,11 +323,9 @@ class _VectorizedEngine:
         batch_sources, source_inverse, source_counts = np.unique(
             s_idx, return_inverse=True, return_counts=True
         )
-        if config.decay < 1.0:
-            factor = config.decay**source_counts
-            self._correct[batch_sources] = np.maximum(
-                self._correct[batch_sources] * factor, 1e-6
-            )
+        if self._decay < 1.0:
+            factor = self._decay**source_counts
+            self._correct[batch_sources] = np.maximum(self._correct[batch_sources] * factor, 1e-6)
             self._total[batch_sources] = np.maximum(self._total[batch_sources] * factor, 2e-6)
 
         # Batch-start trusts score the whole batch (see module docstring).
@@ -401,7 +342,7 @@ class _VectorizedEngine:
             matched = (v_code == truth_codes) & labeled
             np.add.at(self._correct, s_idx[labeled], matched[labeled].astype(float))
             np.add.at(self._total, s_idx[labeled], 1.0)
-        if config.self_training and not np.all(labeled):
+        if self.self_training and not np.all(labeled):
             unlabeled = ~labeled
             confidence = self._batch_confidence(o_idx[unlabeled], v_code[unlabeled])
             np.add.at(self._correct, s_idx[unlabeled], confidence)
@@ -410,8 +351,8 @@ class _VectorizedEngine:
 
         self.n_processed += len(batch)
         if (
-            config.refit_every is not None
-            and self.n_processed - self._last_refit_at >= config.refit_every
+            self.refit_every is not None
+            and self.n_processed - self._last_refit_at >= self.refit_every
         ):
             self.refit()
 
@@ -419,7 +360,7 @@ class _VectorizedEngine:
         """Posterior confidence of each (object, claimed value) pair."""
         starts = self._score_start.data
         if object_idx.shape[0] == 1:
-            # Single-observation path mirrors the reference engine's exact
+            # Single-observation path mirrors the sequential model's exact
             # operation sequence (bit-identical self-training feedback).
             o_idx = int(object_idx[0])
             size = int(self.encoding.live_domain_sizes[o_idx])
@@ -448,7 +389,8 @@ class _VectorizedEngine:
     # ------------------------------------------------------------------
     # Truth feedback
     # ------------------------------------------------------------------
-    def preset_truth(self, obj: ObjectId, value: Value) -> None:
+    def _preset_truth(self, obj: ObjectId, value: Value) -> None:
+        """Record a label without crediting past claims."""
         self.truth[obj] = value
         o_idx = self.encoding.objects.get(obj)
         if o_idx is not None:
@@ -456,7 +398,8 @@ class _VectorizedEngine:
             self._truth_code[o_idx] = code if code is not None else -2
 
     def reveal_truth(self, obj: ObjectId, value: Value) -> None:
-        self.preset_truth(obj, value)
+        """Feed a ground-truth label; retroactively credits past claims."""
+        self._preset_truth(obj, value)
         o_idx = self.encoding.objects.get(obj)
         if o_idx is None:
             return
@@ -478,10 +421,10 @@ class _VectorizedEngine:
 
         ``min(1, window / total)`` leaves under-cap sources bit-identical
         (``x * 1.0 == x``) and rescales saturated ones with the same two
-        float operations as the reference engine, so size-1 batches stay
+        float operations as the sequential model, so size-1 batches stay
         exactly equivalent.
         """
-        window = self._config.trust_window
+        window = self.trust_window
         if window is None:
             return
         scale = np.minimum(1.0, window / self._total[source_idx])
@@ -492,6 +435,7 @@ class _VectorizedEngine:
     # Queries
     # ------------------------------------------------------------------
     def posterior(self, obj: ObjectId) -> Dict[Value, float]:
+        """Current posterior over the object's claimed values."""
         o_idx = self.encoding.objects.get(obj)
         if o_idx is None:
             return {}
@@ -507,30 +451,55 @@ class _VectorizedEngine:
         probs /= probs.sum()
         return {value: float(p) for value, p in zip(values, probs)}
 
+    def current_value(self, obj: ObjectId) -> Optional[Value]:
+        """MAP estimate for one object (None if unseen)."""
+        posterior = self.posterior(obj)
+        return max(posterior, key=posterior.get) if posterior else None
+
     def source_accuracies(self) -> Dict[SourceId, float]:
+        """Current accuracy estimate per seen source."""
         n = self._n_sources
         accuracies = self._correct[:n] / self._total[:n]
         return {source: float(acc) for source, acc in zip(self.encoding.sources.items, accuracies)}
 
-    def to_result(self, dataset: Optional[FusionDataset] = None) -> FusionResult:
-        # ``dataset`` is accepted for engine-interface parity only: the
-        # result is already array-backed, so there is nothing to attach.
+    # ------------------------------------------------------------------
+    def run(
+        self,
+        observations: Iterable[Observation],
+        truth: Optional[Dict[ObjectId, Value]] = None,
+        batch_size: int = 256,
+    ) -> "StreamingFuser":
+        """Replay an observation stream (truth revealed up front)."""
+        for obj, value in (truth or {}).items():
+            self._preset_truth(obj, value)
+        chunk: List[Observation] = []
+        for observation in observations:
+            chunk.append(observation)
+            if len(chunk) >= batch_size:
+                self.observe_batch(chunk)
+                chunk = []
+        if chunk:
+            self.observe_batch(chunk)
+        return self
+
+    def to_result(self) -> FusionResult:
+        """Snapshot the current state as an array-backed fusion result.
+
+        The score table is packaged directly as a
+        :class:`~repro.fusion.result.FusionResult` (one segmented softmax,
+        no per-object dicts).
+        """
         from ..core.structure import build_incremental_structure
         from ..optim.objectives import segment_softmax
 
         if self.encoding.n_observations == 0:
-            # Mirror the reference engine's empty snapshot instead of
-            # failing the snapshot materialization.
+            # An empty stream has no snapshot arrays to materialize.
             return FusionResult(
                 values={},
                 posteriors={},
                 source_accuracies={},
                 method="streaming",
-                diagnostics={
-                    "n_processed": 0,
-                    "backend": "vectorized",
-                    "n_refits": self.n_refits,
-                },
+                diagnostics={"n_processed": 0, "n_refits": self.n_refits},
             )
         encoding = self.encoding
         structure = build_incremental_structure(encoding)
@@ -539,20 +508,39 @@ class _VectorizedEngine:
         ]
         probs = segment_softmax(flat_scores, encoding.pair_object_idx, encoding.n_objects)
         n = self._n_sources
-        result = FusionResult.from_rows(
+        return FusionResult.from_rows(
             structure,
             probs,
             clamp=self.truth,
             accuracy_vector=self._correct[:n] / self._total[:n],
             source_ids=encoding.sources.items,
             method="streaming",
-            diagnostics={
-                "n_processed": self.n_processed,
-                "backend": "vectorized",
-                "n_refits": self.n_refits,
-            },
+            diagnostics={"n_processed": self.n_processed, "n_refits": self.n_refits},
         )
-        return result
+
+    def publish_state(self, with_dataset: bool = False) -> Dict[str, object]:
+        """Package the current state for the serving layer.
+
+        Returns everything ``repro.serve`` needs to publish an immutable
+        snapshot: ``result`` (the array-backed :meth:`to_result`
+        snapshot), ``truth`` (a copy of the revealed labels), the stream
+        counters ``n_observations`` / ``n_processed`` / ``n_refits``, and
+        — when ``with_dataset`` is True — ``dataset``, the accumulated
+        stream exported via ``IncrementalEncoding.to_dataset`` with the
+        frozen compiled encoding attached (an O(n) walk; leave it off on
+        hot publish paths).
+        """
+        dataset = None
+        if with_dataset and self.encoding.n_observations:
+            dataset = self.encoding.to_dataset(attach_encoding=True)
+        return {
+            "result": self.to_result(),
+            "truth": dict(self.truth),
+            "n_observations": self.encoding.n_observations,
+            "n_processed": self.n_processed,
+            "n_refits": self.n_refits,
+            "dataset": dataset,
+        }
 
     # ------------------------------------------------------------------
     # Periodic batch re-fit
@@ -571,12 +559,12 @@ class _VectorizedEngine:
         from ..core.em import fit_incremental
 
         design = feature_space = None
-        if self._config.featurizer is not None and self._running_stats is not None:
+        if self.featurizer is not None and self._running_stats is not None:
             # Assemble the featurized design from the running accumulators
             # (no snapshot recompute); fit_incremental then skips its own
             # design resolution entirely.
             stats = self._running_stats.snapshot(self.encoding.n_objects)
-            design, feature_space = self._config.featurizer.design_from_stats(
+            design, feature_space = self.featurizer.design_from_stats(
                 stats,
                 self.encoding.sources.items,
                 self.encoding.source_features,
@@ -587,7 +575,7 @@ class _VectorizedEngine:
             warm_state=self._warm_state,
             design=design,
             feature_space=feature_space,
-            **dict(self._config.refit_overrides or {}),
+            **dict(self.refit_overrides or {}),
         )
         self._warm_state = learner.warm_state_
         n = self._n_sources
@@ -605,229 +593,6 @@ class _VectorizedEngine:
         self.n_refits += 1
 
 
-class StreamingFuser:
-    """Single-pass fusion with online source-reliability tracking.
-
-    Parameters
-    ----------
-    prior_correct, prior_total:
-        Beta prior pseudo-counts; the default Beta(1.4, 0.6)-style prior
-        starts every source at 0.7 — the same optimistic initialization
-        the batch EM uses.
-    decay:
-        Multiplicative decay applied to a source's counts per processed
-        observation it makes; ``1.0`` disables drift tracking.  Prefer
-        the equivalent but self-documenting
-        ``trust_decay=DecayConfig(half_life=...)`` spelling.
-    trust_decay:
-        A :class:`DecayConfig` bounding trust memory so re-anchoring can
-        track accuracy drift: ``half_life=h`` is exponential forgetting
-        (identical to ``decay=2**(-1/h)``), ``window=w`` caps each
-        source's effective sample size at ``w`` pseudo-counts.
-        ``DecayConfig()`` — and equivalently ``decay=1.0`` — is
-        bit-identical to flat counting.  Mutually exclusive with a
-        non-default ``decay``.
-    self_training:
-        When True, observations on unlabeled objects update their source's
-        counts with the current fused estimate (weighted by its posterior
-        confidence); when False only ground-truth feedback counts.
-    backend:
-        ``"vectorized"`` (default) processes batches with bulk array
-        scatters over an :class:`~repro.fusion.encoding.IncrementalEncoding`;
-        ``"reference"`` keeps the original dict-per-observation loops.  A
-        vectorized batch of size 1 reproduces the reference exactly;
-        larger batches use batch-start trusts (see the module docstring).
-    source_features:
-        Optional source metadata (vectorized backend only), forwarded to
-        the periodic re-fit's design matrix.
-    refit_every:
-        Vectorized backend only: when set, every ``refit_every`` processed
-        observations trigger a warm-started EM re-fit over the accumulated
-        stream (:meth:`refit` can also be called explicitly).
-    refit_overrides:
-        Keyword overrides forwarded to :func:`repro.core.em.fit_incremental`
-        (e.g. ``{"max_iterations": 10}``).
-    featurizer:
-        Optional :class:`repro.featurize.FeaturizerPipeline` (vectorized
-        backend only): the engine maintains
-        :class:`~repro.featurize.stats.RunningSourceStats` in O(batch)
-        per append, and every periodic re-fit uses a design of
-        data-derived reliability features assembled from those running
-        accumulators instead of the metadata-only matrix.
-    """
-
-    def __init__(
-        self,
-        prior_correct: float = 1.4,
-        prior_total: float = 2.0,
-        decay: float = 1.0,
-        self_training: bool = True,
-        backend: str = "vectorized",
-        source_features: Optional[Mapping[SourceId, Mapping[str, object]]] = None,
-        refit_every: Optional[int] = None,
-        refit_overrides: Optional[Dict[str, object]] = None,
-        trust_decay: Optional[DecayConfig] = None,
-        featurizer: Optional[object] = None,
-    ) -> None:
-        if not 0.0 < decay <= 1.0:
-            raise ValueError("decay must be in (0, 1]")
-        if prior_total <= 0 or prior_correct <= 0 or prior_correct >= prior_total:
-            raise ValueError("priors must satisfy 0 < correct < total")
-        if trust_decay is not None:
-            if decay != 1.0:
-                raise ValueError(
-                    "pass either the legacy decay factor or trust_decay, not both"
-                )
-            if trust_decay.window is not None and trust_decay.window < prior_total:
-                raise ValueError(
-                    "trust_decay.window must be at least prior_total "
-                    "(the prior pseudo-counts must fit inside the window)"
-                )
-            decay = trust_decay.factor
-        check_backend(backend)
-        if refit_every is not None and refit_every <= 0:
-            raise ValueError("refit_every must be a positive observation count")
-        if backend == "reference" and (
-            refit_every is not None
-            or refit_overrides is not None
-            or source_features is not None
-            or featurizer is not None
-        ):
-            raise ValueError(
-                "refit_every/refit_overrides/source_features/featurizer require "
-                "backend='vectorized'; the reference engine has no re-fit hook"
-            )
-        if featurizer is not None and not hasattr(featurizer, "design_from_stats"):
-            raise ValueError(
-                "featurizer must provide design_from_stats "
-                "(e.g. repro.featurize.FeaturizerPipeline), got "
-                f"{type(featurizer).__name__}"
-            )
-        self.prior_correct = prior_correct
-        self.prior_total = prior_total
-        self.decay = decay
-        self.trust_decay = trust_decay
-        self.trust_window = trust_decay.window if trust_decay is not None else None
-        self.self_training = self_training
-        self.backend = backend
-        self.source_features = source_features
-        self.refit_every = refit_every
-        self.refit_overrides = refit_overrides
-        self.featurizer = featurizer
-        self._engine = (
-            _VectorizedEngine(self) if backend == "vectorized" else _ReferenceEngine(self)
-        )
-
-    def __getattr__(self, name: str):
-        # Engine internals (including the reference engine's historical
-        # private attributes) remain reachable through the fuser.
-        engine = self.__dict__.get("_engine")
-        if engine is None:
-            raise AttributeError(name)
-        return getattr(engine, name)
-
-    # ------------------------------------------------------------------
-    def observe(self, observation: Observation) -> None:
-        """Ingest one observation.
-
-        On the reference backend this is the O(1) dict update; on the
-        vectorized backend it is a batch of size 1 — asymptotically
-        O(batch) like any batch, but each call pays a constant NumPy
-        dispatch overhead, so high-rate feeds should prefer
-        :meth:`observe_batch`.
-        """
-        self._engine.observe(observation)
-
-    def observe_batch(self, observations: Sequence[Observation | tuple]) -> None:
-        """Ingest a batch of observations in bulk.
-
-        The vectorized backend's primary entry point: one O(batch) append
-        into the incremental encoding plus a constant number of array
-        scatters, regardless of batch size.
-        """
-        self._engine.observe_batch(list(observations))
-
-    def reveal_truth(self, obj: ObjectId, value: Value) -> None:
-        """Feed a ground-truth label; retroactively credits past claims."""
-        self._engine.reveal_truth(obj, value)
-
-    # ------------------------------------------------------------------
-    def posterior(self, obj: ObjectId) -> Dict[Value, float]:
-        """Current posterior over the object's claimed values."""
-        return self._engine.posterior(obj)
-
-    def current_value(self, obj: ObjectId) -> Optional[Value]:
-        """MAP estimate for one object (None if unseen)."""
-        return _argmax_posterior(self._engine.posterior(obj))
-
-    def source_accuracies(self) -> Dict[SourceId, float]:
-        """Current accuracy estimate per seen source."""
-        return self._engine.source_accuracies()
-
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        observations: Iterable[Observation],
-        truth: Optional[Dict[ObjectId, Value]] = None,
-        batch_size: int = 256,
-    ) -> "StreamingFuser":
-        """Replay an observation stream (truth revealed up front)."""
-        for obj, value in (truth or {}).items():
-            self._engine.preset_truth(obj, value)
-        if self.backend == "reference":
-            for observation in observations:
-                self._engine.observe(observation)
-            return self
-        chunk: List[Observation] = []
-        for observation in observations:
-            chunk.append(observation)
-            if len(chunk) >= batch_size:
-                self._engine.observe_batch(chunk)
-                chunk = []
-        if chunk:
-            self._engine.observe_batch(chunk)
-        return self
-
-    def to_result(self, dataset: Optional[FusionDataset] = None) -> FusionResult:
-        """Snapshot the current state as a standard fusion result.
-
-        The vectorized backend packages the score table directly as an
-        array-backed :class:`~repro.fusion.result.FusionResult` (one
-        segmented softmax, no per-object dicts); the reference backend
-        builds the classic dict result and, when the replayed ``dataset``
-        is passed, promotes it to array form via ``attach_dataset``.
-        """
-        return self._engine.to_result(dataset)
-
-    def publish_state(self, with_dataset: bool = False) -> Dict[str, object]:
-        """Package the current state for the serving layer (vectorized only).
-
-        Returns everything ``repro.serve`` needs to publish an immutable
-        snapshot: ``result`` (the array-backed :meth:`to_result`
-        snapshot), ``truth`` (a copy of the revealed labels), the stream
-        counters ``n_observations`` / ``n_processed`` / ``n_refits``, and
-        — when ``with_dataset`` is True — ``dataset``, the accumulated
-        stream exported via ``IncrementalEncoding.to_dataset`` with the
-        frozen compiled encoding attached (an O(n) walk; leave it off on
-        hot publish paths).  Raises ``ValueError`` on the reference
-        backend, which has no array state to publish.
-        """
-        if self.backend != "vectorized":
-            raise ValueError("publish_state requires backend='vectorized'")
-        engine = self._engine
-        dataset = None
-        if with_dataset and engine.encoding.n_observations:
-            dataset = engine.encoding.to_dataset(attach_encoding=True)
-        return {
-            "result": engine.to_result(),
-            "truth": dict(engine.truth),
-            "n_observations": engine.encoding.n_observations,
-            "n_processed": engine.n_processed,
-            "n_refits": engine.n_refits,
-            "dataset": dataset,
-        }
-
-
 def replay_dataset(
     dataset: FusionDataset,
     train_truth: Optional[Dict[ObjectId, Value]] = None,
@@ -837,12 +602,11 @@ def replay_dataset(
 ) -> FusionResult:
     """Stream a dataset's observations in random order through the fuser.
 
-    ``batch_size`` controls the vectorized backend's mini-batch size
-    (ignored by ``backend="reference"``); remaining keyword arguments are
-    forwarded to :class:`StreamingFuser`.  Note mini-batching changes the
-    numbers, not just the speed: batches score with batch-start trusts,
-    so only ``batch_size=1`` (or ``backend="reference"``) reproduces the
-    exact sequential replay estimates.
+    ``batch_size`` controls the mini-batch size; remaining keyword
+    arguments are forwarded to :class:`StreamingFuser`.  Note mini-batching
+    changes the numbers, not just the speed: batches score with batch-start
+    trusts, so only ``batch_size=1`` reproduces the exact sequential replay
+    estimates.
     """
     rng = as_generator(seed)
     order = rng.permutation(dataset.n_observations)
@@ -850,4 +614,4 @@ def replay_dataset(
     truth = dict(train_truth or {})
     observations = [dataset.observations[int(index)] for index in order]
     fuser.run(observations, truth=truth, batch_size=batch_size)
-    return fuser.to_result(dataset)
+    return fuser.to_result()

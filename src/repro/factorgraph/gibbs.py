@@ -7,16 +7,17 @@ variables in a fixed order, resample each from its full conditional (a
 softmax of the local scores), and accumulate marginal counts after an
 initial burn-in.
 
-Two backends are available.  ``"reference"`` (default) evaluates every
-adjacent factor's Python feature function at every sweep — faithful to the
-DeepDive execution model but slow.  ``"vectorized"`` first *compiles* the
-graph into per-variable factor-score tables (one flat score vector over all
-(variable, value) rows); for graphs whose latent-adjacent factors are all
-unary — which is exactly what :mod:`repro.factorgraph.compiler` emits for
-SLiMFast — the full conditionals are state-independent, so entire sweeps
-collapse into one segmented inverse-CDF draw over the precomputed tables.
-``"auto"`` picks vectorized when the graph compiles and falls back to the
-reference sweeps otherwise.
+:meth:`GibbsSampler.run` picks its path from the input.  A graph whose
+latent-adjacent factors are all unary — exactly what
+:mod:`repro.factorgraph.compiler` emits for SLiMFast — *compiles* into
+per-variable factor-score tables (one flat score vector over all
+(variable, value) rows); its full conditionals are state-independent, so
+entire sweeps collapse into one segmented inverse-CDF draw over the
+precomputed tables.  Every other graph, and every warm restart from an
+``initial_state``, runs the per-factor sweeps
+(:meth:`GibbsSampler.run_sweeps`), which evaluate every adjacent factor's
+Python feature function at every sweep — faithful to the DeepDive
+execution model but slow.
 """
 
 from __future__ import annotations
@@ -30,9 +31,6 @@ from .._rng import as_generator
 from ..optim.numerics import softmax
 from ..optim.objectives import segment_softmax
 from .graph import FactorGraph, GraphError
-
-GIBBS_BACKENDS = ("reference", "vectorized", "auto")
-
 
 @dataclass
 class GibbsResult:
@@ -95,7 +93,7 @@ def compile_unary_score_tables(graph: FactorGraph) -> UnaryScoreTables:
         for factor in graph.factors_of(variable.name):
             if len(factor.variables) != 1:
                 raise GraphError(
-                    "vectorized Gibbs requires unary factors; factor over "
+                    "score tables require unary factors; factor over "
                     f"{factor.variables!r} touches latent {variable.name!r}"
                 )
     names = [variable.name for variable in latent]
@@ -119,33 +117,22 @@ class GibbsSampler:
     n_samples:
         Samples to retain for marginal estimation.
     burn_in:
-        Initial sweeps to discard.  (With the vectorized backend the
+        Initial sweeps to discard.  (On the score-table path the
         conditionals are state-independent, so burn-in sweeps would be
         i.i.d. draws; they are skipped without affecting the sampling
         distribution.)
     seed:
-        RNG seed for reproducibility.  The two backends consume randomness
-        differently, so per-backend streams differ while targeting the same
+        RNG seed for reproducibility.  The two paths consume randomness
+        differently, so their streams differ while targeting the same
         distribution.
-    backend:
-        ``"reference"`` (default), ``"vectorized"`` or ``"auto"``.
     """
 
-    def __init__(
-        self,
-        n_samples: int = 500,
-        burn_in: int = 100,
-        seed: int = 0,
-        backend: str = "reference",
-    ) -> None:
+    def __init__(self, n_samples: int = 500, burn_in: int = 100, seed: int = 0) -> None:
         if n_samples < 1:
             raise ValueError("n_samples must be positive")
-        if backend not in GIBBS_BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}; expected one of {GIBBS_BACKENDS}")
         self.n_samples = n_samples
         self.burn_in = burn_in
         self.seed = seed
-        self.backend = backend
 
     def run(
         self,
@@ -154,26 +141,22 @@ class GibbsSampler:
     ) -> GibbsResult:
         """Sample the latent variables of ``graph``.
 
-        With the vectorized backend the conditionals are state-independent,
-        so ``initial_state`` cannot influence the draws and is ignored
-        (``last_state`` is simply the final i.i.d. sweep).  ``"auto"``
-        preserves warm-restart semantics by using the reference sweeps
-        whenever an ``initial_state`` is supplied.
+        Samples from compiled score tables when the graph compiles (all
+        latent-adjacent factors unary) and no ``initial_state`` is given;
+        otherwise runs the per-factor sweeps, the only path that honors a
+        warm restart or handles non-unary factors.
         """
-        if self.backend == "reference" or (self.backend == "auto" and initial_state is not None):
-            return self._run_reference(graph, initial_state)
-        try:
-            tables = compile_unary_score_tables(graph)
-        except GraphError:
-            if self.backend == "vectorized":
-                raise
-            # "auto" falls back to the reference sweeps on graphs the
-            # table compiler cannot handle (e.g. non-unary factors).
-            return self._run_reference(graph, initial_state)
-        return self._run_vectorized(tables)
+        if initial_state is None:
+            try:
+                tables = compile_unary_score_tables(graph)
+            except GraphError:
+                pass
+            else:
+                return self._run_tables(tables)
+        return self.run_sweeps(graph, initial_state)
 
     # ------------------------------------------------------------------
-    def _run_vectorized(self, tables: UnaryScoreTables) -> GibbsResult:
+    def _run_tables(self, tables: UnaryScoreTables) -> GibbsResult:
         """Sample all variables per sweep from the precomputed tables.
 
         Each variable's full conditional is a static softmax of its score
@@ -213,12 +196,16 @@ class GibbsSampler:
         return GibbsResult(marginals=marginals, last_state=last_state, n_samples=self.n_samples)
 
     # ------------------------------------------------------------------
-    def _run_reference(
+    def run_sweeps(
         self,
         graph: FactorGraph,
         initial_state: Optional[Dict[Hashable, Hashable]] = None,
     ) -> GibbsResult:
-        """Original per-factor sweep loop (ground truth for the tests)."""
+        """Per-factor sweeps: resample each latent variable from its full
+        conditional, evaluated from every adjacent factor, in graph order.
+
+        Variables missing from ``initial_state`` start at a random value.
+        """
         rng = as_generator(self.seed)
         latent = graph.latent_variables()
         state: Dict[Hashable, Hashable] = {}

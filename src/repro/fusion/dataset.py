@@ -54,6 +54,8 @@ class FusionDataset:
     ----------
     observations:
         Iterable of :class:`Observation` (or ``(source, obj, value)`` triples).
+        A duplicate ``(source, obj)`` pair or a NaN value raises
+        :class:`DatasetError`.
     ground_truth:
         Optional mapping ``object id -> true value``.  In the paper's
         evaluation all datasets come with full ground truth which is then
@@ -99,6 +101,11 @@ class FusionDataset:
             if pair in seen_pairs:
                 raise DatasetError(
                     f"duplicate observation for source={obs.source!r} obj={obs.obj!r}"
+                )
+            if obs.value != obs.value:
+                raise DatasetError(
+                    f"NaN claim value for source={obs.source!r} obj={obs.obj!r}; "
+                    "NaN never equals itself, so agreeing claims would split"
                 )
             seen_pairs.add(pair)
             self.sources.add(obs.source)

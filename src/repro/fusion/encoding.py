@@ -1,13 +1,12 @@
-"""Dense array encoding of a fusion dataset (the vectorized engine's core).
+"""Dense array encoding of a fusion dataset (the fusion engine's core).
 
 Every hot path in the library — exact posteriors, the EM E-step, ERM
 objectives and the factor-graph Gibbs sweeps — needs the same bookkeeping:
 which observations describe which object, which source and claimed value
 each observation carries, and the flattened (object, candidate-value) rows
-the per-object softmax normalizes over.  The reference implementations
-re-derive this by walking per-object dicts in Python on every call; at
-paper scale (tens of thousands of observations) those walks dominate the
-runtime.
+the per-object softmax normalizes over.  Re-deriving this by walking
+per-object dicts in Python on every call (what the loop oracles under
+``tests/oracles/`` still do) dominates the runtime at paper scale.
 
 :class:`DenseEncoding` compiles all of it **once** into flat NumPy index
 arrays:
@@ -22,11 +21,6 @@ arrays:
   :class:`~repro.core.structure.PairStructure`,
 * a cached design matrix per ``use_features`` flag, so repeated fits do not
   re-encode source metadata.
-
-Consumers select the engine through a ``backend`` switch: ``"vectorized"``
-(array reductions over this encoding, the default) or ``"reference"`` (the
-original loop implementations, kept as the machine-checked ground truth —
-see ``tests/test_vectorized_equivalence.py``).
 
 Use :func:`encode_dataset` to obtain the encoding; it memoizes one instance
 per (immutable) dataset, so the compilation cost is paid once per dataset
@@ -51,16 +45,6 @@ import numpy as np
 from .dataset import FusionDataset
 from .features import FeatureSpace, build_design_matrix
 from .types import DatasetError, Indexer, ObjectId, Observation, SourceId, Value
-
-VALID_BACKENDS = ("vectorized", "reference")
-
-
-def check_backend(backend: str) -> str:
-    """Validate a ``backend`` switch value, returning it unchanged."""
-    if backend not in VALID_BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; expected one of {VALID_BACKENDS}")
-    return backend
-
 
 def frozen_copy(array: np.ndarray) -> np.ndarray:
     """An owning, read-only copy of ``array``.
@@ -375,7 +359,7 @@ class AppendBatch:
     """Index view of one :meth:`IncrementalEncoding.append` batch.
 
     All arrays are aligned to the batch's arrival order and use the
-    encoding's (stable) integer indexing, so consumers like the vectorized
+    encoding's (stable) integer indexing, so consumers like
     :class:`~repro.extensions.streaming.StreamingFuser` can process the
     batch with pure array arithmetic.
 
@@ -510,7 +494,8 @@ class IncrementalEncoding:
         Returns the batch's :class:`AppendBatch` index view.  An empty
         batch is a no-op.  Raises
         :class:`~repro.fusion.types.DatasetError` on a duplicate
-        ``(source, object)`` claim, mirroring the dataset container.
+        ``(source, object)`` claim or a NaN claim value, mirroring the
+        dataset container.
         """
         entries: List[Observation] = [
             obs if isinstance(obs, Observation) else Observation(*obs) for obs in observations
@@ -528,6 +513,11 @@ class IncrementalEncoding:
             if pair in self._seen_pairs or pair in batch_pairs:
                 raise DatasetError(
                     f"duplicate observation for source={obs.source!r} obj={obs.obj!r}"
+                )
+            if obs.value != obs.value:
+                raise DatasetError(
+                    f"NaN claim value for source={obs.source!r} obj={obs.obj!r}; "
+                    "NaN never equals itself, so agreeing claims would split"
                 )
             batch_pairs.add(pair)
 
@@ -720,7 +710,7 @@ class IncrementalEncoding:
         """Per-object domain sizes, read from the live append state.
 
         Unlike :attr:`domain_sizes` this never materializes the snapshot,
-        so O(batch) consumers (the vectorized streaming fuser) can read it
+        so O(batch) consumers (the streaming fuser) can read it
         on every batch.  The returned view is only valid until the next
         append.
         """
@@ -884,10 +874,10 @@ class IncrementalEncoding:
         """O(1) dataset-shaped facade over the live encoding state.
 
         The container fast path for periodic batch re-fits: exposes the
-        sizes, indexers, domains and source features the vectorized
-        learners read when every derived artifact (structure, design,
-        label plans) is supplied explicitly — without the O(n)
-        ``observations()`` walk :meth:`to_dataset` pays.  See
+        sizes, indexers, domains and source features the learners read
+        when every derived artifact (structure, design, label plans) is
+        supplied explicitly — without the O(n) ``observations()`` walk
+        :meth:`to_dataset` pays.  See
         :func:`repro.core.em.fit_incremental`.
         """
         return EncodingDatasetView(self)
@@ -923,8 +913,8 @@ class IncrementalEncoding:
 class EncodingDatasetView:
     """Read-only :class:`FusionDataset` facade over an incremental encoding.
 
-    Implements exactly the container surface the vectorized learners touch
-    when a prebuilt structure, design matrix and label plans are passed in:
+    Implements exactly the container surface the learners touch when a
+    prebuilt structure, design matrix and label plans are passed in:
     the size properties, the source/object indexers, the per-object domain
     lookup and the source-feature mapping.  Construction is O(1) — nothing
     is walked or copied — which is what lets
@@ -934,9 +924,9 @@ class EncodingDatasetView:
 
     The view is *live*: it reads the encoding's current state, so it should
     be consumed before the next append.  Anything needing the full
-    container (ground-truth bookkeeping, observation walks, reference
-    backends) should use :meth:`IncrementalEncoding.to_dataset` instead;
-    attribute errors on this view mean exactly that.
+    container (ground-truth bookkeeping, observation walks) should use
+    :meth:`IncrementalEncoding.to_dataset` instead; attribute errors on
+    this view mean exactly that.
     """
 
     def __init__(self, encoding: IncrementalEncoding) -> None:

@@ -1,6 +1,6 @@
 """Concurrent fusion serving: reader-leased single-reference snapshot swap.
 
-:class:`FusionServer` puts a query front-end over a vectorized
+:class:`FusionServer` puts a query front-end over a
 :class:`~repro.extensions.streaming.StreamingFuser`:
 
 * **Readers** take a lease on the currently published
@@ -66,10 +66,9 @@ class FusionServer:
     Parameters
     ----------
     fuser:
-        A vectorized :class:`~repro.extensions.streaming.StreamingFuser`
-        to serve (its ``refit_every``/``decay`` configuration is the
-        ingest policy).  Omit it to have one built from
-        ``fuser_kwargs``.
+        The :class:`~repro.extensions.streaming.StreamingFuser` to serve
+        (its ``refit_every``/``trust_decay`` configuration is the ingest
+        policy).  Omit it to have one built from ``fuser_kwargs``.
     publish_every:
         Auto-publish after this many ingested batches (None = publish
         only on explicit :meth:`publish` calls).
@@ -96,11 +95,6 @@ class FusionServer:
             fuser = StreamingFuser(**fuser_kwargs)
         elif fuser_kwargs:
             raise ValueError("pass fuser_kwargs only when the server builds the fuser")
-        if fuser.backend != "vectorized":
-            raise ValueError(
-                "FusionServer requires a vectorized StreamingFuser; the "
-                "reference engine has no publishable array state"
-            )
         if publish_every is not None and publish_every <= 0:
             raise ValueError("publish_every must be a positive batch count")
         self.fuser = fuser

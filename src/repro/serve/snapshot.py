@@ -251,7 +251,7 @@ class Snapshot:
     def from_fuser(
         cls, fuser, *, version: int = 0, with_dataset: bool = False
     ) -> "Snapshot":
-        """Publish the current state of a vectorized ``StreamingFuser``.
+        """Publish the current state of a ``StreamingFuser``.
 
         Uses :meth:`~repro.extensions.streaming.StreamingFuser.publish_state`;
         an empty stream publishes :meth:`empty`.  ``with_dataset=True``

@@ -148,7 +148,7 @@ class TestReport:
 class TestLiveTree:
     def test_repo_is_clean_including_strict(self):
         report = run_rules(Project(REPO_ROOT))
-        assert report.rules == ["RA1", "RA2", "RA3", "RA4"]
+        assert report.rules == ["RA1", "RA2", "RA4"]
         assert report.findings == [], "\n" + report.to_text()
         assert report.unused_suppressions == [], "\n" + report.to_text(strict=True)
 
@@ -163,6 +163,17 @@ class TestLiveTree:
                     f"{source.rel}:{line}: suppression without a rationale "
                     f"comment above it"
                 )
+
+    def test_every_live_suppression_names_a_registered_rule(self):
+        # A suppression for an unregistered (e.g. retired) rule is never
+        # selected, so --strict cannot report it as unused.
+        from tools.repro_analysis.core import RULES
+
+        project = Project(REPO_ROOT)
+        run_rules(project, ["RA1"])  # registers every rule module
+        for source in project.lintable_files:
+            for line, rules in source.ignores.items():
+                assert rules <= set(RULES), f"{source.rel}:{line}: {sorted(rules - set(RULES))}"
 
     def test_versions_lock_matches_live_tree(self):
         from tools.repro_analysis.versions import compute_entities, read_lock
@@ -191,7 +202,7 @@ class TestCLI:
         assert proc.returncode == 0, proc.stdout + proc.stderr
         payload = json.loads(proc.stdout)
         assert payload["findings"] == []
-        assert payload["rules"] == ["RA1", "RA2", "RA3", "RA4"]
+        assert payload["rules"] == ["RA1", "RA2", "RA4"]
 
     def test_findings_exit_one(self, make_tree):
         root = make_tree({"src/repro/mod.py": _VIOLATION})
@@ -205,7 +216,12 @@ class TestCLI:
         assert json.loads(proc.stdout)["rules"] == ["RA1"]
         listing = _cli("--list-rules")
         assert listing.returncode == 0
-        assert all(rid in listing.stdout for rid in ("RA1", "RA2", "RA3", "RA4"))
+        assert all(rid in listing.stdout for rid in ("RA1", "RA2", "RA4"))
+
+    def test_retired_rule_id_exits_two(self):
+        proc = _cli("--rules", "RA3")
+        assert proc.returncode == 2
+        assert "unknown rule id(s): RA3" in proc.stderr
 
     def test_bad_root_exits_two(self, tmp_path):
         proc = _cli("--root", str(tmp_path))

@@ -241,130 +241,6 @@ class TestRA2LockDiscipline:
 
 
 # ----------------------------------------------------------------------
-# RA3 — backend parity
-# ----------------------------------------------------------------------
-_PARITY_TEST = """
-import pytest
-
-@pytest.mark.parametrize("backend", ["vectorized", "reference"])
-def test_mymod_backends(backend):
-    assert backend in ("vectorized", "reference")
-"""
-
-
-class TestRA3BackendParity:
-    def test_flags_half_dispatch(self, make_tree):
-        root = make_tree(
-            {
-                "src/repro/mymod.py": """
-                def run(data, backend="vectorized"):
-                    out = data
-                    if backend == "vectorized":
-                        out = data * 2
-                    return out
-                """,
-                "tests/test_mymod_parity.py": _PARITY_TEST,
-            }
-        )
-        lines = rule_lines(findings_for(root, ["RA3"]), "RA3")
-        assert lines == [("src/repro/mymod.py", 4)]
-
-    def test_else_branch_is_clean(self, make_tree):
-        root = make_tree(
-            {
-                "src/repro/mymod.py": """
-                def run(data, backend="vectorized"):
-                    if backend == "vectorized":
-                        out = data * 2
-                    else:
-                        out = sum([d * 2 for d in data])
-                    return out
-                """,
-                "tests/test_mymod_parity.py": _PARITY_TEST,
-            }
-        )
-        assert findings_for(root, ["RA3"]) == []
-
-    def test_both_literals_handled_is_clean(self, make_tree):
-        root = make_tree(
-            {
-                "src/repro/mymod.py": """
-                def run(data, backend):
-                    out = data
-                    if backend == "vectorized":
-                        out = data * 2
-                    elif backend == "reference":
-                        out = sum(data)
-                    return out
-                """,
-                "tests/test_mymod_parity.py": _PARITY_TEST,
-            }
-        )
-        assert findings_for(root, ["RA3"]) == []
-
-    def test_terminating_branches_are_clean(self, make_tree):
-        root = make_tree(
-            {
-                "src/repro/mymod.py": """
-                def run(data, backend):
-                    if backend == "reference":
-                        return sum(data)
-                    return data * 2
-                """,
-                "tests/test_mymod_parity.py": _PARITY_TEST,
-            }
-        )
-        assert findings_for(root, ["RA3"]) == []
-
-    def test_validation_guard_is_exempt(self, make_tree):
-        # A raise-only guard is not a dispatch: no parity test required.
-        root = make_tree(
-            {
-                "src/repro/mymod.py": """
-                def check(backend):
-                    if backend not in ("vectorized", "reference", "auto"):
-                        raise ValueError(backend)
-                    return backend
-                """
-            }
-        )
-        assert findings_for(root, ["RA3"]) == []
-
-    def test_boolean_assignment_requires_parity_test(self, make_tree):
-        root = make_tree(
-            {
-                "src/repro/mymod.py": """
-                def run(data, backend):
-                    vectorized = backend == "vectorized"
-                    return data * 2 if vectorized else sum(data)
-                """
-            }
-        )
-        findings = findings_for(root, ["RA3"])
-        assert len(findings) == 1
-        assert "parity test" in findings[0].message
-
-    def test_parity_test_must_mention_module_and_both_literals(self, make_tree):
-        files = {
-            "src/repro/mymod.py": """
-            def run(data, backend):
-                if backend == "reference":
-                    return sum(data)
-                return data * 2
-            """,
-            # Mentions the module but only one backend literal.
-            "tests/test_mymod.py": """
-            def test_mymod_fast():
-                assert "vectorized"
-            """,
-        }
-        root = make_tree(files)
-        findings = findings_for(root, ["RA3"])
-        assert len(findings) == 1
-        assert "parity test" in findings[0].message
-
-
-# ----------------------------------------------------------------------
 # RA4 — cache-version honesty
 # ----------------------------------------------------------------------
 _FEATURIZE_TREE = {

@@ -23,6 +23,8 @@ from repro.data import SyntheticConfig, generate
 from repro.experiments import FitSpec, SweepRunner, leave_one_out_specs, sweep
 from repro.extensions import leave_one_out_impacts
 from repro.fusion.dataset import subset_sources
+from tests.oracles import learners as oracle_learners
+from tests.oracles import structure as oracle_structure
 
 OBJECTIVE_ATOL = 1e-8
 ACCURACY_ATOL = 1e-6
@@ -290,10 +292,10 @@ class TestLeaveOneOutEquivalence:
             for value, prob in dist.items():
                 assert reference_posteriors[obj][value] == pytest.approx(prob, abs=1e-5)
 
-    def test_masked_structure_backends_agree(self, dataset):
+    def test_masked_structure_matches_oracle(self, dataset):
         exclude = dataset.sources.items[:2]
-        vec = build_masked_structure(dataset, exclude, backend="vectorized")
-        ref = build_masked_structure(dataset, exclude, backend="reference")
+        vec = build_masked_structure(dataset, exclude)
+        ref = oracle_structure.build_masked_structure(dataset, exclude)
         assert vec.object_ids == ref.object_ids
         assert vec.pair_values == ref.pair_values
         np.testing.assert_array_equal(vec.object_dataset_idx, ref.object_dataset_idx)
@@ -303,24 +305,25 @@ class TestLeaveOneOutEquivalence:
         np.testing.assert_array_equal(vec.obs_pair_idx, ref.obs_pair_idx)
         np.testing.assert_allclose(vec.base_scores, ref.base_scores, atol=1e-12)
 
-    def test_masked_reference_backend_matches_vectorized(self, dataset):
+    def test_masked_em_warm_start_matches_oracle(self, dataset):
         # The ERM warm start inside a masked EM fit must restrict itself to
-        # the surviving observations on BOTH backends; a reference-backend
-        # masked fit that warm-starts from the full dataset leaks the
-        # excluded source's votes into the initialization.
+        # the surviving observations, as the oracle's does; warm-starting
+        # from the full dataset leaks the excluded source's votes into the
+        # initialization.
         truth = dataset.split(0.3, seed=2).train_truth
+        excluded = (dataset.sources.items[0],)
         spec = FitSpec(
             name="loo",
             learner="em",
             train_truth=truth,
-            exclude_sources=(dataset.sources.items[0],),
+            exclude_sources=excluded,
             overrides={"max_iterations": 5, "solver": "lbfgs", **TIGHT},
         )
         vec = SweepRunner(dataset, mode="isolated").run_one(spec)
-        ref = SweepRunner(dataset, mode="isolated", backend="reference").run_one(spec)
-        np.testing.assert_allclose(
-            vec.model.accuracies(), ref.model.accuracies(), atol=ACCURACY_ATOL
+        ref = oracle_learners.fit_em(
+            dataset, truth, max_iterations=5, exclude_sources=excluded, **TIGHT
         )
+        np.testing.assert_allclose(vec.model.accuracies(), ref.accuracies(), atol=ACCURACY_ATOL)
 
     def test_leave_one_out_impacts_modes_agree(self, dataset):
         truth = dataset.split(0.25, seed=1).train_truth
@@ -343,8 +346,6 @@ class TestRunnerBehaviour:
             SweepRunner(dataset, mode="parallel")
         with pytest.raises(ValueError, match="unknown learner"):
             SweepRunner(dataset).run_one(FitSpec(name="x", learner="gibbs"))
-        with pytest.raises(ValueError, match="vectorized"):
-            SweepRunner(dataset, backend="reference")
 
     def test_erm_requires_truth(self, dataset):
         from repro.fusion.types import DatasetError

@@ -3,16 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.extensions import StreamingFuser, replay_dataset
-from repro.fusion import Observation, object_value_accuracy
+from repro.extensions import DecayConfig, StreamingFuser, replay_dataset
+from repro.fusion import DatasetError, Observation, object_value_accuracy
 
 
 class TestStreamingFuserBasics:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            StreamingFuser(decay=0.0)
-        with pytest.raises(ValueError):
             StreamingFuser(prior_correct=2.0, prior_total=2.0)
+        with pytest.raises(ValueError, match="refit_every"):
+            StreamingFuser(refit_every=0)
 
     def test_single_observation(self):
         fuser = StreamingFuser()
@@ -49,35 +49,17 @@ class TestStreamingFuserBasics:
         fuser.observe(Observation("s2", "o", "b"))
         assert fuser.current_value("o") == "a"
 
-    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
-    def test_decay_shrinks_history(self, backend):
-        fuser = StreamingFuser(decay=0.5, self_training=False, backend=backend)
+    def test_decay_shrinks_history(self):
+        # half_life=1 halves the counts at each of the source's observations.
+        fuser = StreamingFuser(trust_decay=DecayConfig(half_life=1.0), self_training=False)
         fuser.reveal_truth("o1", "v")
         for i in range(10):
-            fuser.observe(
-                Observation("s", "o1", "v") if i == 0 else Observation("s", f"x{i}", "v")
-            )
-        if backend == "reference":
-            total = fuser._sources["s"].total
-        else:
-            total = float(fuser._total[0])
+            fuser.observe(Observation("s", "o1", "v") if i == 0 else Observation("s", f"x{i}", "v"))
         # decayed totals stay bounded instead of growing linearly
-        assert total < 5.0
+        assert float(fuser._total[0]) < 5.0
 
 
-class TestVectorizedBackend:
-    def test_backend_validation(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            StreamingFuser(backend="numba")
-        with pytest.raises(ValueError, match="refit_every"):
-            StreamingFuser(refit_every=0)
-        # The reference engine has no re-fit hook; rejecting the combination
-        # beats silently ignoring the requested periodic re-anchoring.
-        with pytest.raises(ValueError, match="backend='vectorized'"):
-            StreamingFuser(backend="reference", refit_every=100)
-        with pytest.raises(ValueError, match="backend='vectorized'"):
-            StreamingFuser(backend="reference", source_features={"s": {"year": 2017}})
-
+class TestBatchIngest:
     def test_observe_batch_bulk(self):
         fuser = StreamingFuser()
         fuser.observe_batch(
@@ -96,10 +78,9 @@ class TestVectorizedBackend:
         fuser.observe_batch([])
         assert fuser.n_processed == 0
 
-    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
-    def test_empty_fuser_snapshots_cleanly(self, backend):
+    def test_empty_fuser_snapshots_cleanly(self):
         """to_result before any observation returns an empty result."""
-        fuser = StreamingFuser(backend=backend)
+        fuser = StreamingFuser()
         fuser.reveal_truth("o", "v")  # truth-only state is still empty
         result = fuser.to_result()
         assert result.values == {}
@@ -107,12 +88,23 @@ class TestVectorizedBackend:
         assert result.diagnostics["n_processed"] == 0
 
     def test_duplicate_claim_rejected(self):
-        from repro.fusion import DatasetError
-
         fuser = StreamingFuser()
         fuser.observe(Observation("s", "o", "a"))
         with pytest.raises(DatasetError, match="duplicate"):
             fuser.observe(Observation("s", "o", "b"))
+
+    def test_nan_claim_rejected_atomically(self):
+        fuser = StreamingFuser()
+        fuser.observe_batch([("a", "o", "x")])
+        with pytest.raises(DatasetError, match="NaN claim value for source='c'"):
+            fuser.observe_batch([("b", "o", "x"), ("c", "o", float("nan"))])
+        # The rejected batch left the encoding untouched, so the valid
+        # claim can be retried on its own.
+        assert fuser.encoding.n_observations == 1
+        assert fuser.encoding.n_sources == 1
+        assert fuser.n_processed == 1
+        fuser.observe_batch([("b", "o", "x")])
+        assert fuser.encoding.n_observations == 2
 
     def test_truth_promoted_when_claimed_later(self):
         """A truth value outside the claimed domain clamps once claimed."""

@@ -1,14 +1,15 @@
-"""Backend parity for the Gibbs sampler: "vectorized" vs "reference".
+"""Parity of the Gibbs sampler's two paths: score tables vs per-factor sweeps.
 
-The two backends consume randomness differently, so parity is
-distributional: on unary graphs (the SLiMFast compilation target) both
-must converge to the same exact softmax marginals.
+The paths consume randomness differently, so parity is distributional: on
+unary graphs (the SLiMFast compilation target) both must converge to the
+same exact softmax marginals.  ``run`` samples the compiled score tables on
+such graphs; ``run_sweeps`` always runs the per-factor loop.
 """
 
 import numpy as np
 import pytest
 
-from repro.factorgraph import FactorGraph, GibbsSampler
+from repro.factorgraph import FactorGraph, GibbsSampler, compile_unary_score_tables
 from repro.factorgraph.graph import GraphError
 from repro.optim import softmax
 
@@ -26,48 +27,47 @@ def unary_graph():
     return graph
 
 
-class TestGibbsBackendParity:
-    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
-    def test_matches_exact_marginals(self, backend):
-        graph = unary_graph()
-        sampler = GibbsSampler(n_samples=6000, burn_in=200, seed=7, backend=backend)
-        result = sampler.run(graph)
+def sample(path, graph, **kwargs):
+    sampler = GibbsSampler(**kwargs)
+    return sampler.run_sweeps(graph) if path == "sweeps" else sampler.run(graph)
+
+
+class TestGibbsPathParity:
+    @pytest.mark.parametrize("path", ["sweeps", "tables"])
+    def test_matches_exact_marginals(self, path):
+        result = sample(path, unary_graph(), n_samples=6000, burn_in=200, seed=7)
         for i, weight in enumerate((1.2, -0.4, 0.7)):
             exact = softmax(np.array([weight, 0.0, 0.0]))
             for j, value in enumerate(("a", "b", "c")):
                 assert result.marginals[f"v{i}"][value] == pytest.approx(
                     exact[j], abs=0.03
-                ), f"backend={backend} v{i}[{value}]"
+                ), f"path={path} v{i}[{value}]"
 
-    def test_backends_agree_pairwise(self):
+    def test_paths_agree_pairwise(self):
         graph = unary_graph()
         results = {
-            backend: GibbsSampler(
-                n_samples=6000, burn_in=200, seed=11, backend=backend
-            ).run(graph)
-            for backend in ("reference", "vectorized")
+            path: sample(path, graph, n_samples=6000, burn_in=200, seed=11)
+            for path in ("sweeps", "tables")
         }
-        for name, dist in results["reference"].marginals.items():
+        for name, dist in results["sweeps"].marginals.items():
             for value, probability in dist.items():
-                assert results["vectorized"].marginals[name][value] == pytest.approx(
+                assert results["tables"].marginals[name][value] == pytest.approx(
                     probability, abs=0.04
                 )
 
     def test_map_assignment_agrees(self):
         graph = unary_graph()
         maps = {
-            backend: GibbsSampler(
-                n_samples=4000, burn_in=100, seed=3, backend=backend
-            ).run(graph).map_assignment()
-            for backend in ("reference", "vectorized")
+            path: sample(path, graph, n_samples=4000, burn_in=100, seed=3).map_assignment()
+            for path in ("sweeps", "tables")
         }
         # v1's "b" and "c" are exactly tied, so its argmax is sampling
         # noise; compare only the variables with a unique mode.
         for name in ("v0", "v2"):
-            assert maps["reference"][name] == maps["vectorized"][name]
+            assert maps["sweeps"][name] == maps["tables"][name]
 
 
-class TestGibbsBackendDispatch:
+class TestGibbsPathDispatch:
     def pairwise_graph(self):
         graph = FactorGraph()
         graph.add_variable("x", ["a", "b"])
@@ -78,21 +78,22 @@ class TestGibbsBackendDispatch:
         )
         return graph
 
-    def test_vectorized_rejects_non_unary(self):
+    def test_score_tables_reject_non_unary(self):
         with pytest.raises(GraphError, match="unary"):
-            GibbsSampler(n_samples=10, backend="vectorized").run(self.pairwise_graph())
+            compile_unary_score_tables(self.pairwise_graph())
 
-    def test_auto_falls_back_on_non_unary(self):
-        result = GibbsSampler(n_samples=200, burn_in=20, seed=0, backend="auto").run(
-            self.pairwise_graph()
-        )
+    def test_non_unary_graph_runs_the_sweeps(self):
+        sampler = GibbsSampler(n_samples=200, burn_in=20, seed=0)
+        graph = self.pairwise_graph()
+        result = sampler.run(graph)
         assert set(result.marginals) == {"x", "y"}
+        assert result.marginals == sampler.run_sweeps(graph).marginals
 
-    def test_auto_respects_initial_state(self):
-        """auto + initial_state keeps warm-restart (reference) semantics."""
+    def test_initial_state_runs_the_sweeps(self):
+        """A warm restart keeps the per-factor sweep semantics."""
         graph = unary_graph()
         state = {f"v{i}": "c" for i in range(3)}
-        result = GibbsSampler(n_samples=50, burn_in=0, seed=5, backend="auto").run(
-            graph, initial_state=state
-        )
+        sampler = GibbsSampler(n_samples=50, burn_in=0, seed=5)
+        result = sampler.run(graph, initial_state=state)
         assert set(result.last_state) == set(state)
+        assert result.marginals == sampler.run_sweeps(graph, initial_state=state).marginals

@@ -135,10 +135,6 @@ class TestSweepWiring:
 
 
 class TestStreamingWiring:
-    def test_reference_backend_rejects_featurizer(self):
-        with pytest.raises(ValueError, match="vectorized"):
-            StreamingFuser(backend="reference", featurizer=FeaturizerPipeline())
-
     def test_rejects_featurizer_without_design_from_stats(self):
         with pytest.raises(ValueError, match="design_from_stats"):
             StreamingFuser(featurizer=object())

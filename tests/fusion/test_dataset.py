@@ -1,5 +1,6 @@
 """Unit tests for repro.fusion.dataset."""
 
+import numpy as np
 import pytest
 
 from repro.fusion import DatasetError, FusionDataset, Observation
@@ -20,6 +21,26 @@ class TestConstruction:
     def test_duplicate_source_object_rejected(self):
         with pytest.raises(DatasetError, match="duplicate observation"):
             FusionDataset([("s", "o", "a"), ("s", "o", "b")])
+
+    def test_nan_claim_value_rejected(self):
+        # Two NaN claims never compare equal, so they would become two
+        # candidates and lose to the single "x" claim.
+        nan = float("nan")
+        with pytest.raises(DatasetError, match="NaN claim value for source='b' obj='o'"):
+            FusionDataset([("a", "o", "x"), ("b", "o", nan), ("c", "o", nan)])
+
+    @pytest.mark.parametrize(
+        "nan", [np.float64("nan"), np.float32("nan")], ids=["float64", "float32"]
+    )
+    def test_numpy_nan_claim_value_rejected(self, nan):
+        # Values read from NumPy columns keep their scalar type.
+        with pytest.raises(DatasetError, match="NaN claim value for source='a' obj='o'"):
+            FusionDataset([("a", "o", nan), ("b", "o", "x")])
+
+    def test_single_nan_claim_rejected(self):
+        # No second claim is needed: a lone NaN is rejected up front.
+        with pytest.raises(DatasetError, match="NaN claim value for source='s' obj='o2'"):
+            FusionDataset([("s", "o1", "x"), ("s", "o2", float("nan"))])
 
     def test_ground_truth_for_unknown_object_rejected(self):
         with pytest.raises(DatasetError, match="unknown object"):

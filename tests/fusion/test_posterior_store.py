@@ -320,8 +320,6 @@ class TestShardCountInvariance:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="positive integer"):
             EMLearner(EMConfig(n_shards=0))
-        with pytest.raises(ValueError, match="vectorized"):
-            EMLearner(EMConfig(n_shards=2, backend="reference"))
         with pytest.raises(ValueError, match="sgd"):
             EMLearner(EMConfig(n_shards=2, solver="sgd"))
         with pytest.raises(ValueError, match="shard_jobs requires"):

@@ -1,13 +1,12 @@
 """Differential pins for :class:`repro.extensions.DecayConfig`.
 
-Three exact (bit-level, ``==``) equivalences anchor the decayed-trust
+Two exact (bit-level, ``==``) equivalences anchor the decayed-trust
 machinery to code that is already trusted:
 
 * a flat ``DecayConfig()`` must leave the fuser identical to one built
   with no decay arguments at all;
-* ``half_life=h`` must match the legacy ``decay=2**(-1/h)`` factor;
-* under either decay mode, a vectorized fuser fed one observation at a
-  time must reproduce the reference dict-loop engine exactly.
+* under either decay mode, a fuser fed one observation at a time must
+  reproduce the dict-loop oracle (``tests/oracles/streaming.py``) exactly.
 """
 
 import numpy as np
@@ -15,6 +14,7 @@ import pytest
 
 from repro.data import drift_scenario
 from repro.extensions import DecayConfig, StreamingFuser
+from tests.oracles.streaming import ReferenceStreamingFuser
 
 
 def _scenario():
@@ -50,10 +50,6 @@ class TestDecayConfigValidation:
         with pytest.raises(ValueError, match="window"):
             DecayConfig(window=-3.0)
 
-    def test_rejects_double_decay_spelling(self):
-        with pytest.raises(ValueError, match="not both"):
-            StreamingFuser(decay=0.99, trust_decay=DecayConfig(half_life=10.0))
-
     def test_rejects_window_below_prior(self):
         with pytest.raises(ValueError, match="window must be at least prior_total"):
             StreamingFuser(trust_decay=DecayConfig(window=1.0))
@@ -68,31 +64,19 @@ class TestDecayConfigValidation:
 
 
 class TestFlatEquivalence:
-    """decay=1.0 / DecayConfig() must be bit-identical to no decay at all."""
+    """DecayConfig() must be bit-identical to no decay at all."""
 
-    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
-    def test_flat_config_is_identity(self, backend):
-        scn = _scenario()
-        plain = _replay(StreamingFuser(backend=backend), scn)
-        flat = _replay(StreamingFuser(backend=backend, trust_decay=DecayConfig()), _scenario())
+    @pytest.mark.parametrize(
+        "fuser_cls", [ReferenceStreamingFuser, StreamingFuser], ids=["reference", "vectorized"]
+    )
+    def test_flat_config_is_identity(self, fuser_cls):
+        plain = _replay(fuser_cls(), _scenario())
+        flat = _replay(fuser_cls(trust_decay=DecayConfig()), _scenario())
         _assert_same_state(plain, flat)
 
-    def test_legacy_decay_one_is_identity(self):
-        plain = _replay(StreamingFuser(), _scenario())
-        legacy = _replay(StreamingFuser(decay=1.0), _scenario())
-        _assert_same_state(plain, legacy)
 
-
-class TestHalfLifeEquivalence:
-    def test_half_life_matches_legacy_factor(self):
-        half_life = 25.0
-        modern = _replay(StreamingFuser(trust_decay=DecayConfig(half_life=half_life)), _scenario())
-        legacy = _replay(StreamingFuser(decay=2.0 ** (-1.0 / half_life)), _scenario())
-        _assert_same_state(modern, legacy)
-
-
-class TestBackendParity:
-    """Size-1 vectorized batches must reproduce the reference engine."""
+class TestOracleParity:
+    """Size-1 batches must reproduce the sequential dict-loop oracle."""
 
     @pytest.mark.parametrize(
         "trust_decay",
@@ -101,11 +85,10 @@ class TestBackendParity:
     )
     def test_one_by_one_replay_matches_reference(self, trust_decay):
         reference = _replay(
-            StreamingFuser(backend="reference", trust_decay=trust_decay, self_training=True),
-            _scenario(),
+            ReferenceStreamingFuser(trust_decay=trust_decay, self_training=True), _scenario()
         )
         vectorized = _replay(
-            StreamingFuser(backend="vectorized", trust_decay=trust_decay, self_training=True),
+            StreamingFuser(trust_decay=trust_decay, self_training=True),
             _scenario(),
             one_by_one=True,
         )
@@ -113,17 +96,16 @@ class TestBackendParity:
 
 
 class TestWindowSemantics:
-    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
-    def test_window_caps_effective_sample_size(self, backend):
+    @pytest.mark.parametrize(
+        "fuser_cls", [ReferenceStreamingFuser, StreamingFuser], ids=["reference", "vectorized"]
+    )
+    def test_window_caps_effective_sample_size(self, fuser_cls):
         window = 10.0
-        fuser = _replay(
-            StreamingFuser(backend=backend, trust_decay=DecayConfig(window=window)),
-            _scenario(),
-        )
-        if backend == "vectorized":
+        fuser = _replay(fuser_cls(trust_decay=DecayConfig(window=window)), _scenario())
+        if fuser_cls is StreamingFuser:
             totals = fuser._total[: len(fuser.source_accuracies())]
         else:
-            totals = np.array([state.total for state in fuser._sources.values()])
+            totals = np.array([state.total for state in fuser.sources.values()])
         assert np.all(totals <= window + 1e-9)
         # the busy sources actually hit the cap
         assert np.any(totals > window - 1.0)

@@ -18,7 +18,8 @@ import threading
 import numpy as np
 import pytest
 
-from repro.extensions.streaming import StreamingFuser
+from repro.extensions.streaming import DecayConfig, StreamingFuser
+from repro.fusion import DatasetError
 from repro.serve import FusionServer, ServeMetrics, Snapshot
 from repro.serve.__main__ import main as serve_main
 from repro.serve.__main__ import simulate_batches
@@ -86,17 +87,16 @@ class TestBasics:
         assert metrics.query_counts == {"posterior": 1, "value": 1}
         assert metrics.snapshot_age_seconds() >= 0.0
 
-    def test_rejects_reference_fuser_and_bad_config(self):
-        with pytest.raises(ValueError, match="vectorized"):
-            FusionServer(fuser=StreamingFuser(backend="reference"))
+    def test_rejects_bad_config(self):
         with pytest.raises(ValueError, match="publish_every"):
             FusionServer(publish_every=0)
         with pytest.raises(ValueError, match="fuser_kwargs"):
-            FusionServer(fuser=StreamingFuser(), decay=0.9)
+            FusionServer(fuser=StreamingFuser(), self_training=False)
 
     def test_fuser_kwargs_build_the_fuser(self):
-        server = FusionServer(decay=0.99, refit_every=1000)
-        assert server.fuser.decay == 0.99
+        decay = DecayConfig(half_life=50.0)
+        server = FusionServer(trust_decay=decay, refit_every=1000)
+        assert server.fuser.trust_decay is decay
         assert server.fuser.refit_every == 1000
 
 
@@ -256,6 +256,18 @@ class TestWriterLoop:
         assert server.last_ingest_error is not None
         assert server.posterior("b1_o0")
 
+    def test_nan_batch_is_rejected_whole(self):
+        server = FusionServer().start()
+        server.ingest([*batch_for(0), ("s0", "b0_nan", float("nan"))])
+        server.ingest(batch_for(1))
+        server.flush()
+        server.stop(publish=True)
+        assert isinstance(server.last_ingest_error, DatasetError)
+        assert server.metrics.ingest_errors == 1
+        assert server.metrics.ingest_batches == 1
+        assert server.posterior("b0_o0") == {}  # the valid claims went with it
+        assert server.posterior("b1_o0")
+
     def test_requires_start(self):
         server = FusionServer()
         with pytest.raises(RuntimeError, match="start"):
@@ -323,12 +335,8 @@ class TestDriftingStream:
         return drift_scenario(n_sources=8, objects_per_step=6, n_steps=10, seed=6)
 
     def test_version_monotonicity_and_snapshot_parity_mid_drift(self):
-        from repro.extensions import DecayConfig
-
         scn = self._scenario()
-        fuser = StreamingFuser(
-            self_training=False, trust_decay=DecayConfig(half_life=30.0)
-        )
+        fuser = StreamingFuser(self_training=False, trust_decay=DecayConfig(half_life=30.0))
         server = FusionServer(fuser)
 
         versions = []
@@ -357,8 +365,6 @@ class TestDriftingStream:
         assert server.version == versions[-1]
 
     def test_decayed_server_tracks_drift_better_than_flat(self):
-        from repro.extensions import DecayConfig
-
         scn = self._scenario()
         flat = FusionServer(StreamingFuser(self_training=False))
         decayed = FusionServer(

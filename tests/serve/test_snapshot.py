@@ -113,11 +113,6 @@ class TestQueryParity:
         assert snapshot.n_objects == 0
         assert snapshot.version == 3
 
-    def test_reference_backend_is_rejected(self):
-        fuser = StreamingFuser(backend="reference")
-        with pytest.raises(ValueError, match="vectorized"):
-            fuser.publish_state()
-
 
 class TestConflictIndex:
     def brute_force_margins(self, fuser, snapshot):

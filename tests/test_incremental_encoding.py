@@ -9,12 +9,12 @@ Two machine-checked contracts:
    design matrix at ``atol=1e-12`` (byte-equal in practice).  The replay
    tests below cut seeded random datasets into random batch sizes to sweep
    the relocation/doubling paths.
-2. **Streaming equivalence** — the vectorized
-   :class:`repro.extensions.streaming.StreamingFuser` reproduces the
-   reference dict engine exactly at batch size 1 (bit-identical posteriors
-   and source accuracies, including decay and self-training), and tracks
-   it closely under mini-batching (batch-start trusts; see the streaming
-   module docstring for the declared batch semantics).
+2. **Streaming equivalence** — :class:`repro.extensions.streaming.StreamingFuser`
+   reproduces the sequential dict-loop oracle (``tests/oracles/streaming.py``)
+   exactly at batch size 1 (bit-identical posteriors and source accuracies,
+   including decay and self-training), and tracks it closely under
+   mini-batching (batch-start trusts; see the streaming module docstring
+   for the declared batch semantics).
 """
 
 from __future__ import annotations
@@ -25,9 +25,11 @@ import pytest
 from repro.core.em import EMConfig, EMLearner, fit_incremental
 from repro.core.structure import build_incremental_structure, build_pair_structure
 from repro.data import SyntheticConfig, generate
-from repro.extensions.streaming import StreamingFuser, replay_dataset
+from repro.extensions.streaming import DecayConfig, StreamingFuser, replay_dataset
 from repro.fusion.dataset import FusionDataset
 from repro.fusion.encoding import DenseEncoding, IncrementalEncoding, encode_dataset
+from tests.oracles import learners as oracle_learners
+from tests.oracles import streaming as oracle_streaming
 
 ARRAY_NAMES = [
     "obs_order",
@@ -145,7 +147,7 @@ class TestIncrementalEquivalence:
     def test_incremental_structure_matches_vectorized_build(self, dataset):
         incremental = IncrementalEncoding.from_dataset(dataset)
         built = build_incremental_structure(incremental)
-        reference = build_pair_structure(dataset, backend="vectorized")
+        reference = build_pair_structure(dataset)
         assert built.object_ids == reference.object_ids
         assert built.pair_values == reference.pair_values
         np.testing.assert_array_equal(built.pair_offsets, reference.pair_offsets)
@@ -217,6 +219,17 @@ class TestIncrementalEquivalence:
         with pytest.raises(DatasetError, match="duplicate"):
             incremental.append([("s9", "o9", "a"), ("s9", "o9", "b")])
         assert incremental.n_observations == 3
+
+    def test_nan_claim_rejected_atomically(self):
+        from repro.fusion import DatasetError
+
+        incremental = IncrementalEncoding()
+        incremental.append([("s1", "o1", "a")])
+        with pytest.raises(DatasetError, match="NaN claim value for source='s2' obj='o1'"):
+            incremental.append([("s3", "o2", "b"), ("s2", "o1", float("nan"))])
+        assert incremental.n_sources == 1
+        assert incremental.n_objects == 1
+        assert incremental.n_observations == 1
 
     def test_empty_batch_is_noop(self, dataset):
         incremental = IncrementalEncoding.from_dataset(dataset)
@@ -294,24 +307,25 @@ class TestDegenerateInputs:
 
 
 class TestStreamingEquivalence:
-    """Vectorized streaming fuser vs the reference dict engine."""
+    """Streaming fuser vs the sequential dict-loop oracle."""
 
     @pytest.mark.parametrize(
         "fuser_kwargs",
-        [{}, {"self_training": False}, {"decay": 0.995}],
-        ids=["default", "no-self-training", "decaying"],
+        [
+            {},
+            {"self_training": False},
+            {"trust_decay": DecayConfig(half_life=140.0)},
+            {"trust_decay": DecayConfig(window=8.0)},
+        ],
+        ids=["default", "no-self-training", "decaying", "windowed"],
     )
     def test_single_observation_batches_are_exact(self, dataset, fuser_kwargs):
         truth = dataset.split(0.4, seed=0).train_truth
-        engines = {
-            backend: StreamingFuser(backend=backend, **fuser_kwargs)
-            for backend in ("reference", "vectorized")
-        }
         rng = np.random.default_rng(5)
         order = rng.permutation(dataset.n_observations)
-        for fuser in engines.values():
-            fuser.run((dataset.observations[int(i)] for i in order), truth=truth, batch_size=1)
-        reference, vectorized = engines["reference"], engines["vectorized"]
+        stream = [dataset.observations[int(i)] for i in order]
+        reference = oracle_streaming.ReferenceStreamingFuser(**fuser_kwargs).run(stream, truth)
+        vectorized = StreamingFuser(**fuser_kwargs).run(stream, truth=truth, batch_size=1)
         ref_accs = reference.source_accuracies()
         vec_accs = vectorized.source_accuracies()
         assert ref_accs.keys() == vec_accs.keys()
@@ -326,8 +340,8 @@ class TestStreamingEquivalence:
 
     def test_to_result_matches_reference_packaging(self, dataset):
         truth = dataset.split(0.3, seed=1).train_truth
-        ref = replay_dataset(dataset, truth, seed=2, backend="reference")
-        vec = replay_dataset(dataset, truth, seed=2, backend="vectorized", batch_size=1)
+        ref = oracle_streaming.replay_dataset(dataset, truth, seed=2)
+        vec = replay_dataset(dataset, truth, seed=2, batch_size=1)
         assert vec.has_arrays
         assert set(vec.values) == set(ref.values)
         for obj, dist in ref.posteriors.items():
@@ -340,8 +354,8 @@ class TestStreamingEquivalence:
     def test_minibatch_replay_tracks_reference(self, dataset):
         """Batched replay (batch-start trusts) stays close to sequential."""
         truth = dataset.split(0.4, seed=0).train_truth
-        ref = replay_dataset(dataset, truth, seed=0, backend="reference")
-        vec = replay_dataset(dataset, truth, seed=0, backend="vectorized", batch_size=64)
+        ref = oracle_streaming.replay_dataset(dataset, truth, seed=0)
+        vec = replay_dataset(dataset, truth, seed=0, batch_size=64)
         agreement = np.mean([ref.values[obj] == vec.values[obj] for obj in dataset.objects.items])
         assert agreement >= 0.9
         deltas = [
@@ -383,11 +397,21 @@ class TestFitIncremental:
         truth = dataset.split(0.3, seed=2).train_truth
         incremental = IncrementalEncoding.from_dataset(dataset)
         model, learner = fit_incremental(incremental, truth=truth, max_iterations=6)
-        cold = EMLearner(
-            EMConfig(max_iterations=6, solver="lbfgs-warm", backend="vectorized")
-        ).fit(dataset, truth)
+        cold = EMLearner(EMConfig(max_iterations=6, solver="lbfgs-warm")).fit(dataset, truth)
         np.testing.assert_allclose(model.accuracies(), cold.accuracies(), atol=1e-8)
         assert learner.warm_state_ is not None
+
+    def test_matches_em_oracle(self, dataset):
+        truth = dataset.split(0.3, seed=2).train_truth
+        incremental = IncrementalEncoding.from_dataset(dataset)
+        model, _ = fit_incremental(
+            incremental, truth=truth, max_iterations=6, m_step_tolerance=1e-13
+        )
+        reference = oracle_learners.fit_em(dataset, truth, max_iterations=6, m_step_tolerance=1e-13)
+        assert model.source_ids == reference.source_ids
+        # Bounded by scipy's double-precision stopping plateau, as for
+        # EMLearner(solver="lbfgs-warm") in tests/test_vectorized_equivalence.py.
+        np.testing.assert_allclose(model.accuracies(), reference.accuracies(), atol=5e-5)
 
     def test_warm_state_does_not_change_optimum(self, dataset):
         truth = dataset.split(0.3, seed=2).train_truth
@@ -512,8 +536,3 @@ class TestDatasetViewFastPath:
             IncrementalEncoding.observations = original
         assert fuser.n_refits > 0
         assert not walked
-
-    def test_rejects_reference_backend(self, dataset):
-        incremental = IncrementalEncoding.from_dataset(dataset)
-        with pytest.raises(ValueError, match="vectorized"):
-            fit_incremental(incremental, backend="reference")

@@ -1,13 +1,13 @@
-"""Machine-checked equivalence of the vectorized engine vs the reference loops.
+"""Machine-checked equivalence of the production path vs the loop oracles.
 
-The dense-encoding engine (``backend="vectorized"``) must reproduce the
-original loop implementations (``backend="reference"``) exactly: same index
-structures, same posteriors, same learned models.  These property-style
-tests sweep seeded random datasets — binary and multi-valued domains,
-featureful and featureless sources, empty/partial/full supervision — and
-assert numerical agreement at ``atol=1e-8`` (structures, posterior
-packaging and the array-backed ``FusionResult`` views must match exactly;
-end-to-end fitted models are allowed solver-path noise well below 1e-6).
+The dense-encoding engine must reproduce the original loop implementations
+kept in ``tests/oracles/`` exactly: same index structures, same posteriors,
+same learned models.  These property-style tests sweep seeded random
+datasets — binary and multi-valued domains, featureful and featureless
+sources, empty/partial/full supervision — and assert numerical agreement
+at ``atol=1e-8`` (structures, posterior packaging and the array-backed
+``FusionResult`` views must match exactly; end-to-end fitted models are
+allowed solver-path noise well below 1e-6).
 
 Solver equivalence (``solver="lbfgs-warm"`` vs the scipy reference) is
 asserted at ``atol=1e-8`` in *objective-value* space: both converge the
@@ -35,11 +35,15 @@ from repro.core.inference import (
 from repro.core.structure import build_pair_structure
 from repro.data import SyntheticConfig, generate
 from repro.factorgraph import GibbsSampler, compile_dataset, compile_unary_score_tables
-from repro.fusion.encoding import DenseEncoding, check_backend, encode_dataset, expand_spans
+from repro.factorgraph.graph import GraphError
+from repro.fusion.encoding import DenseEncoding, encode_dataset, expand_spans
 from repro.fusion.result import FusionResult
 from repro.optim.numerics import sigmoid, softmax
 from repro.optim.objectives import CorrectnessObjective, reduce_correctness_samples
 from repro.optim.solvers import minimize_lbfgs, minimize_newton
+from tests.oracles import inference as oracle_inference
+from tests.oracles import learners as oracle_learners
+from tests.oracles import structure as oracle_structure
 
 ATOL = 1e-8
 
@@ -123,10 +127,6 @@ class TestEncoding:
         np.testing.assert_array_equal(expand_spans(starts, lengths), [5, 6, 9, 10, 11])
         assert expand_spans(np.zeros(0), np.zeros(0)).size == 0
 
-    def test_check_backend_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            check_backend("numba")
-
 
 class TestStructureEquivalence:
     @pytest.mark.parametrize("subset", [False, True])
@@ -134,8 +134,8 @@ class TestStructureEquivalence:
         objects = None
         if subset:
             objects = list(dataset.objects)[::3]
-        vec = build_pair_structure(dataset, objects, backend="vectorized")
-        ref = build_pair_structure(dataset, objects, backend="reference")
+        vec = build_pair_structure(dataset, objects)
+        ref = oracle_structure.build_pair_structure(dataset, objects)
         assert vec.object_ids == ref.object_ids
         assert vec.pair_values == ref.pair_values
         np.testing.assert_array_equal(vec.object_dataset_idx, ref.object_dataset_idx)
@@ -148,12 +148,10 @@ class TestStructureEquivalence:
     @pytest.mark.parametrize("fraction", [0.0, 0.3, 1.0])
     def test_label_rows_identical(self, dataset, fraction):
         truth = _truth_fraction(dataset, fraction)
-        vec = build_pair_structure(dataset, backend="vectorized")
-        ref = build_pair_structure(dataset, backend="reference")
-        np.testing.assert_array_equal(vec.label_rows(truth), ref.label_rows(truth))
-        np.testing.assert_array_equal(
-            encode_dataset(dataset).label_rows(truth), ref.label_rows(truth)
-        )
+        vec = build_pair_structure(dataset)
+        ref = oracle_structure.label_rows(oracle_structure.build_pair_structure(dataset), truth)
+        np.testing.assert_array_equal(vec.label_rows(truth), ref)
+        np.testing.assert_array_equal(encode_dataset(dataset).label_rows(truth), ref)
 
 
 class TestPosteriorEquivalence:
@@ -162,8 +160,8 @@ class TestPosteriorEquivalence:
         truth = _truth_fraction(dataset, 0.2, seed=1)
         model = ERMLearner().fit(dataset, truth)
         clamp = _truth_fraction(dataset, clamp_fraction, seed=2)
-        vec = posteriors(dataset, model, clamp=clamp, backend="vectorized")
-        ref = posteriors(dataset, model, clamp=clamp, backend="reference")
+        vec = posteriors(dataset, model, clamp=clamp)
+        ref = oracle_inference.posteriors(dataset, model, clamp=clamp)
         assert vec.keys() == ref.keys()
         for obj in ref:
             assert vec[obj].keys() == ref[obj].keys()
@@ -183,16 +181,14 @@ class TestPosteriorEquivalence:
     def test_expected_correctness_matches(self, dataset, fraction):
         truth = _truth_fraction(dataset, 0.3, seed=3)
         model = ERMLearner().fit(dataset, truth)
-        structure_vec = build_pair_structure(dataset, backend="vectorized")
-        structure_ref = build_pair_structure(dataset, backend="reference")
-        label_rows = structure_ref.label_rows(_truth_fraction(dataset, fraction, seed=4))
+        structure_vec = build_pair_structure(dataset)
+        structure_ref = oracle_structure.build_pair_structure(dataset)
+        label_rows = oracle_structure.label_rows(
+            structure_ref, _truth_fraction(dataset, fraction, seed=4)
+        )
         trust = model.trust_scores()
-        q_vec, rows_vec = expected_correctness(
-            structure_vec, trust, label_rows, backend="vectorized"
-        )
-        q_ref, rows_ref = expected_correctness(
-            structure_ref, trust, label_rows, backend="reference"
-        )
+        q_vec, rows_vec = expected_correctness(structure_vec, trust, label_rows)
+        q_ref, rows_ref = oracle_inference.expected_correctness(structure_ref, trust, label_rows)
         np.testing.assert_allclose(q_vec, q_ref, atol=ATOL)
         np.testing.assert_allclose(rows_vec, rows_ref, atol=ATOL)
 
@@ -201,7 +197,7 @@ class TestLearnerEquivalence:
     def test_training_pairs_identical(self, dataset):
         truth = _truth_fraction(dataset, 0.5, seed=5)
         src_vec, lab_vec = correctness_training_pairs(dataset, truth)
-        src_ref, lab_ref = correctness_training_pairs(dataset, truth, backend="reference")
+        src_ref, lab_ref = oracle_learners.correctness_training_pairs(dataset, truth)
         np.testing.assert_array_equal(src_vec, src_ref)
         np.testing.assert_array_equal(lab_vec, lab_ref)
 
@@ -235,25 +231,25 @@ class TestLearnerEquivalence:
     @pytest.mark.parametrize("objective", ["correctness", "conditional"])
     def test_erm_fits_match(self, dataset, objective):
         truth = _truth_fraction(dataset, 0.4, seed=6)
-        vec = ERMLearner(objective=objective, backend="vectorized").fit(dataset, truth)
-        ref = ERMLearner(objective=objective, backend="reference").fit(dataset, truth)
+        vec = ERMLearner(objective=objective).fit(dataset, truth)
+        ref = oracle_learners.fit_erm(dataset, truth, objective=objective)
         np.testing.assert_allclose(vec.accuracies(), ref.accuracies(), atol=1e-6)
         np.testing.assert_allclose(vec.w_features, ref.w_features, atol=1e-5)
 
     def test_erm_sgd_path_is_bitwise_identical(self, dataset):
-        # SGD consumes per-observation samples; the vectorized backend must
-        # feed it the exact same sample stream as the reference.
+        # SGD consumes per-observation samples; the production path must
+        # feed it the exact same sample stream as the oracle.
         truth = _truth_fraction(dataset, 0.4, seed=6)
-        vec = ERMLearner(solver="sgd", backend="vectorized").fit(dataset, truth)
-        ref = ERMLearner(solver="sgd", backend="reference").fit(dataset, truth)
+        vec = ERMLearner(solver="sgd").fit(dataset, truth)
+        ref = oracle_learners.fit_erm(dataset, truth, solver="sgd")
         np.testing.assert_array_equal(vec.w_sources, ref.w_sources)
         np.testing.assert_array_equal(vec.w_features, ref.w_features)
 
     @pytest.mark.parametrize("fraction", [0.0, 0.2])
     def test_em_fits_match(self, dataset, fraction):
         truth = _truth_fraction(dataset, fraction, seed=7)
-        vec = EMLearner(max_iterations=8, backend="vectorized").fit(dataset, truth)
-        ref = EMLearner(max_iterations=8, backend="reference").fit(dataset, truth)
+        vec = EMLearner(max_iterations=8).fit(dataset, truth)
+        ref = oracle_learners.fit_em(dataset, truth, max_iterations=8)
         np.testing.assert_allclose(vec.accuracies(), ref.accuracies(), atol=1e-6)
 
 
@@ -273,23 +269,25 @@ class TestGibbsEquivalence:
             np.testing.assert_allclose(conditional, expected, atol=ATOL)
 
     def test_vectorized_marginals_agree_with_reference(self):
-        dataset = generate(SyntheticConfig(n_sources=15, n_objects=20, density=0.3, seed=9)).dataset
+        dataset = generate(SyntheticConfig(n_sources=15, n_objects=10, density=0.3, seed=9)).dataset
         truth = _truth_fraction(dataset, 0.2, seed=9)
         model = ERMLearner().fit(dataset, truth)
         compiled = compile_dataset(dataset, evidence=truth)
         compiled.set_weights_from_model(model)
-        ref = GibbsSampler(n_samples=4000, burn_in=200, seed=0).run(compiled.graph)
-        vec = GibbsSampler(
-            n_samples=4000, burn_in=200, seed=0, backend="vectorized"
-        ).run(compiled.graph)
+        sampler = GibbsSampler(n_samples=2000, burn_in=100, seed=0)
+        # run() samples the compiled score tables; run_sweeps() is the
+        # per-factor loop it replaces on unary graphs.
+        ref = sampler.run_sweeps(compiled.graph)
+        vec = sampler.run(compiled.graph)
         assert vec.marginals.keys() == ref.marginals.keys()
+        assert vec.marginals != ref.marginals  # two different sample streams
         for name, dist in ref.marginals.items():
             for value, prob in dist.items():
                 # Both are Monte-Carlo estimates of the same conditional;
-                # 4000 samples bound the deviation well below 0.05.
+                # 2000 samples bound the deviation well below 0.05.
                 assert vec.marginals[name][value] == pytest.approx(prob, abs=0.05)
 
-    def test_auto_backend_falls_back_on_non_unary_factors(self):
+    def test_run_falls_back_to_sweeps_on_non_unary_factors(self):
         from repro.factorgraph import FactorGraph
 
         graph = FactorGraph()
@@ -301,11 +299,10 @@ class TestGibbsEquivalence:
             "tie",
             initial_weight=0.7,
         )
-        auto = GibbsSampler(n_samples=200, burn_in=20, seed=1, backend="auto").run(graph)
-        ref = GibbsSampler(n_samples=200, burn_in=20, seed=1).run(graph)
-        assert auto.marginals == ref.marginals
-        with pytest.raises(Exception, match="unary"):
-            GibbsSampler(backend="vectorized").run(graph)
+        sampler = GibbsSampler(n_samples=200, burn_in=20, seed=1)
+        assert sampler.run(graph).marginals == sampler.run_sweeps(graph).marginals
+        with pytest.raises(GraphError, match="unary"):
+            compile_unary_score_tables(graph)
 
 
 class TestFacadeEquivalence:
@@ -314,18 +311,18 @@ class TestFacadeEquivalence:
         from repro.core import SLiMFast
 
         truth = _truth_fraction(dataset, 0.3, seed=10)
-        vec = SLiMFast(learner=learner, backend="vectorized").fit_predict(dataset, truth)
-        ref = SLiMFast(learner=learner, backend="reference").fit_predict(dataset, truth)
-        assert vec.values == ref.values
-        for obj, dist in ref.posteriors.items():
+        vec = SLiMFast(learner=learner).fit_predict(dataset, truth)
+        values, posteriors_ref, accuracies = oracle_learners.fit_predict(dataset, truth, learner)
+        assert vec.values == values
+        for obj, dist in posteriors_ref.items():
             for value, prob in dist.items():
                 assert vec.posteriors[obj][value] == pytest.approx(prob, abs=1e-6)
-        for source, acc in ref.source_accuracies.items():
+        for source, acc in accuracies.items():
             assert vec.source_accuracies[source] == pytest.approx(acc, abs=1e-6)
 
 
 class TestFusionResultViews:
-    """Array-backed FusionResult views vs the reference dict packaging."""
+    """Array-backed FusionResult views vs the oracle's dict packaging."""
 
     @pytest.mark.parametrize("clamp_fraction", [0.0, 0.25])
     def test_views_match_reference_packaging(self, dataset, clamp_fraction):
@@ -342,8 +339,8 @@ class TestFusionResultViews:
             source_ids=model.source_ids,
         )
         assert result.has_arrays
-        reference = posteriors(dataset, model, clamp=clamp, backend="reference")
-        assert result.values == map_assignment(reference)
+        reference = oracle_inference.posteriors(dataset, model, clamp=clamp)
+        assert result.values == oracle_inference.map_assignment(reference)
         assert result.posteriors.keys() == reference.keys()
         for obj, dist in reference.items():
             assert result.posteriors[obj].keys() == dist.keys()
@@ -414,7 +411,7 @@ class TestFusionResultViews:
         assert result.values[target] == "never-claimed-value"
         assert result.posteriors[target]["never-claimed-value"] == 1.0
         assert sum(result.posteriors[target].values()) == pytest.approx(1.0)
-        reference = posteriors(dataset, model, clamp=clamp, backend="reference")
+        reference = oracle_inference.posteriors(dataset, model, clamp=clamp)
         assert result.posteriors[target] == pytest.approx(reference[target])
 
     def test_accuracy_array_path_matches_dict_path(self, dataset):
@@ -493,12 +490,10 @@ class TestWarmSolverEquivalence:
     @pytest.mark.parametrize("fraction", [0.0, 0.2])
     def test_em_warm_matches_reference_path(self, dataset, fraction):
         truth = _truth_fraction(dataset, fraction, seed=7)
-        reference = EMLearner(
-            max_iterations=8, solver="lbfgs", backend="reference", m_step_tolerance=1e-13
-        ).fit(dataset, truth)
-        warm = EMLearner(
-            max_iterations=8, solver="lbfgs-warm", backend="vectorized", m_step_tolerance=1e-13
-        ).fit(dataset, truth)
+        reference = oracle_learners.fit_em(dataset, truth, max_iterations=8, m_step_tolerance=1e-13)
+        warm = EMLearner(max_iterations=8, solver="lbfgs-warm", m_step_tolerance=1e-13).fit(
+            dataset, truth
+        )
         # Bounded by scipy's double-precision stopping plateau (see module
         # docstring), not by the warm solver, which solves tighter.
         np.testing.assert_allclose(warm.accuracies(), reference.accuracies(), atol=5e-5)

@@ -1,6 +1,6 @@
 """Repo-aware static analysis for the SLiMFast reproduction.
 
-``python -m tools.repro_analysis`` runs four rule families over the tree
+``python -m tools.repro_analysis`` runs three rule families over the tree
 (zero dependencies, pure ``ast``), each enforcing an invariant the
 runtime differential suites otherwise catch only as flaky failures:
 
@@ -14,10 +14,6 @@ runtime differential suites otherwise catch only as flaky failures:
   listed attribute may only be touched inside ``with self.<lock>:`` (or
   in ``__init__``/``__new__``, or in a function annotated
   ``# repro-analysis: holds[<lock>]``).
-* **RA3 — backend parity.**  Backend dispatch sites must handle both
-  ``"vectorized"`` and ``"reference"`` (an untaken branch must fall
-  through to nothing is the bug class), and every dispatching module
-  needs a parity test under ``tests/`` that exercises both literals.
 * **RA4 — cache-version honesty.**  The source of every
   ``FeatureGroup`` subclass and of the ``featurize.stats`` kernels is
   digested into ``versions.lock``; editing one without bumping its

@@ -24,7 +24,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m tools.repro_analysis",
         description="Repo-aware static analysis: determinism (RA1), lock "
-        "discipline (RA2), backend parity (RA3), cache-version honesty (RA4).",
+        "discipline (RA2), cache-version honesty (RA4).",
     )
     parser.add_argument(
         "--root",
@@ -63,7 +63,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     # Rule modules self-register on import; pull them in for --list-rules
     # the same way run_rules does.
-    from . import backends, determinism, locks, versions  # noqa: F401
+    from . import determinism, locks, versions  # noqa: F401
 
     if args.list_rules:
         for rule_id in sorted(RULES):

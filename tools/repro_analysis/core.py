@@ -124,21 +124,13 @@ class Project:
     """The repo layout the rules analyze, parsed once.
 
     ``src_files`` covers ``src/repro`` (the package under contract),
-    ``example_files`` the runnable ``examples/``; ``test_files`` are
-    read as text only (RA3 greps them for parity coverage but does not
-    lint them).
+    ``example_files`` the runnable ``examples/``.
     """
 
     def __init__(self, root: Path) -> None:
         self.root = Path(root).resolve()
         self.src_files = self._parse_tree(self.root / "src" / "repro")
         self.example_files = self._parse_tree(self.root / "examples")
-        self.test_files: Dict[str, str] = {}
-        tests = self.root / "tests"
-        if tests.is_dir():
-            for path in sorted(tests.rglob("*.py")):
-                rel = path.relative_to(self.root).as_posix()
-                self.test_files[rel] = path.read_text()
 
     def _parse_tree(self, base: Path) -> List[SourceFile]:
         files = []
@@ -226,7 +218,7 @@ def _file_index(project: Project) -> Dict[str, SourceFile]:
 def run_rules(project: Project, rule_ids: Optional[Sequence[str]] = None) -> Report:
     """Run the selected rules and partition findings by suppression."""
     # Import for side effect: rule modules self-register on import.
-    from . import backends, determinism, locks, versions  # noqa: F401
+    from . import determinism, locks, versions  # noqa: F401
 
     selected = list(rule_ids) if rule_ids else sorted(RULES)
     unknown = [rid for rid in selected if rid not in RULES]
