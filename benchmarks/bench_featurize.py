@@ -162,7 +162,8 @@ def run_benchmarks(smoke: bool, n_observations: int, repeats: int) -> dict:
     import numpy as np
 
     from repro.featurize import FeaturizerPipeline, compute_source_stats
-    from repro.featurize.pipeline import _resolve_source
+    from repro.featurize.stats import STAT_ARRAYS
+    from repro.fusion.encoding import encode_dataset
 
     failures = []
     cases = []
@@ -187,11 +188,12 @@ def run_benchmarks(smoke: bool, n_observations: int, repeats: int) -> dict:
     # Ratio case 1: statistics kernel vs the pure-Python loop.
     dataset = _generate(60, 500 if smoke else 2500, n_observations, seed=0)
     pipeline = FeaturizerPipeline()
-    view = _resolve_source(dataset)
+    encoding = encode_dataset(dataset)
+    arrays = {name: getattr(encoding, name) for name in STAT_ARRAYS}
     case(
         "featurize_stats",
         lambda: _reference_stats(dataset, pipeline.half_life),
-        lambda: compute_source_stats(view.arrays, view.n_sources, half_life=pipeline.half_life),
+        lambda: compute_source_stats(arrays, encoding.n_sources, half_life=pipeline.half_life),
     )
 
     # Ratio case 2: cold featurization vs a warm cache hit.
@@ -205,8 +207,8 @@ def run_benchmarks(smoke: bool, n_observations: int, repeats: int) -> dict:
     # Sanity: the kernel and the reference loop agree on a spot-checked
     # source (guards the ratio case against benchmarking different math).
     reference = _reference_stats(dataset, pipeline.half_life)
-    kernel = compute_source_stats(view.arrays, view.n_sources, half_life=pipeline.half_life)
-    probe = view.source_ids[0]
+    kernel = compute_source_stats(arrays, encoding.n_sources, half_life=pipeline.half_life)
+    probe = encoding.sources.item(0)
     entry = reference[probe]
     for field_name in ("n_claims", "n_consensus", "n_contradicted"):
         if int(getattr(kernel, field_name)[0]) != int(entry[field_name]):

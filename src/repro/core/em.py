@@ -58,7 +58,7 @@ from ..optim.solvers import (
 from .erm import ERMConfig, ERMLearner
 from .inference import clamp_rows, expected_correctness
 from .model import AccuracyModel, model_from_flat
-from .structure import PairStructure, build_incremental_structure, build_pair_structure
+from .structure import PairStructure, build_pair_structure
 
 
 @dataclass
@@ -478,7 +478,6 @@ def fit_incremental(
     truth: Optional[Mapping[ObjectId, Value]] = None,
     warm_state: Optional[WarmStartState] = None,
     config: Optional[EMConfig] = None,
-    materialize_dataset: bool = False,
     design: Optional[np.ndarray] = None,
     feature_space: Optional[FeatureSpace] = None,
     **overrides: object,
@@ -487,28 +486,22 @@ def fit_incremental(
 
     The batch re-fit entry point for append-only workloads: given an
     :class:`~repro.fusion.encoding.IncrementalEncoding` (and the ground
-    truth revealed so far), run a full EM fit against the encoding's
-    current snapshot **without recompiling the index arrays** — the
-    candidate structure is built directly from the snapshot
-    (:func:`~repro.core.structure.build_incremental_structure`) and the
-    design matrix comes from the encoding's per-source row cache.
-
-    By default the fit also skips the dataset *container*: the learner
-    only needs the sizes, indexers and domains once every derived artifact
-    is prebuilt, so it runs over the O(1)
-    :meth:`~repro.fusion.encoding.IncrementalEncoding.dataset_view` —
-    periodic streaming re-anchors (``StreamingFuser.refit_every``) no
-    longer pay the O(n) ``observations()`` walk of
-    :meth:`~repro.fusion.encoding.IncrementalEncoding.to_dataset` on every
-    re-fit.  ``materialize_dataset=True`` restores the walking path
-    (identical fits — the equivalence is pinned in
-    ``tests/test_incremental_encoding.py``), useful when the caller wants
-    the materialized container afterwards anyway.
+    truth revealed so far), run a full EM fit with the encoding itself as
+    the dataset.  The encoding carries the id tables, domains and source
+    features the learner reads, its compiled arrays are the candidate
+    structure (:func:`~repro.core.structure.build_pair_structure`) and its
+    per-source row cache is the design matrix — so a periodic streaming
+    re-anchor (``StreamingFuser.refit_every``) never recompiles from
+    scratch and never walks the accumulated observation list.  A
+    ``featurizer`` in the config reads the encoding's compiled arrays; a
+    streaming caller holding running statistics passes
+    ``design=``/``feature_space=`` directly to stay O(batch).
 
     ``warm_state`` seeds the first convex M-step solve from a previous
-    re-fit (the PR 3 sweep hook): because each M-step is convex this never
-    changes the fit's optimum, only its path, so periodic re-fits over a
-    stream converge in fewer inner iterations as the data drifts slowly.
+    re-fit (the sweep engine's warm-start hook): because each M-step is
+    convex this never changes the fit's optimum, only its path, so
+    periodic re-fits over a stream converge in fewer inner iterations as
+    the data drifts slowly.
     The solver defaults to the contracted ``"lbfgs-warm"`` path (the only
     one that honors the seed).
 
@@ -518,22 +511,7 @@ def fit_incremental(
     if config is None and "solver" not in overrides:
         overrides = {**overrides, "solver": "lbfgs-warm"}
     learner = EMLearner(config, **overrides)
-    dataset = encoding.to_dataset() if materialize_dataset else encoding.dataset_view()
-    structure = build_incremental_structure(encoding)
-    if design is None or feature_space is None:
-        if learner.config.featurizer is not None:
-            # The pipeline reads the encoding's materialized snapshot; a
-            # streaming caller holding RunningSourceStats passes
-            # design=/feature_space= directly to stay O(batch).
-            design, feature_space = learner.config.featurizer.design_for(encoding)
-        else:
-            design, feature_space = encoding.design(learner.config.use_features)
     model = learner.fit(
-        dataset,
-        truth,
-        design=design,
-        feature_space=feature_space,
-        structure=structure,
-        warm_state=warm_state,
+        encoding, truth, design=design, feature_space=feature_space, warm_state=warm_state
     )
     return model, learner

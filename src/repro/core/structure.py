@@ -110,12 +110,18 @@ class PairStructure:
 def build_pair_structure(
     dataset: FusionDataset, objects: Optional[Sequence[ObjectId]] = None
 ) -> PairStructure:
-    """Construct the :class:`PairStructure` for ``objects`` (default: all)."""
+    """Construct the :class:`PairStructure` for ``objects`` (default: all).
+
+    ``dataset`` may also be an encoding — a
+    :class:`~repro.fusion.encoding.IncrementalEncoding` over a growing
+    stream included — whose compiled arrays the full-coverage structure
+    then shares directly.
+    """
     encoding = encode_dataset(dataset)
     if objects is None:
         return PairStructure(
-            object_ids=dataset.objects.items,
-            object_dataset_idx=np.arange(dataset.n_objects, dtype=np.int64),
+            object_ids=encoding.objects.items,
+            object_dataset_idx=np.arange(encoding.n_objects, dtype=np.int64),
             pair_object_pos=encoding.pair_object_idx,
             pair_values=encoding.pair_values,
             pair_offsets=encoding.pair_offsets,
@@ -126,16 +132,17 @@ def build_pair_structure(
         )
 
     object_ids = list(objects)
-    selected = np.asarray([dataset.objects.index(obj) for obj in object_ids], dtype=np.int64)
+    selected = np.asarray([encoding.objects.index(obj) for obj in object_ids], dtype=np.int64)
     domain_sizes = encoding.domain_sizes[selected]
     pair_offsets = np.concatenate(
         [np.zeros(1, dtype=np.int64), np.cumsum(domain_sizes, dtype=np.int64)]
     )
     pair_object_pos = np.repeat(np.arange(len(object_ids), dtype=np.int64), domain_sizes)
     all_values = encoding.pair_values
+    all_offsets = encoding.pair_offsets
     pair_values: List[Value] = []
     for o_idx in selected:
-        start, stop = encoding.pair_offsets[o_idx], encoding.pair_offsets[o_idx + 1]
+        start, stop = all_offsets[o_idx], all_offsets[o_idx + 1]
         pair_values.extend(all_values[start:stop])
 
     obs_starts = encoding.obs_offsets[selected]
@@ -157,32 +164,6 @@ def build_pair_structure(
         obs_source_idx=encoding.obs_source_idx[positions],
         obs_pair_idx=obs_pair_idx,
         base_scores=base_scores,
-        encoding=encoding,
-    )
-
-
-def build_incremental_structure(encoding) -> PairStructure:
-    """Full-coverage :class:`PairStructure` over an incremental encoding.
-
-    The incremental counterpart of the full-dataset build: the
-    structure's arrays are the :class:`~repro.fusion.encoding.IncrementalEncoding`
-    snapshot arrays themselves (no re-walk, no re-derivation), so a
-    periodic batch re-fit over a growing stream pays only the snapshot
-    materialization — O(dataset) array assembly, never the Python-level
-    dataset walk of a cold compile.  The encoding is attached for the
-    array-based :meth:`PairStructure.label_rows` fast path
-    (``IncrementalEncoding.truth_codes`` is layout-compatible with
-    :meth:`~repro.fusion.encoding.DenseEncoding.truth_codes`).
-    """
-    return PairStructure(
-        object_ids=encoding.object_ids,
-        object_dataset_idx=np.arange(encoding.n_objects, dtype=np.int64),
-        pair_object_pos=encoding.pair_object_idx,
-        pair_values=encoding.pair_values,
-        pair_offsets=encoding.pair_offsets,
-        obs_source_idx=encoding.obs_source_idx,
-        obs_pair_idx=encoding.obs_pair_idx,
-        base_scores=encoding.base_scores,
         encoding=encoding,
     )
 

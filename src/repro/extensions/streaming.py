@@ -19,8 +19,8 @@ slack, mirroring the incremental encoding's slot store — memory stays
 ``O(total claimed values)`` even when one object's domain is huge), and
 each :meth:`StreamingFuser.observe_batch` updates everything with bulk
 NumPy scatters over an :class:`~repro.fusion.encoding.IncrementalEncoding`
-(which also gives the fuser O(batch) appends and a snapshot compatible
-with the batch learners).  Batches use *batch-start* source trusts for
+(which also gives the fuser O(batch) appends and compiled arrays the
+batch learners read directly).  Batches use *batch-start* source trusts for
 scoring and apply source-state feedback after the batch, so a batch of
 size 1 reproduces the sequential dict-per-observation model **exactly** —
 its loop oracle lives in ``tests/oracles/streaming.py`` — while larger
@@ -235,9 +235,8 @@ class StreamingFuser:
             self._truth_code = fresh_codes
         # New objects start with an empty score span; _sync_score_spans
         # allocates capacity once their domain size is known.
-        for _ in range(self._n_objects, n_objects):
-            self._score_start.push(0)
-            self._score_cap.push(0)
+        self._score_start.grow(n_objects)
+        self._score_cap.grow(n_objects)
         self._n_objects = max(self._n_objects, n_objects)
 
     def _grow_flat(self, needed: int) -> None:
@@ -294,7 +293,7 @@ class StreamingFuser:
             return
         if self._running_stats is not None:
             # O(batch + touched-object claims): keeps the featurized
-            # refit's design inputs current without any snapshot pass.
+            # refit's design inputs current without any compile.
             self._running_stats.observe(self.encoding, batch)
         n_objects_before = self._n_objects
         self._grow_sources(self.encoding.n_sources)
@@ -489,11 +488,11 @@ class StreamingFuser:
         :class:`~repro.fusion.result.FusionResult` (one segmented softmax,
         no per-object dicts).
         """
-        from ..core.structure import build_incremental_structure
+        from ..core.structure import build_pair_structure
         from ..optim.objectives import segment_softmax
 
         if self.encoding.n_observations == 0:
-            # An empty stream has no snapshot arrays to materialize.
+            # An empty stream has no arrays to compile.
             return FusionResult(
                 values={},
                 posteriors={},
@@ -502,7 +501,7 @@ class StreamingFuser:
                 diagnostics={"n_processed": 0, "n_refits": self.n_refits},
             )
         encoding = self.encoding
-        structure = build_incremental_structure(encoding)
+        structure = build_pair_structure(encoding)
         flat_scores = self._score_flat[
             self._score_start.data[encoding.pair_object_idx] + encoding.pair_value_code
         ]
@@ -532,7 +531,7 @@ class StreamingFuser:
         """
         dataset = None
         if with_dataset and self.encoding.n_observations:
-            dataset = self.encoding.to_dataset(attach_encoding=True)
+            dataset = self.encoding.to_dataset()
         return {
             "result": self.to_result(),
             "truth": dict(self.truth),
@@ -554,15 +553,15 @@ class StreamingFuser:
         source's Beta mean with the fitted accuracy (its pseudo-count
         weight is preserved), and rebuilds the score table from every past
         claim under the re-fitted trusts — a single bulk scatter over the
-        encoding snapshot.
+        encoding's compiled arrays.
         """
         from ..core.em import fit_incremental
 
         design = feature_space = None
         if self.featurizer is not None and self._running_stats is not None:
             # Assemble the featurized design from the running accumulators
-            # (no snapshot recompute); fit_incremental then skips its own
-            # design resolution entirely.
+            # (no compile); fit_incremental then skips its own design
+            # resolution entirely.
             stats = self._running_stats.snapshot(self.encoding.n_objects)
             design, feature_space = self.featurizer.design_from_stats(
                 stats,

@@ -29,6 +29,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..fusion.dataset import FusionDataset
+from ..fusion.encoding import DenseEncoding, encode_dataset
 from ..fusion.features import FEATURE_SPACE_VERSION, FeatureSpace
 from ..fusion.types import DatasetError, NotFittedError, SourceId
 from .cache import FeatureCache, cache_key, dataset_digest
@@ -119,40 +121,6 @@ class FeaturizedDesign:
         return FeaturizedSpace(self.column_names, self.version_key)
 
 
-@dataclass
-class _EncodedView:
-    """Normalized view over FusionDataset / DenseEncoding / IncrementalEncoding."""
-
-    arrays: Dict[str, np.ndarray]
-    n_sources: int
-    n_objects: int
-    source_ids: List[SourceId]
-    source_features: Mapping[SourceId, Mapping[str, object]]
-
-
-def _resolve_source(source) -> _EncodedView:
-    if hasattr(source, "obs_pair_idx") or hasattr(source, "append"):
-        encoding = source  # DenseEncoding or IncrementalEncoding
-    elif hasattr(source, "observations") or hasattr(source, "domain_by_index"):
-        from ..fusion.encoding import encode_dataset
-
-        encoding = encode_dataset(source)
-    else:
-        raise DatasetError(
-            "featurizer input must be a FusionDataset, DenseEncoding or "
-            f"IncrementalEncoding, got {type(source).__name__}"
-        )
-    dataset = getattr(encoding, "dataset", encoding)
-    arrays = {name: np.asarray(getattr(encoding, name)) for name in STAT_ARRAYS}
-    return _EncodedView(
-        arrays=arrays,
-        n_sources=int(encoding.n_sources),
-        n_objects=int(encoding.n_objects),
-        source_ids=list(dataset.sources.items),
-        source_features=dict(getattr(dataset, "source_features", {}) or {}),
-    )
-
-
 class FeaturizerPipeline:
     """Compose reliability groups + metadata features into one design.
 
@@ -236,8 +204,14 @@ class FeaturizerPipeline:
     # ------------------------------------------------------------------
     def featurize(self, source, *, n_jobs=_UNSET) -> FeaturizedDesign:
         """Compute (or load) the featurized design for a dataset/encoding."""
-        view = _resolve_source(source)
-        digest = dataset_digest(view.arrays, view.source_features)
+        if not isinstance(source, (FusionDataset, DenseEncoding)):
+            raise DatasetError(
+                "featurizer input must be a FusionDataset or an encoding of one "
+                f"(DenseEncoding, IncrementalEncoding), got {type(source).__name__}"
+            )
+        encoding = encode_dataset(source)
+        arrays = {name: getattr(encoding, name) for name in STAT_ARRAYS}
+        digest = dataset_digest(arrays, encoding.source_features)
         key = cache_key(digest, self.version_key)
         hit = self.cache.load(key)
         if hit is not None:
@@ -253,9 +227,9 @@ class FeaturizerPipeline:
 
         jobs = self.n_jobs if n_jobs is _UNSET else n_jobs
         stats = compute_source_stats(
-            view.arrays, view.n_sources, half_life=self.half_life, n_jobs=jobs
+            arrays, encoding.n_sources, half_life=self.half_life, n_jobs=jobs
         )
-        matrix, names = self._assemble(stats, view.source_ids, view.source_features)
+        matrix, names = self._assemble(stats, encoding.sources.items, encoding.source_features)
         meta = {
             "digest": digest,
             "version_key": self.version_key,

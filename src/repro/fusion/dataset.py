@@ -5,17 +5,19 @@ A fusion dataset bundles everything Section 3 of the paper calls
 ``G`` (true values for a subset of objects), and optional per-source domain
 feature assignments ``F``.
 
-The container pre-computes integer indexings and per-source / per-object
-observation groupings so that learners can run vectorized numpy code, and it
-offers the train/test splitting protocol used throughout the paper's
-evaluation (random ground-truth reveal of a given fraction, remaining objects
-used as the test set).
+The container interns every id once (:func:`intern_observations`, shared
+with the incremental encoding) into integer code columns, so learners can
+run vectorized numpy code; its per-object and per-source observation
+groupings are CSR spans over those columns.  It also offers the
+train/test splitting protocol used throughout the paper's evaluation
+(random ground-truth reveal of a given fraction, remaining objects used as
+the test set).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -29,6 +31,58 @@ from .types import (
     SourceId,
     Value,
 )
+
+
+def intern_observations(
+    observations: Iterable[Observation | Tuple[SourceId, ObjectId, Value]],
+    sources: Indexer[SourceId],
+    objects: Indexer[ObjectId],
+    domains: List[Indexer[Value]],
+    seen_pairs: Optional[Set[Tuple[SourceId, ObjectId]]] = None,
+) -> Tuple[List[Observation], np.ndarray, np.ndarray, np.ndarray]:
+    """Validate one batch of observations, then intern it in first-seen order.
+
+    The single ingest routine behind :class:`FusionDataset` and
+    :meth:`repro.fusion.encoding.IncrementalEncoding.append`.  The whole
+    batch is checked first — a ``(source, obj)`` pair repeated within the
+    batch or already in ``seen_pairs``, or a NaN value, raises
+    :class:`DatasetError` for the first offending observation — so a
+    rejected batch leaves every table untouched.  Sources, objects and each
+    object's value domain are then interned in arrival order: a new object
+    gets a fresh domain :class:`Indexer` appended to ``domains``, and
+    ``seen_pairs`` (when given) absorbs the batch's pairs.
+
+    Returns ``(entries, source_idx, object_idx, value_code)``: the batch as
+    :class:`Observation` records and its ``int64`` index columns, aligned
+    to arrival order.
+    """
+    entries = [obs if isinstance(obs, Observation) else Observation(*obs) for obs in observations]
+    previous = seen_pairs if seen_pairs is not None else ()
+    batch_pairs: Set[Tuple[SourceId, ObjectId]] = set()
+    for obs in entries:
+        pair = (obs.source, obs.obj)
+        if pair in batch_pairs or pair in previous:
+            raise DatasetError(f"duplicate observation for source={obs.source!r} obj={obs.obj!r}")
+        if obs.value != obs.value:
+            raise DatasetError(
+                f"NaN claim value for source={obs.source!r} obj={obs.obj!r}; "
+                "NaN never equals itself, so agreeing claims would split"
+            )
+        batch_pairs.add(pair)
+    if seen_pairs is not None:
+        seen_pairs |= batch_pairs
+
+    add_source, add_object = sources.add, objects.add
+    source_idx = [add_source(obs.source) for obs in entries]
+    object_idx = [add_object(obs.obj) for obs in entries]
+    domains.extend(Indexer() for _ in range(len(objects) - len(domains)))
+    value_code = [domains[o].add(obs.value) for o, obs in zip(object_idx, entries)]
+    return (
+        entries,
+        np.asarray(source_idx, dtype=np.int64),
+        np.asarray(object_idx, dtype=np.int64),
+        np.asarray(value_code, dtype=np.int64),
+    )
 
 
 @dataclass(frozen=True)
@@ -80,36 +134,16 @@ class FusionDataset:
         true_accuracies: Optional[Mapping[SourceId, float]] = None,
         name: str = "fusion-dataset",
     ) -> None:
-        obs_list: List[Observation] = []
-        for entry in observations:
-            if isinstance(entry, Observation):
-                obs_list.append(entry)
-            else:
-                source, obj, value = entry
-                obs_list.append(Observation(source, obj, value))
-        if not obs_list:
-            raise DatasetError("a fusion dataset requires at least one observation")
-
         self.name = name
-        self._observations: Tuple[Observation, ...] = tuple(obs_list)
-
         self.sources: Indexer[SourceId] = Indexer()
         self.objects: Indexer[ObjectId] = Indexer()
-        seen_pairs = set()
-        for obs in self._observations:
-            pair = (obs.source, obs.obj)
-            if pair in seen_pairs:
-                raise DatasetError(
-                    f"duplicate observation for source={obs.source!r} obj={obs.obj!r}"
-                )
-            if obs.value != obs.value:
-                raise DatasetError(
-                    f"NaN claim value for source={obs.source!r} obj={obs.obj!r}; "
-                    "NaN never equals itself, so agreeing claims would split"
-                )
-            seen_pairs.add(pair)
-            self.sources.add(obs.source)
-            self.objects.add(obs.obj)
+        self._domains: List[Indexer[Value]] = []
+        entries, self.obs_source_idx, self.obs_object_idx, self.obs_value_idx = (
+            intern_observations(observations, self.sources, self.objects, self._domains)
+        )
+        if not entries:
+            raise DatasetError("a fusion dataset requires at least one observation")
+        self._observations: Tuple[Observation, ...] = tuple(entries)
 
         self.ground_truth: Dict[ObjectId, Value] = dict(ground_truth or {})
         for obj in self.ground_truth:
@@ -120,41 +154,14 @@ class FusionDataset:
             src: dict(feats) for src, feats in (source_features or {}).items()
         }
         self.true_accuracies: Dict[SourceId, float] = dict(true_accuracies or {})
-
-        self._build_indices()
-
-    # ------------------------------------------------------------------
-    # Index construction
-    # ------------------------------------------------------------------
-    def _build_indices(self) -> None:
-        n_obs = len(self._observations)
-        self.obs_source_idx = np.empty(n_obs, dtype=np.int64)
-        self.obs_object_idx = np.empty(n_obs, dtype=np.int64)
-
-        # Per-object domains (distinct claimed values), in first-seen order.
-        self._domains: List[Indexer[Value]] = [Indexer() for _ in range(len(self.objects))]
-        self.obs_value_idx = np.empty(n_obs, dtype=np.int64)
-
-        obs_by_object: List[List[int]] = [[] for _ in range(len(self.objects))]
-        obs_by_source: List[List[int]] = [[] for _ in range(len(self.sources))]
-
-        for i, obs in enumerate(self._observations):
-            s_idx = self.sources.index(obs.source)
-            o_idx = self.objects.index(obs.obj)
-            self.obs_source_idx[i] = s_idx
-            self.obs_object_idx[i] = o_idx
-            self.obs_value_idx[i] = self._domains[o_idx].add(obs.value)
-            obs_by_object[o_idx].append(i)
-            obs_by_source[s_idx].append(i)
-
-        self._obs_by_object = [np.asarray(rows, dtype=np.int64) for rows in obs_by_object]
-        self._obs_by_source = [np.asarray(rows, dtype=np.int64) for rows in obs_by_source]
+        self._object_spans: Optional[Tuple[np.ndarray, List[int]]] = None
+        self._source_spans: Optional[Tuple[np.ndarray, List[int]]] = None
 
     # ------------------------------------------------------------------
     # Pickling
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
-        """Pickle without the cached dense encoding.
+        """Pickle without the cached dense encoding and row spans.
 
         The compiled :class:`~repro.fusion.encoding.DenseEncoding` is a
         cache, not state: shipping it implicitly with every dataset pickle
@@ -164,6 +171,7 @@ class FusionDataset:
         """
         state = dict(self.__dict__)
         state.pop("_dense_encoding", None)
+        state["_object_spans"] = state["_source_spans"] = None
         return state
 
     # ------------------------------------------------------------------
@@ -195,26 +203,49 @@ class FusionDataset:
         return self._domains[o_idx]
 
     def observations_of_object(self, obj: ObjectId) -> List[Observation]:
-        """All observations that describe ``obj``."""
-        o_idx = self.objects.index(obj)
-        return [self._observations[i] for i in self._obs_by_object[o_idx]]
+        """All observations that describe ``obj``, in input order."""
+        rows = self.object_observation_rows(self.objects.index(obj))
+        return [self._observations[i] for i in rows.tolist()]
 
     def observations_of_source(self, source: SourceId) -> List[Observation]:
-        """All observations made by ``source``."""
-        s_idx = self.sources.index(source)
-        return [self._observations[i] for i in self._obs_by_source[s_idx]]
+        """All observations made by ``source``, in input order."""
+        rows = self.source_observation_rows(self.sources.index(source))
+        return [self._observations[i] for i in rows.tolist()]
 
     def object_observation_rows(self, o_idx: int) -> np.ndarray:
-        """Observation row indices for object index ``o_idx``."""
-        return self._obs_by_object[o_idx]
+        """Ascending observation row indices for object index ``o_idx``.
+
+        A read-only span of the dataset encoding's object-grouped
+        ``obs_order`` (compiled on first use); plain-int offsets keep the
+        per-call slice cheap for the per-object loops that read it.
+        """
+        if self._object_spans is None:
+            from .encoding import encode_dataset
+
+            encoding = encode_dataset(self)
+            rows = encoding.obs_order.view()
+            rows.setflags(write=False)
+            self._object_spans = (rows, encoding.obs_offsets.tolist())
+        rows, offsets = self._object_spans
+        return rows[offsets[o_idx] : offsets[o_idx + 1]]
 
     def source_observation_rows(self, s_idx: int) -> np.ndarray:
-        """Observation row indices for source index ``s_idx``."""
-        return self._obs_by_source[s_idx]
+        """Ascending observation row indices for source index ``s_idx``.
+
+        A read-only span of one stable argsort of the rows by source,
+        computed on first use.
+        """
+        if self._source_spans is None:
+            rows = np.argsort(self.obs_source_idx, kind="stable")
+            rows.setflags(write=False)
+            offsets = [0, *np.cumsum(self.source_observation_counts()).tolist()]
+            self._source_spans = (rows, offsets)
+        rows, offsets = self._source_spans
+        return rows[offsets[s_idx] : offsets[s_idx + 1]]
 
     def source_observation_counts(self) -> np.ndarray:
         """Number of observations per source, aligned to source indices."""
-        return np.asarray([len(rows) for rows in self._obs_by_source], dtype=np.int64)
+        return np.bincount(self.obs_source_idx, minlength=self.n_sources)
 
     # ------------------------------------------------------------------
     # Ground-truth helpers

@@ -27,12 +27,14 @@ per (immutable) dataset, so the compilation cost is paid once per dataset
 no matter how many learners consume it.
 
 For append-only workloads (streams, growing feeds) recompiling the whole
-encoding on every arrival is the one remaining O(dataset) step.
-:class:`IncrementalEncoding` removes it: observations are appended in
-batches, each append costs O(batch) amortized, and the exact
-:class:`DenseEncoding` array layout is materialized lazily — bit-identical
-to a cold compile of the accumulated dataset (the contract pinned in
-``tests/test_incremental_encoding.py``).
+encoding on every arrival would be the one remaining O(dataset) step.
+:class:`IncrementalEncoding` is the appendable form of the same encoding:
+it owns its id tables, interns each batch with the routine the dataset
+container uses (:func:`~repro.fusion.dataset.intern_observations`) in
+O(batch) amortized, and runs the same compile function
+(:func:`compile_arrays`) lazily after appends — so its arrays are
+bit-identical to a cold compile of the accumulated dataset (the contract
+pinned in ``tests/test_incremental_encoding.py``).
 """
 
 from __future__ import annotations
@@ -42,9 +44,10 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .dataset import FusionDataset
+from .dataset import FusionDataset, intern_observations
 from .features import FeatureSpace, build_design_matrix
-from .types import DatasetError, Indexer, ObjectId, Observation, SourceId, Value
+from .types import Indexer, ObjectId, Observation, SourceId, Value
+
 
 def frozen_copy(array: np.ndarray) -> np.ndarray:
     """An owning, read-only copy of ``array``.
@@ -79,13 +82,69 @@ def expand_spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts, lengths) + within
 
 
+def compile_arrays(
+    obs_order: np.ndarray,
+    obs_counts: np.ndarray,
+    obs_source_idx: np.ndarray,
+    obs_value_code: np.ndarray,
+    domain_sizes: np.ndarray,
+) -> Dict[str, np.ndarray]:
+    """Compile the :attr:`DenseEncoding.ARRAY_FIELDS` arrays.
+
+    The one compile behind both encodings.  The inputs list every
+    observation grouped by object (objects in index order, arrival order
+    within an object) — its original row, source index and within-domain
+    value code — plus each object's observation count and domain size.
+    The CSR offsets, the candidate-pair layout and ``base_scores`` are
+    derived from them with the same NumPy operations in the same order, so
+    equal inputs give bit-identical arrays.
+    """
+    n_objects = domain_sizes.shape[0]
+    objects = np.arange(n_objects, dtype=np.int64)
+    obs_offsets = np.concatenate(
+        [np.zeros(1, dtype=np.int64), np.cumsum(obs_counts, dtype=np.int64)]
+    )
+    obs_object_idx = np.repeat(objects, obs_counts)
+    pair_offsets = np.concatenate(
+        [np.zeros(1, dtype=np.int64), np.cumsum(domain_sizes, dtype=np.int64)]
+    )
+    obs_pair_idx = pair_offsets[obs_object_idx] + obs_value_code
+    log_alternatives = np.log(np.maximum(domain_sizes - 1, 1).astype(float))
+    return {
+        "obs_order": obs_order,
+        "obs_offsets": obs_offsets,
+        "obs_object_idx": obs_object_idx,
+        "obs_source_idx": obs_source_idx,
+        "obs_value_code": obs_value_code,
+        "domain_sizes": domain_sizes,
+        "pair_offsets": pair_offsets,
+        "pair_object_idx": np.repeat(objects, domain_sizes),
+        "pair_value_code": expand_spans(np.zeros(n_objects, dtype=np.int64), domain_sizes),
+        "obs_pair_idx": obs_pair_idx,
+        "log_alternatives": log_alternatives,
+        "base_scores": np.bincount(
+            obs_pair_idx,
+            weights=log_alternatives[obs_object_idx],
+            minlength=int(pair_offsets[-1]),
+        ),
+    }
+
+
+def _compiled_array(name: str) -> property:
+    """Read-only property serving one :attr:`DenseEncoding.ARRAY_FIELDS` array."""
+    return property(lambda self: self._compiled()[name])
+
+
 class DenseEncoding:
     """One-time dense compilation of a :class:`FusionDataset`.
 
-    All arrays are aligned either to *object-sorted observation order*
-    (``obs_*``: observations grouped contiguously by object index) or to
-    the *flattened candidate-pair layout* (``pair_*``: one row per distinct
-    (object, claimed value) pair, objects in dataset index order).
+    The encoding shares the dataset's id tables (``sources``, ``objects``,
+    the per-object value domains and ``source_features``) and holds the
+    compiled index arrays.  All arrays are aligned either to
+    *object-sorted observation order* (``obs_*``: observations grouped
+    contiguously by object index) or to the *flattened candidate-pair
+    layout* (``pair_*``: one row per distinct (object, claimed value) pair,
+    objects in dataset index order).
 
     Attributes
     ----------
@@ -114,9 +173,8 @@ class DenseEncoding:
         offset of :class:`~repro.core.structure.PairStructure`.
     """
 
-    #: Compiled index arrays, in materialization order; the unit of the
-    #: picklable :meth:`export_state` snapshot and of the incremental
-    #: encoding's lazily-materialized equivalent.
+    #: Compiled index arrays, in compile order; the unit of the picklable
+    #: :meth:`export_state` snapshot.
     ARRAY_FIELDS = (
         "obs_order",
         "obs_offsets",
@@ -133,68 +191,81 @@ class DenseEncoding:
     )
 
     def __init__(self, dataset: FusionDataset) -> None:
-        if dataset.n_observations == 0:
-            raise ValueError(
-                "cannot encode a dataset with zero observations; "
-                "append observations before compiling the index arrays"
-            )
+        self._adopt(dataset)
+        self._compiled()
+
+    def _adopt(self, dataset: FusionDataset) -> None:
+        """Share ``dataset``'s id tables and start with empty caches."""
         self.dataset = dataset
-        n_objects = dataset.n_objects
-        empty_domains = [o for o in range(n_objects) if len(dataset.domain_by_index(o)) == 0]
-        if empty_domains:
-            raise ValueError(
-                f"cannot encode objects with an empty claimed domain "
-                f"(object indices {empty_domains[:5]}); every indexed object "
-                f"needs at least one observation"
-            )
-
-        object_idx = dataset.obs_object_idx
-        order = np.argsort(object_idx, kind="stable")
-        self.obs_order = order
-        self.obs_object_idx = object_idx[order]
-        self.obs_source_idx = dataset.obs_source_idx[order]
-        self.obs_value_code = dataset.obs_value_idx[order]
-
-        counts = np.bincount(object_idx, minlength=n_objects)
-        self.obs_offsets = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(counts, dtype=np.int64)]
-        )
-
-        self.domain_sizes = np.asarray(
-            [len(dataset.domain_by_index(o)) for o in range(n_objects)],
-            dtype=np.int64,
-        )
-        self.pair_offsets = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(self.domain_sizes, dtype=np.int64)]
-        )
-        self.pair_object_idx = np.repeat(np.arange(n_objects, dtype=np.int64), self.domain_sizes)
-        self.pair_value_code = expand_spans(np.zeros(n_objects, dtype=np.int64), self.domain_sizes)
-        self.obs_pair_idx = self.pair_offsets[self.obs_object_idx] + self.obs_value_code
-
-        self.log_alternatives = np.log(np.maximum(self.domain_sizes - 1, 1).astype(float))
-        self.base_scores = np.bincount(
-            self.obs_pair_idx,
-            weights=self.log_alternatives[self.obs_object_idx],
-            minlength=int(self.pair_offsets[-1]),
-        )
-
+        self.name = dataset.name
+        self.sources = dataset.sources
+        self.objects = dataset.objects
+        self.source_features = dataset.source_features
+        self._domains = dataset._domains
+        self._n_obs = dataset.n_observations
+        self._arrays: Optional[Dict[str, np.ndarray]] = None
         self._pair_values: Optional[List[Value]] = None
-        self._design_cache: Dict[bool, Tuple[np.ndarray, FeatureSpace]] = {}
+        self._design_cache: Dict[bool, object] = {}
+
+    # ------------------------------------------------------------------
+    # Compiled arrays
+    # ------------------------------------------------------------------
+    def _object_groups(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, counts, sources, value codes)`` grouped by object."""
+        dataset = self.dataset
+        order = np.argsort(dataset.obs_object_idx, kind="stable")
+        counts = np.bincount(dataset.obs_object_idx, minlength=self.n_objects)
+        return order, counts, dataset.obs_source_idx[order], dataset.obs_value_idx[order]
+
+    def _domain_sizes(self) -> np.ndarray:
+        return np.asarray([len(domain) for domain in self._domains], dtype=np.int64)
+
+    def _compiled(self) -> Dict[str, np.ndarray]:
+        """The :attr:`ARRAY_FIELDS` arrays, compiled on first use."""
+        if self._arrays is None:
+            if self._n_obs == 0:
+                raise ValueError(
+                    "cannot encode a dataset with zero observations; "
+                    "append observations before compiling the index arrays"
+                )
+            domain_sizes = self._domain_sizes()
+            empty_domains = np.flatnonzero(domain_sizes == 0).tolist()
+            if empty_domains:
+                raise ValueError(
+                    f"cannot encode objects with an empty claimed domain "
+                    f"(object indices {empty_domains[:5]}); every indexed object "
+                    f"needs at least one observation"
+                )
+            self._arrays = compile_arrays(*self._object_groups(), domain_sizes)
+        return self._arrays
+
+    obs_order = _compiled_array("obs_order")
+    obs_offsets = _compiled_array("obs_offsets")
+    obs_object_idx = _compiled_array("obs_object_idx")
+    obs_source_idx = _compiled_array("obs_source_idx")
+    obs_value_code = _compiled_array("obs_value_code")
+    domain_sizes = _compiled_array("domain_sizes")
+    pair_offsets = _compiled_array("pair_offsets")
+    pair_object_idx = _compiled_array("pair_object_idx")
+    pair_value_code = _compiled_array("pair_value_code")
+    obs_pair_idx = _compiled_array("obs_pair_idx")
+    log_alternatives = _compiled_array("log_alternatives")
+    base_scores = _compiled_array("base_scores")
 
     # ------------------------------------------------------------------
     # Sizes
     # ------------------------------------------------------------------
     @property
     def n_objects(self) -> int:
-        return self.dataset.n_objects
+        return len(self.objects)
 
     @property
     def n_sources(self) -> int:
-        return self.dataset.n_sources
+        return len(self.sources)
 
     @property
     def n_observations(self) -> int:
-        return self.dataset.n_observations
+        return self._n_obs
 
     @property
     def n_pairs(self) -> int:
@@ -220,13 +291,17 @@ class DenseEncoding:
     # ------------------------------------------------------------------
     # Candidate values
     # ------------------------------------------------------------------
+    def domain_by_index(self, o_idx: int) -> Indexer[Value]:
+        """Domain indexer for the object with integer index ``o_idx``."""
+        return self._domains[o_idx]
+
     @property
     def pair_values(self) -> List[Value]:
         """Claimed value of every candidate row (lazily materialized)."""
         if self._pair_values is None:
             values: List[Value] = []
-            for o in range(self.n_objects):
-                values.extend(self.dataset.domain_by_index(o).items)
+            for domain in self._domains:
+                values.extend(domain.items)
             self._pair_values = values
         return self._pair_values
 
@@ -255,13 +330,13 @@ class DenseEncoding:
         """
         labeled = np.zeros(self.n_objects, dtype=bool)
         codes = np.full(self.n_objects, -1, dtype=np.int64)
-        objects = self.dataset.objects
+        objects = self.objects
         for obj, value in truth.items():
             o_idx = objects.get(obj)
             if o_idx is None:
                 continue
             labeled[o_idx] = True
-            code = self.dataset.domain_by_index(o_idx).get(value)
+            code = self._domains[o_idx].get(value)
             if code is not None:
                 codes[o_idx] = code
         return labeled, codes
@@ -282,7 +357,7 @@ class DenseEncoding:
     # Cross-process export
     # ------------------------------------------------------------------
     def export_state(self) -> dict:
-        """Picklable snapshot of the one-time compile.
+        """Picklable snapshot of the compile.
 
         Bundles the index arrays (:attr:`ARRAY_FIELDS`), the materialized
         candidate values and every cached design matrix, so a worker
@@ -295,20 +370,21 @@ class DenseEncoding:
         return {
             "arrays": {name: getattr(self, name) for name in self.ARRAY_FIELDS},
             "pair_values": list(self.pair_values),
-            "design_cache": dict(self._design_cache),
+            "design_cache": {key: self.design(key) for key in self._design_cache},
         }
 
     @classmethod
     def from_state(cls, dataset: FusionDataset, state: dict) -> "DenseEncoding":
-        """Rebuild an encoding from :meth:`export_state` output.
+        """Rebuild a :class:`DenseEncoding` from :meth:`export_state` output.
 
-        ``dataset`` must be the dataset the state was exported from (the
-        worker-side unpickled copy); no index arrays are recompiled.
+        ``dataset`` must hold the observations the state was exported from
+        (the worker-side unpickled copy, or an incremental encoding's
+        :meth:`~IncrementalEncoding.to_dataset` export); no index arrays
+        are recompiled.
         """
-        dense = cls.__new__(cls)
-        dense.dataset = dataset
-        for name in cls.ARRAY_FIELDS:
-            setattr(dense, name, state["arrays"][name])
+        dense = DenseEncoding.__new__(DenseEncoding)
+        dense._adopt(dataset)
+        dense._arrays = {name: state["arrays"][name] for name in cls.ARRAY_FIELDS}
         dense._pair_values = list(state["pair_values"])
         dense._design_cache = dict(state["design_cache"])
         return dense
@@ -319,7 +395,13 @@ def encode_dataset(dataset: FusionDataset) -> DenseEncoding:
 
     The encoding is cached on the (immutable) dataset instance, so every
     learner, the inference engine and the Gibbs compiler share one copy.
+    An encoding — an :class:`IncrementalEncoding` included — is its own
+    encoding, which lets the consumers that read only the encoding
+    (``build_pair_structure``, ``EMLearner.fit``/``fit_incremental`` and
+    ``FeaturizerPipeline.design_for``) take one in place of a dataset.
     """
+    if isinstance(dataset, DenseEncoding):
+        return dataset
     cached = getattr(dataset, "_dense_encoding", None)
     if cached is None:
         cached = DenseEncoding(dataset)
@@ -331,7 +413,7 @@ def encode_dataset(dataset: FusionDataset) -> DenseEncoding:
 # Incremental (append-only) encoding
 # ----------------------------------------------------------------------
 class _AppendBuffer:
-    """1-D append buffer with amortized-doubling capacity."""
+    """1-D growable buffer with amortized-doubling capacity."""
 
     def __init__(self, dtype, capacity: int = 16) -> None:
         self._store = np.zeros(capacity, dtype=dtype)
@@ -345,13 +427,15 @@ class _AppendBuffer:
         """Writable view of the filled prefix."""
         return self._store[: self._n]
 
-    def push(self, value) -> None:
-        if self._n == self._store.shape[0]:
-            fresh = np.zeros(max(4, 2 * self._store.shape[0]), dtype=self._store.dtype)
+    def grow(self, n: int) -> None:
+        """Grow the filled prefix to ``n`` entries; new entries are zero."""
+        if n <= self._n:
+            return
+        if n > self._store.shape[0]:
+            fresh = np.zeros(max(2 * self._store.shape[0], n), dtype=self._store.dtype)
             fresh[: self._n] = self._store[: self._n]
             self._store = fresh
-        self._store[self._n] = value
-        self._n += 1
+        self._n = n
 
 
 @dataclass
@@ -386,17 +470,19 @@ class AppendBatch:
         return int(self.source_idx.shape[0])
 
 
-class IncrementalEncoding:
-    """Append-only counterpart of :class:`DenseEncoding`.
+class IncrementalEncoding(DenseEncoding):
+    """The appendable form of :class:`DenseEncoding`.
 
     Observations arrive in batches via :meth:`append`; each batch updates
-    the internal index state in **O(batch) amortized** time instead of the
-    O(dataset) recompile a fresh :class:`DenseEncoding` would cost:
+    the encoding in **O(batch) amortized** time instead of the O(dataset)
+    recompile a fresh :class:`DenseEncoding` would cost:
 
-    * source/object/value ids are interned through the same
-      :class:`~repro.fusion.types.Indexer` discipline as
-      :class:`~repro.fusion.dataset.FusionDataset` (arrival order defines
-      index order, first-seen order defines value codes);
+    * the encoding owns its id tables and interns each batch with
+      :func:`~repro.fusion.dataset.intern_observations`, the routine the
+      :class:`~repro.fusion.dataset.FusionDataset` container uses (arrival
+      order defines index order, first-seen order defines value codes;
+      duplicate ``(source, object)`` claims and NaN values are rejected
+      before anything changes, so appends are atomic);
     * the CSR object→observation layout lives in a *slot store* where each
       object's span carries doubling capacity slack — appending to a full
       span relocates it to the store's tail and doubles it, so placement
@@ -405,20 +491,19 @@ class IncrementalEncoding:
       :class:`~repro.fusion.features.FeatureSpace` fitted up front on the
       full ``source_features`` mapping.
 
-    The exact :class:`DenseEncoding` arrays (``obs_offsets``,
-    ``obs_source_idx``, ``pair_offsets``, ``base_scores``, ...) are
-    materialized lazily from the slot store and cached until the next
-    append.  **Equivalence contract:** after any sequence of appends, every
-    materialized array equals a cold ``DenseEncoding`` of the accumulated
-    dataset — bit-identical index arrays and ``base_scores`` (same reduction
-    order), design matrix within ``atol=1e-12`` (it is byte-equal in
-    practice).  The contract is pinned in
-    ``tests/test_incremental_encoding.py``; :meth:`rebuild` is the escape
-    hatch that re-derives everything from a cold compile.
+    The :attr:`~DenseEncoding.ARRAY_FIELDS` arrays are read through the
+    base class's properties: the first read after an append runs
+    :func:`compile_arrays` over the slot store, and the result is cached
+    until the next append.  **Equivalence contract:** after any sequence of
+    appends, every array equals a cold ``DenseEncoding`` of the accumulated
+    dataset — bit-identical index arrays and ``base_scores`` (same compile,
+    same reduction order), design matrix within ``atol=1e-12`` (it is
+    byte-equal in practice).  The contract is pinned in
+    ``tests/test_incremental_encoding.py``.
 
-    Duplicate ``(source, object)`` claims are rejected exactly as
-    :class:`~repro.fusion.dataset.FusionDataset` rejects them, so the
-    accumulated stream always corresponds to a valid dataset.
+    The sizes, :meth:`~DenseEncoding.domain_by_index`,
+    :attr:`live_domain_sizes` and :meth:`object_claims` read the live append
+    state and never compile, so the streaming hot path stays O(batch).
     """
 
     def __init__(
@@ -435,6 +520,8 @@ class IncrementalEncoding:
         self._domains: List[Indexer[Value]] = []
         self._seen_pairs: set = set()
         self._n_obs = 0
+        self._arrays = None
+        self._pair_values = None
 
         # Slot store backing the CSR spans (parallel arrays, manual doubling).
         self._store_src = np.zeros(16, dtype=np.int64)
@@ -446,13 +533,10 @@ class IncrementalEncoding:
         self._span_start = _AppendBuffer(np.int64)
         self._span_len = _AppendBuffer(np.int64)
         self._span_cap = _AppendBuffer(np.int64)
-        self._domain_sizes = _AppendBuffer(np.int64)
+        self._live_sizes = _AppendBuffer(np.int64)
 
         # use_features flag -> [row store (capacity array), n encoded, space]
-        self._design_cache: Dict[bool, List[object]] = {}
-
-        self._snapshot: Optional[Dict[str, np.ndarray]] = None
-        self._pair_values: Optional[List[Value]] = None
+        self._design_cache = {}
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -463,25 +547,6 @@ class IncrementalEncoding:
         encoding = cls(source_features=dataset.source_features, name=dataset.name)
         encoding.append(dataset.observations)
         return encoding
-
-    # ------------------------------------------------------------------
-    # Sizes
-    # ------------------------------------------------------------------
-    @property
-    def n_sources(self) -> int:
-        return len(self.sources)
-
-    @property
-    def n_objects(self) -> int:
-        return len(self.objects)
-
-    @property
-    def n_observations(self) -> int:
-        return self._n_obs
-
-    @property
-    def n_pairs(self) -> int:
-        return int(self._domain_sizes.data.sum())
 
     # ------------------------------------------------------------------
     # Appending
@@ -497,69 +562,31 @@ class IncrementalEncoding:
         ``(source, object)`` claim or a NaN claim value, mirroring the
         dataset container.
         """
-        entries: List[Observation] = [
-            obs if isinstance(obs, Observation) else Observation(*obs) for obs in observations
-        ]
-        n_batch = len(entries)
-        empty = np.zeros(0, dtype=np.int64)
-        if n_batch == 0:
-            return AppendBatch(source_idx=empty, object_idx=empty, value_code=empty)
+        n_sources_before = self.n_sources
+        n_objects_before = self.n_objects
+        entries, source_idx, object_idx, value_code = intern_observations(
+            observations, self.sources, self.objects, self._domains, self._seen_pairs
+        )
+        if not entries:
+            return AppendBatch(source_idx=source_idx, object_idx=object_idx, value_code=value_code)
 
-        # Validate the whole batch up front so a rejected append leaves the
-        # encoding untouched (appends are atomic).
-        batch_pairs = set()
-        for obs in entries:
-            pair = (obs.source, obs.obj)
-            if pair in self._seen_pairs or pair in batch_pairs:
-                raise DatasetError(
-                    f"duplicate observation for source={obs.source!r} obj={obs.obj!r}"
-                )
-            if obs.value != obs.value:
-                raise DatasetError(
-                    f"NaN claim value for source={obs.source!r} obj={obs.obj!r}; "
-                    "NaN never equals itself, so agreeing claims would split"
-                )
-            batch_pairs.add(pair)
-
-        n_sources_before = len(self.sources)
-        n_objects_before = len(self.objects)
-        source_idx = np.empty(n_batch, dtype=np.int64)
-        object_idx = np.empty(n_batch, dtype=np.int64)
-        value_code = np.empty(n_batch, dtype=np.int64)
-        values: List[Value] = []
-        domain_sizes = None
-        for i, obs in enumerate(entries):
-            self._seen_pairs.add((obs.source, obs.obj))
-            s_idx = self.sources.add(obs.source)
-            o_idx = self.objects.add(obs.obj)
-            if o_idx == len(self._domains):
-                self._domains.append(Indexer())
-                self._span_start.push(0)
-                self._span_len.push(0)
-                self._span_cap.push(0)
-                self._domain_sizes.push(0)
-                domain_sizes = None  # pushes may reallocate the buffer
-            code = self._domains[o_idx].add(obs.value)
-            if domain_sizes is None:
-                domain_sizes = self._domain_sizes.data
-            if code == domain_sizes[o_idx]:
-                domain_sizes[o_idx] += 1
-            source_idx[i] = s_idx
-            object_idx[i] = o_idx
-            value_code[i] = code
-            values.append(obs.value)
-
+        n_objects = self.n_objects
+        for buffer in (self._span_start, self._span_len, self._span_cap, self._live_sizes):
+            buffer.grow(n_objects)
+        # Value codes are first-seen indices, so a domain's size is its
+        # largest code plus one.
+        np.maximum.at(self._live_sizes.data, object_idx, value_code + 1)
         self._place(object_idx, source_idx, value_code, first_row=self._n_obs)
-        self._n_obs += n_batch
-        self._snapshot = None
+        self._n_obs += len(entries)
+        self._arrays = None
         self._pair_values = None
         return AppendBatch(
             source_idx=source_idx,
             object_idx=object_idx,
             value_code=value_code,
-            values=values,
-            n_new_sources=len(self.sources) - n_sources_before,
-            n_new_objects=len(self.objects) - n_objects_before,
+            values=[obs.value for obs in entries],
+            n_new_sources=self.n_sources - n_sources_before,
+            n_new_objects=n_objects - n_objects_before,
         )
 
     def _place(
@@ -620,108 +647,40 @@ class IncrementalEncoding:
             setattr(self, attr, fresh)
 
     # ------------------------------------------------------------------
-    # Materialized snapshot (exact DenseEncoding layout)
+    # Compile inputs (see DenseEncoding._compiled)
     # ------------------------------------------------------------------
-    def _materialize(self) -> Dict[str, np.ndarray]:
-        if self._snapshot is not None:
-            return self._snapshot
-        if self._n_obs == 0:
-            raise ValueError(
-                "cannot encode a dataset with zero observations; "
-                "append observations before compiling the index arrays"
-            )
-        n_objects = len(self.objects)
-        start = self._span_start.data
+    def _object_groups(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         length = self._span_len.data
-        positions = expand_spans(start, length)
-        obs_offsets = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(length, dtype=np.int64)]
+        positions = expand_spans(self._span_start.data, length)
+        return (
+            self._store_row[positions],
+            length,
+            self._store_src[positions],
+            self._store_val[positions],
         )
-        obs_object_idx = np.repeat(np.arange(n_objects, dtype=np.int64), length)
-        obs_source_idx = self._store_src[positions]
-        obs_value_code = self._store_val[positions]
-        obs_order = self._store_row[positions]
 
-        domain_sizes = self._domain_sizes.data.copy()
-        pair_offsets = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(domain_sizes, dtype=np.int64)]
-        )
-        pair_object_idx = np.repeat(np.arange(n_objects, dtype=np.int64), domain_sizes)
-        pair_value_code = expand_spans(np.zeros(n_objects, dtype=np.int64), domain_sizes)
-        obs_pair_idx = pair_offsets[obs_object_idx] + obs_value_code
-        log_alternatives = np.log(np.maximum(domain_sizes - 1, 1).astype(float))
-        # Same bincount over the same object-sorted order as the cold
-        # compile, so the float accumulation is bit-identical.
-        base_scores = np.bincount(
-            obs_pair_idx,
-            weights=log_alternatives[obs_object_idx],
-            minlength=int(pair_offsets[-1]),
-        )
-        self._snapshot = {
-            "obs_order": obs_order,
-            "obs_offsets": obs_offsets,
-            "obs_object_idx": obs_object_idx,
-            "obs_source_idx": obs_source_idx,
-            "obs_value_code": obs_value_code,
-            "domain_sizes": domain_sizes,
-            "pair_offsets": pair_offsets,
-            "pair_object_idx": pair_object_idx,
-            "pair_value_code": pair_value_code,
-            "obs_pair_idx": obs_pair_idx,
-            "log_alternatives": log_alternatives,
-            "base_scores": base_scores,
-        }
-        return self._snapshot
+    def _domain_sizes(self) -> np.ndarray:
+        return self._live_sizes.data.copy()
 
-    obs_order = property(lambda self: self._materialize()["obs_order"])
-    obs_offsets = property(lambda self: self._materialize()["obs_offsets"])
-    obs_object_idx = property(lambda self: self._materialize()["obs_object_idx"])
-    obs_source_idx = property(lambda self: self._materialize()["obs_source_idx"])
-    obs_value_code = property(lambda self: self._materialize()["obs_value_code"])
-    domain_sizes = property(lambda self: self._materialize()["domain_sizes"])
-    pair_offsets = property(lambda self: self._materialize()["pair_offsets"])
-    pair_object_idx = property(lambda self: self._materialize()["pair_object_idx"])
-    pair_value_code = property(lambda self: self._materialize()["pair_value_code"])
-    obs_pair_idx = property(lambda self: self._materialize()["obs_pair_idx"])
-    log_alternatives = property(lambda self: self._materialize()["log_alternatives"])
-    base_scores = property(lambda self: self._materialize()["base_scores"])
-
-    @property
-    def pair_values(self) -> List[Value]:
-        """Claimed value of every candidate row (lazily materialized)."""
-        if self._pair_values is None:
-            values: List[Value] = []
-            for domain in self._domains:
-                values.extend(domain.items)
-            self._pair_values = values
-        return self._pair_values
-
-    @property
-    def object_ids(self) -> List[ObjectId]:
-        """All object ids in index order."""
-        return self.objects.items
-
-    def domain_by_index(self, o_idx: int) -> Indexer[Value]:
-        """Domain indexer for the object with integer index ``o_idx``."""
-        return self._domains[o_idx]
-
+    # ------------------------------------------------------------------
+    # Live reads (never compile)
+    # ------------------------------------------------------------------
     @property
     def live_domain_sizes(self) -> np.ndarray:
         """Per-object domain sizes, read from the live append state.
 
-        Unlike :attr:`domain_sizes` this never materializes the snapshot,
-        so O(batch) consumers (the streaming fuser) can read it
-        on every batch.  The returned view is only valid until the next
-        append.
+        Unlike :attr:`domain_sizes` this never compiles, so O(batch)
+        consumers (the streaming fuser) can read it on every batch.  The
+        returned view is only valid until the next append.
         """
-        return self._domain_sizes.data
+        return self._live_sizes.data
 
     def object_claims(self, o_idx: int, with_rows: bool = False):
         """``(source_idx, value_code[, arrival_row])`` of one object's claims.
 
         Claims come back in arrival order.  Reads the live span directly
-        (no snapshot materialization); the arrays are copies and remain
-        valid across appends.
+        (no compile); the arrays are copies and remain valid across
+        appends.
         """
         start = int(self._span_start.data[o_idx])
         length = int(self._span_len.data[o_idx])
@@ -773,47 +732,17 @@ class IncrementalEncoding:
         return rows[:n_sources], space
 
     # ------------------------------------------------------------------
-    # Ground-truth codings (DenseEncoding-compatible)
-    # ------------------------------------------------------------------
-    def truth_codes(self, truth: Mapping[ObjectId, Value]) -> Tuple[np.ndarray, np.ndarray]:
-        """Encode a truth mapping as per-object arrays.
-
-        Same semantics as :meth:`DenseEncoding.truth_codes`, evaluated
-        against the incrementally-maintained indexers.
-        """
-        labeled = np.zeros(self.n_objects, dtype=bool)
-        codes = np.full(self.n_objects, -1, dtype=np.int64)
-        for obj, value in truth.items():
-            o_idx = self.objects.get(obj)
-            if o_idx is None:
-                continue
-            labeled[o_idx] = True
-            code = self._domains[o_idx].get(value)
-            if code is not None:
-                codes[o_idx] = code
-        return labeled, codes
-
-    def label_rows(self, truth: Mapping[ObjectId, Value]) -> np.ndarray:
-        """Candidate row of each object's true value; -1 when unavailable."""
-        _, codes = self.truth_codes(truth)
-        rows = np.full(self.n_objects, -1, dtype=np.int64)
-        claimed = codes >= 0
-        rows[claimed] = self.pair_offsets[:-1][claimed] + codes[claimed]
-        return rows
-
-    # ------------------------------------------------------------------
-    # Export and the rebuild escape hatch
+    # Export
     # ------------------------------------------------------------------
     def observations(self) -> List[Observation]:
         """The accumulated observations in arrival order."""
-        snapshot = self._materialize()
+        rows = self.obs_order
         by_row_source = np.empty(self._n_obs, dtype=np.int64)
         by_row_object = np.empty(self._n_obs, dtype=np.int64)
         by_row_value = np.empty(self._n_obs, dtype=np.int64)
-        rows = snapshot["obs_order"]
-        by_row_source[rows] = snapshot["obs_source_idx"]
-        by_row_object[rows] = snapshot["obs_object_idx"]
-        by_row_value[rows] = snapshot["obs_value_code"]
+        by_row_source[rows] = self.obs_source_idx
+        by_row_object[rows] = self.obs_object_idx
+        by_row_value[rows] = self.obs_value_code
         source_items = self.sources.items
         object_items = self.objects.items
         return [
@@ -827,14 +756,17 @@ class IncrementalEncoding:
         self,
         ground_truth: Optional[Mapping[ObjectId, Value]] = None,
         true_accuracies: Optional[Mapping[SourceId, float]] = None,
-        attach_encoding: bool = True,
     ) -> FusionDataset:
-        """Materialize the accumulated stream as a :class:`FusionDataset`.
+        """Export the accumulated stream as a :class:`FusionDataset`.
 
-        With ``attach_encoding=True`` (default) the dataset's cached
-        :class:`DenseEncoding` is fabricated from the incremental snapshot
-        arrays, so downstream learners skip the cold index compile (only
-        the O(dataset) container walk remains).
+        The dataset's cached :class:`DenseEncoding` is rebuilt from this
+        encoding's compiled arrays (:meth:`~DenseEncoding.export_state` /
+        :meth:`~DenseEncoding.from_state`, no recompile; only the O(dataset)
+        container walk remains).  Every exported array and design matrix
+        is a frozen (read-only) **copy**: the export must stay a faithful
+        snapshot of the stream at export time, so it cannot alias the live
+        buffers that later ``append``/``design`` calls replace or grow (the
+        aliasing hazard is pinned in ``tests/test_incremental_encoding.py``).
         """
         dataset = FusionDataset(
             self.observations(),
@@ -843,126 +775,11 @@ class IncrementalEncoding:
             true_accuracies=true_accuracies,
             name=self.name,
         )
-        if attach_encoding:
-            dataset._dense_encoding = self.as_dense(dataset)
+        state = self.export_state()
+        state["arrays"] = {name: frozen_copy(array) for name, array in state["arrays"].items()}
+        state["design_cache"] = {
+            key: (frozen_copy(matrix), space)
+            for key, (matrix, space) in state["design_cache"].items()
+        }
+        dataset._dense_encoding = DenseEncoding.from_state(dataset, state)
         return dataset
-
-    def as_dense(self, dataset: FusionDataset) -> DenseEncoding:
-        """Fabricate a :class:`DenseEncoding` from the snapshot arrays.
-
-        ``dataset`` must be the materialized accumulated dataset (see
-        :meth:`to_dataset`); no index arrays are recompiled.  Every
-        exported array is a frozen (read-only) **copy**: the fabricated
-        encoding must stay a faithful snapshot of the stream at export
-        time, so it cannot alias the live snapshot/design buffers that
-        later ``append``/``design`` calls mutate or recycle (the aliasing
-        hazard is pinned in ``tests/test_incremental_encoding.py``).
-        """
-        snapshot = self._materialize()
-        dense = DenseEncoding.__new__(DenseEncoding)
-        dense.dataset = dataset
-        for name, array in snapshot.items():
-            setattr(dense, name, frozen_copy(array))
-        dense._pair_values = list(self.pair_values)
-        dense._design_cache = {
-            key: (frozen_copy(self.design(key)[0]), self._design_cache[key][2])
-            for key in self._design_cache
-        }
-        return dense
-
-    def dataset_view(self) -> "EncodingDatasetView":
-        """O(1) dataset-shaped facade over the live encoding state.
-
-        The container fast path for periodic batch re-fits: exposes the
-        sizes, indexers, domains and source features the learners read
-        when every derived artifact (structure, design, label plans) is
-        supplied explicitly — without the O(n) ``observations()`` walk
-        :meth:`to_dataset` pays.  See
-        :func:`repro.core.em.fit_incremental`.
-        """
-        return EncodingDatasetView(self)
-
-    def rebuild(self) -> DenseEncoding:
-        """Cold-recompile the accumulated dataset from scratch.
-
-        The escape hatch for suspected stale incremental state: the
-        accumulated observations are re-encoded by a fresh
-        :class:`DenseEncoding`, whose arrays replace the cached snapshot.
-        Returns the fresh encoding.
-        """
-        dataset = self.to_dataset(attach_encoding=False)
-        fresh = DenseEncoding(dataset)
-        self._snapshot = {
-            "obs_order": fresh.obs_order,
-            "obs_offsets": fresh.obs_offsets,
-            "obs_object_idx": fresh.obs_object_idx,
-            "obs_source_idx": fresh.obs_source_idx,
-            "obs_value_code": fresh.obs_value_code,
-            "domain_sizes": fresh.domain_sizes,
-            "pair_offsets": fresh.pair_offsets,
-            "pair_object_idx": fresh.pair_object_idx,
-            "pair_value_code": fresh.pair_value_code,
-            "obs_pair_idx": fresh.obs_pair_idx,
-            "log_alternatives": fresh.log_alternatives,
-            "base_scores": fresh.base_scores,
-        }
-        self._pair_values = fresh.pair_values
-        return fresh
-
-
-class EncodingDatasetView:
-    """Read-only :class:`FusionDataset` facade over an incremental encoding.
-
-    Implements exactly the container surface the learners touch when a
-    prebuilt structure, design matrix and label plans are passed in:
-    the size properties, the source/object indexers, the per-object domain
-    lookup and the source-feature mapping.  Construction is O(1) — nothing
-    is walked or copied — which is what lets
-    :func:`repro.core.em.fit_incremental` re-fit over a growing stream
-    without materializing the accumulated observation list on every
-    re-anchor.
-
-    The view is *live*: it reads the encoding's current state, so it should
-    be consumed before the next append.  Anything needing the full
-    container (ground-truth bookkeeping, observation walks) should use
-    :meth:`IncrementalEncoding.to_dataset` instead; attribute errors on
-    this view mean exactly that.
-    """
-
-    def __init__(self, encoding: IncrementalEncoding) -> None:
-        self._encoding = encoding
-        self.name = encoding.name
-
-    @property
-    def sources(self) -> Indexer[SourceId]:
-        return self._encoding.sources
-
-    @property
-    def objects(self) -> Indexer[ObjectId]:
-        return self._encoding.objects
-
-    @property
-    def source_features(self) -> Dict[SourceId, Dict[str, object]]:
-        return self._encoding.source_features
-
-    @property
-    def n_sources(self) -> int:
-        return self._encoding.n_sources
-
-    @property
-    def n_objects(self) -> int:
-        return self._encoding.n_objects
-
-    @property
-    def n_observations(self) -> int:
-        return self._encoding.n_observations
-
-    def domain_by_index(self, o_idx: int) -> Indexer[Value]:
-        """Domain indexer for the object with integer index ``o_idx``."""
-        return self._encoding.domain_by_index(o_idx)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"EncodingDatasetView(name={self.name!r}, sources={self.n_sources}, "
-            f"objects={self.n_objects}, observations={self.n_observations})"
-        )

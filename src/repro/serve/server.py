@@ -57,6 +57,14 @@ GUARDED_BY = {
     "_batches_since_publish": "_write_lock",
 }
 
+#: Most items (batches, truth reveals, publish requests) the writer loop
+#: holds queued.  At the bound an enqueuing call blocks until the writer
+#: catches up: a producer faster than the writer gets backpressure instead
+#: of unbounded memory, and no batch is dropped.  Blocking cannot deadlock
+#: the writer, because nothing on the writer thread enqueues
+#: (``publish_every`` publishes directly).
+WRITER_QUEUE_SIZE = 64
+
 _STOP = object()
 
 
@@ -264,7 +272,7 @@ class FusionServer:
         """Start the background writer thread draining :meth:`ingest` calls."""
         if self._writer_thread is not None:
             raise RuntimeError("writer loop already running")
-        self._queue = queue.Queue()
+        self._queue = queue.Queue(maxsize=WRITER_QUEUE_SIZE)
         self._writer_thread = threading.Thread(
             target=self._drain, name="fusion-serve-writer", daemon=True
         )
@@ -297,15 +305,19 @@ class FusionServer:
         return self._queue
 
     def ingest(self, observations: Sequence[Observation]) -> None:
-        """Enqueue a batch for the writer loop (returns immediately)."""
+        """Enqueue a batch for the writer loop.
+
+        Returns once the batch is queued, which blocks while the queue
+        holds :data:`WRITER_QUEUE_SIZE` items (backpressure; see there).
+        """
         self._require_writer().put(("batch", list(observations)))
 
     def ingest_truth(self, obj: ObjectId, value: Value) -> None:
-        """Enqueue a ground-truth reveal for the writer loop."""
+        """Enqueue a ground-truth reveal for the writer loop (blocks when full)."""
         self._require_writer().put(("truth", (obj, value)))
 
     def request_publish(self) -> None:
-        """Enqueue an explicit publish for the writer loop."""
+        """Enqueue an explicit publish for the writer loop (blocks when full)."""
         self._require_writer().put(("publish", None))
 
     def flush(self) -> None:

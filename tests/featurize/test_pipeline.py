@@ -182,12 +182,13 @@ class TestCache:
         plain = _dataset()
         tagged = _dataset(source_features={"s0": {"year": 2000}})
         view = {"plain": plain, "tagged": tagged}
-        from repro.featurize.pipeline import _resolve_source
+        from repro.featurize.stats import STAT_ARRAYS
 
-        digests = {
-            name: dataset_digest(_resolve_source(ds).arrays, _resolve_source(ds).source_features)
-            for name, ds in view.items()
-        }
+        digests = {}
+        for name, ds in view.items():
+            encoding = encode_dataset(ds)
+            arrays = {array: getattr(encoding, array) for array in STAT_ARRAYS}
+            digests[name] = dataset_digest(arrays, encoding.source_features)
         assert digests["plain"] != digests["tagged"]
 
 

@@ -12,8 +12,9 @@ from repro.featurize import (
     compute_source_stats,
     compute_source_stats_chunk,
 )
-from repro.featurize.pipeline import _resolve_source
+from repro.featurize.stats import STAT_ARRAYS
 from repro.fusion import FusionDataset, IncrementalEncoding
+from repro.fusion.encoding import encode_dataset
 
 # Arrival-ordered observations with every interesting case: a contested
 # object (o0), a corroborated uncontested one (o1), and a solo claim (o2).
@@ -28,7 +29,8 @@ HAND_OBSERVATIONS = [
 
 
 def _arrays(dataset_or_encoding):
-    return _resolve_source(dataset_or_encoding).arrays
+    encoding = encode_dataset(dataset_or_encoding)
+    return {name: getattr(encoding, name) for name in STAT_ARRAYS}
 
 
 def _random_dataset(seed, n_sources, n_objects, domain_size):

@@ -154,10 +154,10 @@ class TestStreamingWiring:
         assert set(result.values) <= set(dataset.objects.items)
         # The running accumulators must match a cold pass over the stream.
         from repro.featurize import compute_source_stats
-        from repro.featurize.pipeline import _resolve_source
+        from repro.featurize.stats import STAT_ARRAYS
 
         cold = compute_source_stats(
-            _resolve_source(fuser.encoding).arrays,
+            {name: getattr(fuser.encoding, name) for name in STAT_ARRAYS},
             fuser.encoding.n_sources,
             half_life=pipeline.half_life,
         )

@@ -33,6 +33,12 @@ def build_pair_structure(
             pair_values.append(value)
         offsets.append(offsets[-1] + len(domain))
 
+    # Group the rows by walking the observations, not through the
+    # dataset's row accessors: those read the encoding this oracle checks.
+    rows_of: Dict[int, List[int]] = {}
+    for row, obs in enumerate(dataset.observations):
+        rows_of.setdefault(dataset.objects.index(obs.obj), []).append(row)
+
     obs_source: List[int] = []
     obs_pair: List[int] = []
     obs_log_alt: List[float] = []
@@ -40,7 +46,7 @@ def build_pair_structure(
         base = row_base[int(o_idx)]
         domain = dataset.domain_by_index(int(o_idx))
         log_alt = float(np.log(max(len(domain) - 1, 1)))
-        for row in dataset.object_observation_rows(int(o_idx)):
+        for row in rows_of.get(int(o_idx), []):
             obs = dataset.observations[row]
             obs_source.append(dataset.sources.index(obs.source))
             obs_pair.append(base + domain.index(obs.value))

@@ -23,6 +23,7 @@ from repro.fusion import DatasetError
 from repro.serve import FusionServer, ServeMetrics, Snapshot
 from repro.serve.__main__ import main as serve_main
 from repro.serve.__main__ import simulate_batches
+from repro.serve.server import WRITER_QUEUE_SIZE
 
 
 def batch_for(batch_index, n_sources=4, objects_per_batch=8, domain=3):
@@ -283,6 +284,46 @@ class TestWriterLoop:
                 server.start()
         finally:
             server.stop()
+
+
+class TestWriterBackpressure:
+    def test_full_queue_blocks_ingest_until_the_writer_drains(self):
+        fuser = StreamingFuser()
+        entered, release = threading.Event(), threading.Event()
+        observe_batch = fuser.observe_batch
+
+        def held_observe_batch(observations):
+            entered.set()
+            release.wait(timeout=30)
+            observe_batch(observations)
+
+        fuser.observe_batch = held_observe_batch
+        server = FusionServer(fuser).start()
+        batches = [batch_for(index) for index in range(WRITER_QUEUE_SIZE + 2)]
+        returned = threading.Event()
+
+        def late_producer():
+            server.ingest(batches[-1])
+            returned.set()
+
+        try:
+            server.ingest(batches[0])
+            assert entered.wait(timeout=10)  # the writer now sits inside append
+            for batch in batches[1:-1]:
+                server.ingest(batch)  # fills the queue to its bound
+            producer = threading.Thread(target=late_producer, daemon=True)
+            producer.start()
+            assert not returned.wait(timeout=0.3)  # blocked, not dropped
+            release.set()
+            producer.join(timeout=10)
+            assert returned.is_set()
+            server.flush()
+        finally:
+            release.set()
+            server.stop()
+        assert server.metrics.ingest_errors == 0
+        assert server.metrics.ingest_batches == len(batches)
+        assert fuser.encoding.n_observations == sum(len(batch) for batch in batches)
 
 
 class TestEntrypoint:

@@ -246,7 +246,7 @@ class TestAttachedEncodingPickling:
 
     def test_plain_dataset_pickle_drops_encoding(self):
         fuser = build_fuser()
-        dataset = fuser.encoding.to_dataset(attach_encoding=True)
+        dataset = fuser.encoding.to_dataset()
         assert dataset._dense_encoding is not None
         restored = pickle.loads(pickle.dumps(dataset))
         assert getattr(restored, "_dense_encoding", None) is None

@@ -23,10 +23,10 @@ import numpy as np
 import pytest
 
 from repro.core.em import EMConfig, EMLearner, fit_incremental
-from repro.core.structure import build_incremental_structure, build_pair_structure
+from repro.core.structure import build_pair_structure
 from repro.data import SyntheticConfig, generate
 from repro.extensions.streaming import DecayConfig, StreamingFuser, replay_dataset
-from repro.fusion.dataset import FusionDataset
+from repro.fusion.dataset import FusionDataset, subset_sources
 from repro.fusion.encoding import DenseEncoding, IncrementalEncoding, encode_dataset
 from tests.oracles import learners as oracle_learners
 from tests.oracles import streaming as oracle_streaming
@@ -146,7 +146,7 @@ class TestIncrementalEquivalence:
 
     def test_incremental_structure_matches_vectorized_build(self, dataset):
         incremental = IncrementalEncoding.from_dataset(dataset)
-        built = build_incremental_structure(incremental)
+        built = build_pair_structure(incremental)
         reference = build_pair_structure(dataset)
         assert built.object_ids == reference.object_ids
         assert built.pair_values == reference.pair_values
@@ -170,15 +170,6 @@ class TestIncrementalEquivalence:
         np.testing.assert_array_equal(attached.obs_pair_idx, incremental.obs_pair_idx)
         np.testing.assert_array_equal(attached.base_scores, DenseEncoding(rebuilt).base_scores)
 
-    def test_rebuild_escape_hatch(self, dataset):
-        incremental = IncrementalEncoding.from_dataset(dataset)
-        before = incremental.obs_pair_idx
-        fresh = incremental.rebuild()
-        assert isinstance(fresh, DenseEncoding)
-        np.testing.assert_array_equal(incremental.obs_pair_idx, before)
-        assert incremental.obs_pair_idx is fresh.obs_pair_idx
-        _assert_matches_cold(incremental, encode_dataset(dataset))
-
     def test_object_claims_and_live_domain_sizes(self, dataset):
         incremental = IncrementalEncoding.from_dataset(dataset)
         cold = encode_dataset(dataset)
@@ -188,6 +179,30 @@ class TestIncrementalEquivalence:
             span = slice(int(cold.obs_offsets[o_idx]), int(cold.obs_offsets[o_idx + 1]))
             np.testing.assert_array_equal(sources, cold.obs_source_idx[span])
             np.testing.assert_array_equal(codes, cold.obs_value_code[span])
+
+    def test_live_reads_never_compile(self, dataset, monkeypatch):
+        """The streaming hot path's reads stay O(1): no compile per batch."""
+        from repro.fusion import encoding as encoding_module
+
+        incremental = IncrementalEncoding.from_dataset(dataset)
+        compiles = []
+        compile_arrays = encoding_module.compile_arrays
+
+        def counting_compile(*args):
+            compiles.append(True)
+            return compile_arrays(*args)
+
+        monkeypatch.setattr(encoding_module, "compile_arrays", counting_compile)
+        incremental.append([("late-source", "late-object", "v")])
+        last = incremental.n_objects - 1
+        assert incremental.n_observations == dataset.n_observations + 1
+        assert incremental.n_sources == dataset.n_sources + 1
+        assert incremental.live_domain_sizes[last] == 1
+        assert incremental.object_claims(last)[1].tolist() == [0]
+        assert incremental.domain_by_index(last).items == ["v"]
+        assert not compiles
+        _ = incremental.obs_pair_idx, incremental.base_scores
+        assert len(compiles) == 1
 
     def test_duplicate_claim_rejected(self):
         from repro.fusion import DatasetError
@@ -261,6 +276,48 @@ class TestExtendedDataset:
         incremental = IncrementalEncoding.from_dataset(dataset)
         incremental.append(fresh)
         _assert_matches_cold(incremental, encode_dataset(extended))
+
+
+def _grouped_rows(dataset, key):
+    """Brute-force grouping of the observation rows, ascending per group."""
+    groups = {}
+    for row, obs in enumerate(dataset.observations):
+        groups.setdefault(key(obs), []).append(row)
+    return groups
+
+
+class TestRowSpans:
+    """The container's CSR row accessors equal a brute-force grouping.
+
+    Order is part of the contract: the agreement and copying statistics
+    and the catd/accu/counts/majority baselines walk these rows and add
+    floats in that order.
+    """
+
+    def test_row_accessors_match_brute_force_grouping(self, dataset):
+        late = [("late-source", obj, "late-value") for obj in dataset.objects.items[:7]]
+        variants = [
+            dataset,
+            dataset.extended(late),
+            subset_sources(dataset, dataset.sources.items[::2]),
+        ]
+        for variant in variants:
+            by_object = _grouped_rows(variant, lambda obs: obs.obj)
+            by_source = _grouped_rows(variant, lambda obs: obs.source)
+            for o_idx, obj in enumerate(variant.objects.items):
+                rows = variant.object_observation_rows(o_idx)
+                assert rows.dtype == np.int64 and not rows.flags.writeable
+                assert rows.tolist() == by_object[obj]
+                expected = [variant.observations[row] for row in by_object[obj]]
+                assert variant.observations_of_object(obj) == expected
+            counts = variant.source_observation_counts()
+            assert counts.tolist() == [len(by_source[s]) for s in variant.sources.items]
+            for s_idx, source in enumerate(variant.sources.items):
+                rows = variant.source_observation_rows(s_idx)
+                assert rows.dtype == np.int64 and not rows.flags.writeable
+                assert rows.tolist() == by_source[source]
+                expected = [variant.observations[row] for row in by_source[source]]
+                assert variant.observations_of_source(source) == expected
 
 
 class TestDegenerateInputs:
@@ -424,12 +481,12 @@ class TestFitIncremental:
 
 
 class TestAsDenseAliasing:
-    """The exported dense view must be a frozen snapshot, not a live alias.
+    """The encoding ``to_dataset`` attaches must be a frozen snapshot.
 
-    Before the fix, ``as_dense`` handed out the *live* snapshot arrays and
-    ``_design_cache`` row stores: a later ``append``/``_materialize`` (or a
-    design-cache growth) could mutate or invalidate a previously exported
-    view.  The export is now a read-only copy, pinned here.
+    An export that handed out the *live* compiled arrays and
+    ``_design_cache`` row stores could be mutated or invalidated by a later
+    ``append``/compile (or a design-cache growth).  The export is a
+    read-only copy, pinned here.
     """
 
     def test_export_is_stable_across_later_appends(self, dataset):
@@ -442,13 +499,13 @@ class TestAsDenseAliasing:
         design_before = dense.design(True)[0].copy()
 
         # Keep appending (new objects, new sources, repeat claims on old
-        # objects) and re-materializing; the exported view must not move.
+        # objects) and recompiling; the exported view must not move.
         incremental.append([("fresh-source", "fresh-object", "v")])
-        incremental._materialize()
+        _ = incremental.obs_pair_idx
         incremental.append(
             [("fresh-source", obj, dataset.domain(obj)[0]) for obj in dataset.objects.items[:5]]
         )
-        incremental._materialize()
+        _ = incremental.obs_pair_idx
         incremental.design(True)
 
         for name in ARRAY_NAMES:
@@ -462,12 +519,12 @@ class TestAsDenseAliasing:
         incremental = IncrementalEncoding.from_dataset(dataset)
         incremental.design(True)
         incremental.design(False)
-        dense = incremental.as_dense(incremental.to_dataset(attach_encoding=False))
-        snapshot = incremental._materialize()
+        dense = incremental.to_dataset()._dense_encoding
         for name in ARRAY_NAMES:
             exported = getattr(dense, name)
-            assert exported is not snapshot[name], name
-            assert not np.shares_memory(exported, snapshot[name]), name
+            live = getattr(incremental, name)
+            assert exported is not live, name
+            assert not np.shares_memory(exported, live), name
         for key, (rows, _n_encoded, _space) in incremental._design_cache.items():
             assert not np.shares_memory(dense.design(key)[0], rows), key
 
@@ -491,48 +548,30 @@ class TestAsDenseAliasing:
 
 
 class TestDatasetViewFastPath:
-    """fit_incremental's container fast path (no observations() walk)."""
-
-    def test_view_matches_walking_path_exactly(self, dataset):
-        truth = dataset.split(0.3, seed=2).train_truth
-        incremental = IncrementalEncoding.from_dataset(dataset)
-        fast_model, fast_learner = fit_incremental(
-            incremental, truth=truth, max_iterations=5
-        )
-        walk_model, walk_learner = fit_incremental(
-            incremental, truth=truth, max_iterations=5, materialize_dataset=True
-        )
-        # Same arrays, same operations: the two container routes must be
-        # bit-identical, not merely close.
-        np.testing.assert_array_equal(fast_model.accuracies(), walk_model.accuracies())
-        np.testing.assert_array_equal(fast_model.w_sources, walk_model.w_sources)
-        np.testing.assert_array_equal(fast_model.w_features, walk_model.w_features)
-        assert fast_model.source_ids == walk_model.source_ids
-        assert fast_learner.trace_.n_iterations == walk_learner.trace_.n_iterations
-
-    def test_view_is_o1_and_live(self, dataset):
-        incremental = IncrementalEncoding.from_dataset(dataset)
-        view = incremental.dataset_view()
-        assert view.n_observations == dataset.n_observations
-        incremental.append([("late-source", "late-object", "v")])
-        assert view.n_observations == dataset.n_observations + 1
-        assert view.sources is incremental.sources
-        assert view.domain_by_index(view.n_objects - 1).items == ["v"]
+    """fit_incremental fits over the encoding itself (no observations() walk)."""
 
     def test_streaming_refit_uses_fast_path(self, dataset):
-        # A periodic re-fit must not materialize the observation list.
+        # A periodic re-fit must not materialize the observation list or
+        # export a dataset.
         fuser = StreamingFuser(refit_every=60, refit_overrides={"max_iterations": 2})
         walked = []
-        original = IncrementalEncoding.observations
+        original_observations = IncrementalEncoding.observations
+        original_to_dataset = IncrementalEncoding.to_dataset
 
-        def _spy(self):
-            walked.append(True)
-            return original(self)
+        def _spy_observations(self):
+            walked.append("observations")
+            return original_observations(self)
 
-        IncrementalEncoding.observations = _spy
+        def _spy_to_dataset(self, *args, **kwargs):
+            walked.append("to_dataset")
+            return original_to_dataset(self, *args, **kwargs)
+
+        IncrementalEncoding.observations = _spy_observations
+        IncrementalEncoding.to_dataset = _spy_to_dataset
         try:
             fuser.run(dataset.observations, truth=dataset.split(0.3, seed=0).train_truth)
         finally:
-            IncrementalEncoding.observations = original
+            IncrementalEncoding.observations = original_observations
+            IncrementalEncoding.to_dataset = original_to_dataset
         assert fuser.n_refits > 0
         assert not walked

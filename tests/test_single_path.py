@@ -1,22 +1,33 @@
-"""The retired engine switches stay retired.
+"""The retired engine switches and look-alike layers stay retired.
 
 Every fusion operation has one production path; the loop implementations
 it is checked against live in ``tests/oracles/``.  No public function,
 constructor or config field accepts the old ``backend=`` switch, and the
 per-observation ``decay=`` factor of the streaming fuser is gone too
 (``trust_decay=DecayConfig(half_life=h)`` is the same knob).
+
+There is also one observation encoding: ``IncrementalEncoding`` is the
+appendable form of ``DenseEncoding``, so the dataset-shaped view over it,
+its cold-recompile and dense-export side doors, the separate incremental
+structure builder and the options that chose between those routes are
+gone.
 """
+
+import functools
 
 import pytest
 
 from repro.core import SLiMFast
-from repro.core.em import EMConfig
+from repro.core import structure as structure_module
+from repro.core.em import EMConfig, fit_incremental
 from repro.core.erm import ERMConfig, correctness_training_pairs
 from repro.core.inference import expected_correctness, posteriors
 from repro.core.structure import build_masked_structure, build_pair_structure
 from repro.experiments import SweepRunner
 from repro.extensions import StreamingFuser
 from repro.factorgraph import GibbsSampler
+from repro.fusion import encoding as encoding_module
+from repro.fusion.encoding import IncrementalEncoding
 from repro.serve import FusionServer
 
 RETIRED_OPTIONS = [
@@ -32,13 +43,19 @@ RETIRED_OPTIONS = [
     (StreamingFuser, "backend"),
     (GibbsSampler, "backend"),
     (StreamingFuser, "decay"),
+    (functools.partial(fit_incremental, IncrementalEncoding()), "materialize_dataset"),
+    (IncrementalEncoding().to_dataset, "attach_encoding"),
 ]
+
+
+def _name(target) -> str:
+    return getattr(target, "__name__", None) or target.func.__name__
 
 
 @pytest.mark.parametrize(
     "target, option",
     RETIRED_OPTIONS,
-    ids=[f"{target.__name__}-{option}" for target, option in RETIRED_OPTIONS],
+    ids=[f"{_name(target)}-{option}" for target, option in RETIRED_OPTIONS],
 )
 def test_retired_option_is_rejected(target, option):
     # Keyword arguments bind before the body runs, so the unknown keyword
@@ -50,3 +67,21 @@ def test_retired_option_is_rejected(target, option):
 def test_server_does_not_forward_retired_decay():
     with pytest.raises(TypeError, match="unexpected keyword argument 'decay'"):
         FusionServer(decay=0.9)
+
+
+RETIRED_NAMES = [
+    (encoding_module, "EncodingDatasetView"),
+    (IncrementalEncoding, "rebuild"),
+    (IncrementalEncoding, "as_dense"),
+    (IncrementalEncoding, "dataset_view"),
+    (structure_module, "build_incremental_structure"),
+]
+
+
+@pytest.mark.parametrize(
+    "owner, name",
+    RETIRED_NAMES,
+    ids=[f"{owner.__name__}.{name}" for owner, name in RETIRED_NAMES],
+)
+def test_retired_name_is_gone(owner, name):
+    assert not hasattr(owner, name)
