@@ -72,7 +72,7 @@ def test_figure4a_training_data(benchmark):
     assert abs(em[0.60] - em[0.01]) < 0.08
     # Paper shape 3: with enough labels ERM matches EM — our sparse
     # instance needs the shared-intercept variant for that (see
-    # EXPERIMENTS.md deviation note).
+    # "Deviations from the paper" in README.md).
     assert erm_bias[0.60] >= em[0.60] - 0.03
 
 

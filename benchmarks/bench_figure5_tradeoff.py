@@ -49,7 +49,7 @@ def test_figure5_tradeoff_grid(benchmark):
     # We check the high-accuracy columns; in the low-accuracy, sparse
     # corner our semi-supervised EM keeps an edge even at 40% labels
     # because it additionally consumes the unlabeled conflicts (deviation
-    # documented in EXPERIMENTS.md).
+    # documented under "Deviations from the paper" in README.md).
     for density in (0.005, 0.02):
         cell = by_key[(0.40, 0.80, density)]
         assert cell.erm_accuracy >= cell.em_accuracy - 0.05

@@ -37,9 +37,10 @@ def test_table3_source_accuracy_error(benchmark, sweep_report, paper_datasets):
         return cells[CellKey(paper_datasets[dataset].name, method, fraction)].source_error
 
     # SLiMFast's weighted error stays below 0.1 once any usable amount of
-    # ground truth exists.  (At 0.1% TD our optimizer chooses ERM on
-    # Stocks — one labeled object — where the paper's chose EM; see
-    # EXPERIMENTS.md for the deviation note.)
+    # ground truth exists.  (The 0.1% TD cell — one labeled object on
+    # Stocks — is left out: the optimizer was recorded choosing ERM there,
+    # where the paper's chose EM; see "Deviations from the paper" in
+    # README.md.)
     for dataset in ("stocks", "crowd"):
         for fraction in FRACTIONS:
             if fraction >= 0.01:

@@ -2,8 +2,9 @@
 
 Every benchmark regenerates one paper table or figure and writes the
 rendered rows to ``benchmarks/results/<artifact>.txt`` (also echoed to
-stdout, visible with ``pytest -s``).  EXPERIMENTS.md collects the outputs
-and compares them with the paper's numbers.
+stdout, visible with ``pytest -s``), so ``benchmarks/results/`` holds every
+output.  Where a shape departs from the paper's, the assertion's comment
+points at "Deviations from the paper" in README.md.
 
 Scales are reduced relative to the paper (fewer seeds, smaller synthetic
 grids) so the full bench suite finishes in minutes; the dataset simulators

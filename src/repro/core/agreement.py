@@ -22,11 +22,12 @@ Two refinements are provided beyond the paper's estimator:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..fusion.dataset import FusionDataset
+from ..fusion.encoding import encode_dataset, expand_spans
 from ..fusion.types import SourceId
 
 
@@ -53,47 +54,78 @@ class AgreementMatrix:
         return mask
 
 
+#: Most source pairs :func:`_pair_counts` materializes at once.  A hub
+#: object claimed by every source is counted in chunks of this many pairs,
+#: so the transient memory stays bounded whatever the object's width.
+PAIR_CHUNK = 2**21
+
+
+def _pair_counts(dataset: FusionDataset) -> Tuple[np.ndarray, np.ndarray]:
+    """Flat ``|S|^2`` int32 ``(overlap, agree)`` counts over shared objects.
+
+    Entry ``i * |S| + j`` counts the objects sources ``i`` and ``j`` both
+    claim, and those they claim the same value for.  In the encoding's
+    object-grouped order the partners of row ``r`` are the later rows of
+    its object, so the ``sum_o m_o (m_o - 1) / 2`` pairs are known from the
+    offsets up front and listed in chunks of at most :data:`PAIR_CHUNK`
+    (a row with more partners is a chunk of its own).
+    """
+    encoding = encode_dataset(dataset)
+    n = encoding.n_sources
+    sources = encoding.obs_source_idx
+    values = encoding.obs_value_code
+    later = encoding.obs_offsets[encoding.obs_object_idx + 1] - 1 - np.arange(sources.shape[0])
+    rows = np.flatnonzero(later)
+    later = later[rows]
+    ends = np.cumsum(later)
+    overlap = np.zeros(n * n, dtype=np.int32)
+    agree = np.zeros(n * n, dtype=np.int32)
+    start = 0
+    while start < rows.shape[0]:
+        done = int(ends[start - 1]) if start else 0
+        stop = max(int(np.searchsorted(ends, done + PAIR_CHUNK, side="right")), start + 1)
+        first = np.repeat(rows[start:stop], later[start:stop])
+        second = expand_spans(rows[start:stop] + 1, later[start:stop])
+        keys = sources[first] * n + sources[second]
+        _add_symmetric(overlap, keys, n)
+        _add_symmetric(agree, keys[values[first] == values[second]], n)
+        start = stop
+    return overlap, agree
+
+
+def _add_symmetric(counts: np.ndarray, keys: np.ndarray, n: int) -> None:
+    """Count each pair key ``i * n + j`` at ``(i, j)`` and at ``(j, i)``.
+
+    The keys are made unique first, so the fancy-index adds are exact.
+    """
+    unique, hits = np.unique(keys, return_counts=True)
+    counts[unique] += hits
+    counts[(unique % n) * n + unique // n] += hits
+
+
 def agreement_matrix(dataset: FusionDataset, min_overlap: int = 1) -> AgreementMatrix:
     """Compute the pairwise agreement matrix ``X`` of Section 4.3.
 
-    Complexity is ``O(sum_o m_o^2)`` over per-object observation counts,
-    which is fine for the paper-scale datasets (tens of observations per
-    object at most).
+    The ``sum_o m_o (m_o - 1) / 2`` source pairs over objects are counted
+    by :func:`_pair_counts` as array code, in chunks of at most
+    :data:`PAIR_CHUNK` pairs; the dense ``|S| x |S|`` float outputs are
+    the only ``O(|S|^2)`` cost.
     """
     n = dataset.n_sources
-    agree = np.zeros((n, n))
-    overlap = np.zeros((n, n))
-    for o_idx in range(dataset.n_objects):
-        rows = dataset.object_observation_rows(o_idx)
-        if rows.shape[0] < 2:
-            continue
-        sources = dataset.obs_source_idx[rows]
-        values = dataset.obs_value_idx[rows]
-        same = values[:, None] == values[None, :]
-        for a in range(sources.shape[0]):
-            sa = sources[a]
-            for b in range(a + 1, sources.shape[0]):
-                sb = sources[b]
-                overlap[sa, sb] += 1
-                overlap[sb, sa] += 1
-                if same[a, b]:
-                    agree[sa, sb] += 1
-                    agree[sb, sa] += 1
+    overlap, agree = _pair_counts(dataset)
+    overlaps = overlap.reshape(n, n).astype(float)
     with np.errstate(invalid="ignore", divide="ignore"):
-        rate = agree / overlap
+        rate = agree.reshape(n, n) / overlaps
     scores = 2.0 * rate - 1.0
-    scores[overlap < min_overlap] = np.nan
-    return AgreementMatrix(scores=scores, overlaps=overlap)
+    scores[overlaps < min_overlap] = np.nan
+    return AgreementMatrix(scores=scores, overlaps=overlaps)
 
 
 def average_domain_size(dataset: FusionDataset) -> float:
     """Mean number of distinct claimed values over conflicted objects."""
-    sizes = [
-        len(dataset.domain_by_index(o_idx))
-        for o_idx in range(dataset.n_objects)
-        if dataset.object_observation_rows(o_idx).shape[0] >= 2
-    ]
-    if not sizes:
+    encoding = encode_dataset(dataset)
+    sizes = encoding.domain_sizes[np.diff(encoding.obs_offsets) >= 2]
+    if sizes.shape[0] == 0:
         return 2.0
     return float(np.mean(sizes))
 
@@ -119,11 +151,16 @@ def estimate_average_accuracy(
         Returned when no source pair has sufficient overlap (e.g. extremely
         sparse datasets such as Genomics).
     """
-    matrix = matrix if matrix is not None else agreement_matrix(dataset, min_overlap)
-    mask = matrix.observed_pairs()
-    if not np.any(mask):
+    if matrix is not None:
+        scores = matrix.scores[matrix.observed_pairs()]
+    else:
+        # Row-major over the flat counts: the order of ``scores[mask]``.
+        overlap, agree = _pair_counts(dataset)
+        pairs = np.flatnonzero(overlap >= max(min_overlap, 1))
+        scores = 2.0 * (agree[pairs] / overlap[pairs]) - 1.0
+    if scores.shape[0] == 0:
         return fallback
-    mean_score = float(np.mean(matrix.scores[mask]))
+    mean_score = float(np.mean(scores))
 
     if method == "paper":
         mu_sq = max(mean_score, 0.0)

@@ -1,8 +1,10 @@
 """Theoretical error-bound calculators (paper Section 4.2, Appendix A/B).
 
 These functions evaluate the *rates* the paper proves (constants set to 1,
-as the statements are O(...) bounds).  They power the optimizer's fast path
-and let EXPERIMENTS.md report measured errors alongside the theory.
+as the statements are O(...) bounds).  They power the optimizer's fast path,
+and ``benchmarks/bench_guarantees.py`` reports measured errors alongside
+them ("Deviations from the paper" in README.md lists where measured
+results depart from the paper's).
 
 * Theorem 1 / 2 (with ground truth): generalization and accuracy-estimation
   error scale as ``sqrt(|K| / |G|) * log|G|``.

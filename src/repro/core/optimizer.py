@@ -4,7 +4,9 @@ The optimizer compares the *units of information* available to each
 learning algorithm:
 
 * ERM consumes ground truth: one labeled object contributes one unit
-  (Algorithm 2 sets ``totalERMUnits = |G|``).
+  (Algorithm 2 sets ``totalERMUnits = |G|``).  Only labels on observed
+  objects count (``|G ∩ O|``), here and in the bound; without any, the
+  choice is EM.
 * EM consumes the E-step's soft labels.  Modeling the E-step as majority
   vote by sources of uniform accuracy ``A``, an object observed by ``m``
   sources with ``|D_o|`` distinct claimed values is resolved correctly with
@@ -18,7 +20,7 @@ below the threshold ``tau``.
 
 Two places deviate from the *printed* pseudo-code, in both cases because
 the printed form contradicts the decisions the paper's own Table 4
-reports (details in EXPERIMENTS.md):
+reports (see "Deviations from the paper" in README.md):
 
 * the majority-vote success criterion defaults to ``m/2`` (the paper's
   Example 8 semantics) rather than Algorithm 1's ``m/|D_o|`` — pass
@@ -41,6 +43,7 @@ import numpy as np
 from scipy import stats
 
 from ..fusion.dataset import FusionDataset
+from ..fusion.encoding import encode_dataset
 from ..fusion.metrics import binary_entropy
 from ..fusion.types import ObjectId, Value
 from .agreement import estimate_average_accuracy
@@ -100,24 +103,23 @@ def em_information_units(
     if vote_threshold not in ("majority", "paper"):
         raise ValueError(f"unknown vote_threshold {vote_threshold!r}")
     avg_accuracy = float(np.clip(avg_accuracy, 1e-6, 1.0 - 1e-6))
-    total = 0.0
-    for o_idx in range(dataset.n_objects):
-        m = int(dataset.object_observation_rows(o_idx).shape[0])
-        if m == 0:
-            continue
-        n_distinct = len(dataset.domain_by_index(o_idx))
-        if n_distinct <= 1:
-            # Unanimous objects: majority vote is trivially "correct" under
-            # the optimizer's model; they carry a full unit each.
-            p_e = 1.0
-        else:
-            divisor = 2 if vote_threshold == "majority" else n_distinct
-            threshold = m // divisor
-            p_e = float(1.0 - stats.binom.cdf(threshold, m, avg_accuracy))
-        if p_e >= 0.5:
-            units = 1.0 - binary_entropy(p_e)
-            total += units * m if per_observation else units
-    return total
+    encoding = encode_dataset(dataset)
+    m = np.diff(encoding.obs_offsets)
+    n_distinct = encoding.domain_sizes
+    # Unanimous objects: majority vote is trivially "correct" under the
+    # optimizer's model; they carry a full unit each.
+    p_e = np.ones(m.shape[0])
+    conflicted = n_distinct > 1
+    divisor = 2 if vote_threshold == "majority" else n_distinct[conflicted]
+    threshold = m[conflicted] // divisor
+    p_e[conflicted] = 1.0 - stats.binom.cdf(threshold, m[conflicted], avg_accuracy)
+    counted = p_e >= 0.5
+    units = 1.0 - binary_entropy(p_e[counted])
+    if per_observation:
+        units = units * m[counted]
+    # A running sum, not np.sum's pairwise one: the per-object loop's
+    # left-to-right total, bit for bit.
+    return float(np.cumsum(units)[-1]) if units.shape[0] else 0.0
 
 
 def erm_information_units(
@@ -125,15 +127,16 @@ def erm_information_units(
     truth: Mapping[ObjectId, Value],
     per_observation: bool = False,
 ) -> float:
-    """Ground-truth units: ``|G|``, or total observations on labeled objects."""
+    """Ground-truth units: ``|G ∩ O|``, or total observations on those objects.
+
+    Labels on objects the dataset never observed carry no information for
+    either learner and count for nothing.
+    """
+    encoding = encode_dataset(dataset)
+    labeled, _ = encoding.truth_codes(truth)
     if not per_observation:
-        return float(len(truth))
-    total = 0
-    for obj in truth:
-        if obj in dataset.objects:
-            o_idx = dataset.objects.index(obj)
-            total += int(dataset.object_observation_rows(o_idx).shape[0])
-    return float(total)
+        return float(np.count_nonzero(labeled))
+    return float(np.diff(encoding.obs_offsets)[labeled].sum())
 
 
 def decide(
@@ -157,14 +160,14 @@ def decide(
     avg_accuracy:
         Override the agreement-based estimate (used by the oracle ablation).
     """
-    n_labels = len(truth)
+    n_labels = int(erm_information_units(dataset, truth))  # |G ∩ O|
     bound = erm_generalization_bound(n_features, n_labels) if n_labels else float("inf")
+    accuracy = (
+        avg_accuracy
+        if avg_accuracy is not None
+        else estimate_average_accuracy(dataset, method=accuracy_method)
+    )
     if n_labels and bound < tau:
-        accuracy = (
-            avg_accuracy
-            if avg_accuracy is not None
-            else estimate_average_accuracy(dataset, method=accuracy_method)
-        )
         return OptimizerDecision(
             algorithm="erm",
             reason="bound",
@@ -174,14 +177,10 @@ def decide(
             bound=bound,
         )
 
-    accuracy = (
-        avg_accuracy
-        if avg_accuracy is not None
-        else estimate_average_accuracy(dataset, method=accuracy_method)
-    )
     erm_units = erm_information_units(dataset, truth, per_observation)
     em_units = em_information_units(dataset, accuracy, per_observation, vote_threshold)
-    algorithm = "em" if erm_units < em_units else "erm"
+    # ERM is undefined without a label on an observed object.
+    algorithm = "em" if erm_units < em_units or not n_labels else "erm"
     return OptimizerDecision(
         algorithm=algorithm,
         reason="units",

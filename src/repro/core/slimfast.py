@@ -158,9 +158,6 @@ class SLiMFast:
                 accuracy_method=self.optimizer_accuracy_method,
             )
             choice = self.decision_.algorithm
-            if choice == "erm" and not truth:
-                # Without any labels ERM is undefined; fall back to EM.
-                choice = "em"
         self.timings_["optimizer"] = time.perf_counter() - started
 
         started = time.perf_counter()

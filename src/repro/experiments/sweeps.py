@@ -436,10 +436,7 @@ class SweepRunner:
             n_features=n_features,
             avg_accuracy=self._average_accuracy() if cached else None,
         )
-        choice = decision.algorithm
-        if choice == "erm" and not truth:
-            choice = "em"  # ERM is undefined without labels
-        return choice, decision
+        return decision.algorithm, decision
 
     def _run_batched(self, spec: FitSpec, truth) -> SweepFitResult:
         structure = self._structure_for(tuple(spec.exclude_sources))

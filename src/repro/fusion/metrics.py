@@ -15,7 +15,7 @@ binary entropy used by the optimizer's information-units model.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Dict, Iterable, Mapping, Optional, Union
 
 import numpy as np
 
@@ -137,11 +137,17 @@ def mean_accuracy_kl(estimated: Mapping[SourceId, float], true: Mapping[SourceId
     return float(np.mean(divergences))
 
 
-def binary_entropy(p: float) -> float:
-    """Entropy (bits) of a Bernoulli(p) variable; 0 at the endpoints."""
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    return float(-p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p))
+def binary_entropy(p: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
+    """Entropy (bits) of a Bernoulli(p) variable; 0 at the endpoints.
+
+    Elementwise over an array ``p`` (returns an array); a scalar ``p``
+    returns a float.
+    """
+    p = np.asarray(p, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        entropy = -p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p)
+    entropy = np.where((p <= 0.0) | (p >= 1.0), 0.0, entropy)
+    return float(entropy) if entropy.ndim == 0 else entropy
 
 
 def log_loss(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import decide, em_information_units, erm_information_units
+from repro.core.guarantees import erm_generalization_bound
 from repro.data import SyntheticConfig, generate
 from repro.fusion import FusionDataset, binary_entropy
 
@@ -123,6 +124,39 @@ class TestDecide:
             accuracy_method="domain-corrected",
         )
         assert corrected.estimated_accuracy >= paper.estimated_accuracy - 1e-9
+
+
+class TestUnobservedLabels:
+    """Only labels on observed objects (``G ∩ O``) count, in the bound and
+    in the units."""
+
+    @pytest.fixture
+    def dataset(self):
+        return generate(n_sources=6, n_objects=30, density=0.6, seed=3).dataset
+
+    def test_unobserved_labels_carry_no_units(self, dataset):
+        obj, value = next(iter(dataset.ground_truth.items()))
+        truth = {**{f"ghost{i}": "v0" for i in range(500)}, obj: value}
+        decision = decide(dataset, truth, n_features=4)
+        assert decision.erm_units == 1.0
+        assert decision.bound == erm_generalization_bound(4, 1)
+        assert decision.algorithm == "em"
+        per_obs = erm_information_units(dataset, truth, per_observation=True)
+        assert per_obs == len(dataset.observations_of_object(obj))
+
+    def test_only_unobserved_labels_skip_the_bound(self, dataset):
+        ghost = {f"ghost{i}": "v0" for i in range(500)}
+        decision = decide(dataset, ghost, n_features=1, tau=1e9)
+        assert decision.reason == "units"
+        assert decision.algorithm == "em"
+        assert decision.erm_units == 0.0
+        assert decision.bound == float("inf")
+
+    def test_no_observed_label_picks_em_at_zero_em_units(self):
+        ds = uniform_panel_dataset(n_sources=20, n_objects=5, panel=10, n_values=2)
+        decision = decide(ds, {}, n_features=4, avg_accuracy=0.5)
+        assert decision.em_units == 0.0
+        assert decision.algorithm == "em"
 
 
 class TestVoteThreshold:

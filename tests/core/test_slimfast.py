@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import SLiMFast
+from repro.data import generate
 from repro.fusion import DatasetError, NotFittedError
 
 
@@ -31,6 +32,15 @@ class TestFacadeBasics:
         fuser = SLiMFast(learner="auto")
         fuser.fit(small_dataset, {})
         assert fuser.chosen_learner_ == "em"
+
+    def test_auto_with_only_unobserved_labels_fits_em(self):
+        # Labels on objects the dataset never observed give ERM nothing to
+        # fit; the optimizer must not count them and pick it.
+        dataset = generate(n_sources=6, n_objects=30, density=0.6, seed=3).dataset
+        fuser = SLiMFast().fit(dataset, {f"ghost{i}": "v0" for i in range(500)})
+        assert fuser.chosen_learner_ == "em"
+        assert fuser.decision_.erm_units == 0.0
+        assert fuser.predict().accuracy(dataset) > 0.5
 
     def test_training_objects_clamped(self, small_dataset):
         split = small_dataset.split(0.3, seed=1)

@@ -213,6 +213,16 @@ class TestERMEquivalence:
         isolated = SweepRunner(dataset, mode="isolated").run_one(spec)
         assert batched.learner_used == isolated.learner_used
 
+    @pytest.mark.parametrize("mode", ["batched", "isolated"])
+    def test_auto_learner_ignores_unobserved_labels(self, dataset, mode):
+        # Labels on objects the dataset never observed count for nothing:
+        # the optimizer picks EM, the only learner that can fit.
+        ghost = {f"ghost{i}": "v0" for i in range(500)}
+        spec = FitSpec(name="auto", learner="auto", train_truth=ghost)
+        fit = SweepRunner(dataset, mode=mode).run_one(spec)
+        assert fit.learner_used == "em"
+        assert fit.result.diagnostics["optimizer"].erm_units == 0.0
+
     def test_isolated_erm_supports_sgd_and_conditional(self, dataset):
         # Isolated mode is the classic per-fit path: configs the structure
         # path cannot express (sgd sample streams, conditional objective)

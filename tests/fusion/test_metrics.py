@@ -111,6 +111,12 @@ class TestBinaryEntropy:
     def test_property_symmetry(self, p):
         assert binary_entropy(p) == pytest.approx(binary_entropy(1.0 - p), abs=1e-12)
 
+    def test_elementwise_over_arrays(self):
+        p = np.array([0.0, 0.1, 0.5, 0.97, 1.0])
+        entropy = binary_entropy(p)
+        assert isinstance(entropy, np.ndarray)
+        assert entropy.tolist() == [binary_entropy(float(x)) for x in p]
+
 
 class TestLogLoss:
     def test_confident_correct_is_small(self):

@@ -15,7 +15,10 @@ as speedup denominators:
   ``tests/experiments/test_sweeps.py``);
 * :mod:`tests.oracles.streaming` — the sequential dict-per-observation
   streaming fuser (``tests/test_incremental_encoding.py``,
-  ``tests/scenarios/test_decay_differential.py``).
+  ``tests/scenarios/test_decay_differential.py``);
+* :mod:`tests.oracles.optimizer` — the agreement matrix's pair walk, the
+  average domain size, the EM information units and the optimizer
+  decision built on them (``tests/core/test_optimizer_equivalence.py``).
 
 An oracle never calls the production code it checks.  It may share the
 unforked pieces both sides build on: the dataset and model containers, the
