@@ -36,15 +36,12 @@ def test_table3_source_accuracy_error(benchmark, sweep_report, paper_datasets):
     def err(dataset, method, fraction):
         return cells[CellKey(paper_datasets[dataset].name, method, fraction)].source_error
 
-    # SLiMFast's weighted error stays below 0.1 once any usable amount of
-    # ground truth exists.  (The 0.1% TD cell — one labeled object on
-    # Stocks — is left out: the optimizer was recorded choosing ERM there,
-    # where the paper's chose EM; see "Deviations from the paper" in
-    # README.md.)
+    # SLiMFast's weighted error stays below 0.1 at every training fraction,
+    # including 0.1% TD (one labeled object on Stocks, where the optimizer
+    # picks EM, as the paper's did).
     for dataset in ("stocks", "crowd"):
         for fraction in FRACTIONS:
-            if fraction >= 0.01:
-                assert err(dataset, "slimfast", fraction) < 0.1, (dataset, fraction)
+            assert err(dataset, "slimfast", fraction) < 0.1, (dataset, fraction)
 
     # The paper's core Table 3 claim: discriminative models estimate
     # accuracies with far lower error than label-counting at tiny TD.

@@ -5,9 +5,9 @@ A fusion dataset bundles everything Section 3 of the paper calls
 ``G`` (true values for a subset of objects), and optional per-source domain
 feature assignments ``F``.
 
-The container interns every id once (:func:`intern_observations`, shared
-with the incremental encoding) into integer code columns, so learners can
-run vectorized numpy code; its per-object and per-source observation
+The container interns every id once (:func:`intern_columns`, shared with
+the incremental encoding) into integer code columns, so learners can run
+vectorized numpy code; its per-object and per-source observation
 groupings are CSR spans over those columns.  It also offers the
 train/test splitting protocol used throughout the paper's evaluation
 (random ground-truth reveal of a given fraction, remaining objects used as
@@ -33,52 +33,96 @@ from .types import (
 )
 
 
-def intern_observations(
+def as_records(
     observations: Iterable[Observation | Tuple[SourceId, ObjectId, Value]],
-    sources: Indexer[SourceId],
-    objects: Indexer[ObjectId],
+) -> List[Observation]:
+    """``observations`` as :class:`Observation` records (triples are wrapped)."""
+    return [obs if isinstance(obs, Observation) else Observation(*obs) for obs in observations]
+
+
+def record_columns(records: Sequence[Observation]) -> Tuple[List, List, List]:
+    """Transpose records into ``(sources, objects, values)`` id columns."""
+    return (
+        [obs.source for obs in records],
+        [obs.obj for obs in records],
+        [obs.value for obs in records],
+    )
+
+
+def _first_offender(
+    sources: Sequence[SourceId],
+    objects: Sequence[ObjectId],
+    values: Sequence[Value],
+    seen_pairs: Set[Tuple[SourceId, ObjectId]],
+) -> None:
+    """Raise :class:`DatasetError` for the batch's first invalid row.
+
+    Only called once a whole-batch check has failed, so the message names
+    the same row a row-by-row validation would.
+    """
+    batch_pairs: Set[Tuple[SourceId, ObjectId]] = set()
+    for pair, value in zip(zip(sources, objects), values):
+        source, obj = pair
+        if pair in batch_pairs or pair in seen_pairs:
+            raise DatasetError(f"duplicate observation for source={source!r} obj={obj!r}")
+        if value != value:
+            raise DatasetError(
+                f"NaN claim value for source={source!r} obj={obj!r}; "
+                "NaN never equals itself, so agreeing claims would split"
+            )
+        batch_pairs.add(pair)
+
+
+def intern_columns(
+    sources: Sequence[SourceId],
+    objects: Sequence[ObjectId],
+    values: Sequence[Value],
+    sources_ix: Indexer[SourceId],
+    objects_ix: Indexer[ObjectId],
     domains: List[Indexer[Value]],
     seen_pairs: Optional[Set[Tuple[SourceId, ObjectId]]] = None,
-) -> Tuple[List[Observation], np.ndarray, np.ndarray, np.ndarray]:
-    """Validate one batch of observations, then intern it in first-seen order.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validate one batch of id columns, then intern it in first-seen order.
 
-    The single ingest routine behind :class:`FusionDataset` and
-    :meth:`repro.fusion.encoding.IncrementalEncoding.append`.  The whole
-    batch is checked first — a ``(source, obj)`` pair repeated within the
-    batch or already in ``seen_pairs``, or a NaN value, raises
-    :class:`DatasetError` for the first offending observation — so a
+    The single ingest routine behind :class:`FusionDataset` (both
+    constructors) and :meth:`repro.fusion.encoding.IncrementalEncoding.append`.
+    Row ``i`` of the batch is the claim ``(sources[i], objects[i],
+    values[i])``.  The whole batch is checked first — a ``(source, obj)``
+    pair repeated within the batch or already in ``seen_pairs``, or a NaN
+    value, raises :class:`DatasetError` for the first offending row — so a
     rejected batch leaves every table untouched.  Sources, objects and each
     object's value domain are then interned in arrival order: a new object
     gets a fresh domain :class:`Indexer` appended to ``domains``, and
     ``seen_pairs`` (when given) absorbs the batch's pairs.
 
-    Returns ``(entries, source_idx, object_idx, value_code)``: the batch as
-    :class:`Observation` records and its ``int64`` index columns, aligned
-    to arrival order.
-    """
-    entries = [obs if isinstance(obs, Observation) else Observation(*obs) for obs in observations]
-    previous = seen_pairs if seen_pairs is not None else ()
-    batch_pairs: Set[Tuple[SourceId, ObjectId]] = set()
-    for obs in entries:
-        pair = (obs.source, obs.obj)
-        if pair in batch_pairs or pair in previous:
-            raise DatasetError(f"duplicate observation for source={obs.source!r} obj={obs.obj!r}")
-        if obs.value != obs.value:
-            raise DatasetError(
-                f"NaN claim value for source={obs.source!r} obj={obs.obj!r}; "
-                "NaN never equals itself, so agreeing claims would split"
-            )
-        batch_pairs.add(pair)
-    if seen_pairs is not None:
-        seen_pairs |= batch_pairs
+    The checks and the source/object interning are whole-column passes
+    (sets and dicts built in C, Python work per *distinct* id); only the
+    value domains are interned row by row.
 
-    add_source, add_object = sources.add, objects.add
-    source_idx = [add_source(obs.source) for obs in entries]
-    object_idx = [add_object(obs.obj) for obs in entries]
-    domains.extend(Indexer() for _ in range(len(objects) - len(domains)))
-    value_code = [domains[o].add(obs.value) for o, obs in zip(object_idx, entries)]
+    Returns ``(source_idx, object_idx, value_code)``, the batch's ``int64``
+    code columns, aligned to arrival order.
+    """
+    n = len(sources)
+    if len(objects) != n or len(values) != n:
+        raise DatasetError(
+            f"id columns differ in length: {n} sources, {len(objects)} objects, "
+            f"{len(values)} values"
+        )
+    pairs = set(zip(sources, objects))
+    if (
+        len(pairs) != n
+        or (seen_pairs and not pairs.isdisjoint(seen_pairs))
+        or any(value != value for value in dict.fromkeys(values))
+    ):
+        _first_offender(sources, objects, values, seen_pairs or set())
+    if seen_pairs is not None:
+        seen_pairs |= pairs
+
+    source_idx = sources_ix.add_all(sources)
+    object_idx = objects_ix.add_all(objects)
+    domains.extend(Indexer() for _ in range(len(objects_ix) - len(domains)))
+    value_code = [domains[o].add(value) for o, value in zip(object_idx, values)]
     return (
-        entries,
         np.asarray(source_idx, dtype=np.int64),
         np.asarray(object_idx, dtype=np.int64),
         np.asarray(value_code, dtype=np.int64),
@@ -124,6 +168,12 @@ class FusionDataset:
         evaluation (available for simulated datasets).
     name:
         Human-readable dataset name used in reports.
+
+    The id tables (:attr:`sources`, :attr:`objects`, the per-object value
+    domains) and the code columns ``obs_source_idx``, ``obs_object_idx``
+    and ``obs_value_idx`` are the dataset's state; every learner reads
+    only those.  :meth:`from_columns` builds a dataset straight from three
+    id columns without creating a record per claim.
     """
 
     def __init__(
@@ -134,16 +184,62 @@ class FusionDataset:
         true_accuracies: Optional[Mapping[SourceId, float]] = None,
         name: str = "fusion-dataset",
     ) -> None:
+        records = as_records(observations)
+        self._ingest(
+            *record_columns(records), ground_truth, source_features, true_accuracies, name
+        )
+        # The given records stay the observation view: a claim of ``True``
+        # on an object whose domain stores ``1`` keeps its own value.
+        self._observations = tuple(records)
+
+    @classmethod
+    def from_columns(
+        cls,
+        sources: Sequence[SourceId],
+        objects: Sequence[ObjectId],
+        values: Sequence[Value],
+        ground_truth: Optional[Mapping[ObjectId, Value]] = None,
+        source_features: Optional[Mapping[SourceId, Mapping[str, object]]] = None,
+        true_accuracies: Optional[Mapping[SourceId, float]] = None,
+        name: str = "fusion-dataset",
+    ) -> "FusionDataset":
+        """Build a dataset from three aligned id columns.
+
+        Row ``i`` is the claim ``(sources[i], objects[i], values[i])``;
+        the columns must have equal lengths.  Validation and the other
+        parameters are those of the constructor.  No :class:`Observation`
+        record is created: :attr:`observations` is materialized from the
+        id tables and code columns on first read, so each claim's value
+        there is its domain's stored representative (the first-seen of
+        equal values, e.g. ``1`` for a later ``True``).
+        """
+        dataset = cls.__new__(cls)
+        dataset._ingest(
+            sources, objects, values, ground_truth, source_features, true_accuracies, name
+        )
+        return dataset
+
+    def _ingest(
+        self,
+        sources: Sequence[SourceId],
+        objects: Sequence[ObjectId],
+        values: Sequence[Value],
+        ground_truth: Optional[Mapping[ObjectId, Value]],
+        source_features: Optional[Mapping[SourceId, Mapping[str, object]]],
+        true_accuracies: Optional[Mapping[SourceId, float]],
+        name: str,
+    ) -> None:
+        """Intern the id columns and store the side data (both constructors)."""
         self.name = name
         self.sources: Indexer[SourceId] = Indexer()
         self.objects: Indexer[ObjectId] = Indexer()
         self._domains: List[Indexer[Value]] = []
-        entries, self.obs_source_idx, self.obs_object_idx, self.obs_value_idx = (
-            intern_observations(observations, self.sources, self.objects, self._domains)
+        self.obs_source_idx, self.obs_object_idx, self.obs_value_idx = intern_columns(
+            sources, objects, values, self.sources, self.objects, self._domains
         )
-        if not entries:
+        if not self.n_observations:
             raise DatasetError("a fusion dataset requires at least one observation")
-        self._observations: Tuple[Observation, ...] = tuple(entries)
+        self._observations: Optional[Tuple[Observation, ...]] = None
 
         self.ground_truth: Dict[ObjectId, Value] = dict(ground_truth or {})
         for obj in self.ground_truth:
@@ -179,7 +275,23 @@ class FusionDataset:
     # ------------------------------------------------------------------
     @property
     def observations(self) -> Tuple[Observation, ...]:
-        """All observations in input order."""
+        """All observations in input order.
+
+        A dataset built from records returns those records.  One built by
+        :meth:`from_columns` materializes them from the id tables and code
+        columns on first read and caches them.
+        """
+        if self._observations is None:
+            source_items, object_items = self.sources.items, self.objects.items
+            domains = self._domains
+            self._observations = tuple(
+                Observation(source_items[s], object_items[o], domains[o].item(v))
+                for s, o, v in zip(
+                    self.obs_source_idx.tolist(),
+                    self.obs_object_idx.tolist(),
+                    self.obs_value_idx.tolist(),
+                )
+            )
         return self._observations
 
     @property
@@ -192,7 +304,7 @@ class FusionDataset:
 
     @property
     def n_observations(self) -> int:
-        return len(self._observations)
+        return int(self.obs_source_idx.shape[0])
 
     def domain(self, obj: ObjectId) -> List[Value]:
         """Distinct values claimed for ``obj`` (the paper's ``D_o``)."""
@@ -205,12 +317,14 @@ class FusionDataset:
     def observations_of_object(self, obj: ObjectId) -> List[Observation]:
         """All observations that describe ``obj``, in input order."""
         rows = self.object_observation_rows(self.objects.index(obj))
-        return [self._observations[i] for i in rows.tolist()]
+        records = self.observations
+        return [records[i] for i in rows.tolist()]
 
     def observations_of_source(self, source: SourceId) -> List[Observation]:
         """All observations made by ``source``, in input order."""
         rows = self.source_observation_rows(self.sources.index(source))
-        return [self._observations[i] for i in rows.tolist()]
+        records = self.observations
+        return [records[i] for i in rows.tolist()]
 
     def object_observation_rows(self, o_idx: int) -> np.ndarray:
         """Ascending observation row indices for object index ``o_idx``.
@@ -263,7 +377,7 @@ class FusionDataset:
         truth = self.ground_truth if truth is None else truth
         correct: Dict[SourceId, int] = {}
         total: Dict[SourceId, int] = {}
-        for obs in self._observations:
+        for obs in self.observations:
             expected = truth.get(obs.obj)
             if expected is None:
                 continue
@@ -375,9 +489,7 @@ class FusionDataset:
         the compiled index arrays in O(batch) instead of re-walking the
         accumulated observations.
         """
-        combined = list(self._observations)
-        for entry in observations:
-            combined.append(entry if isinstance(entry, Observation) else Observation(*entry))
+        combined = [*self.observations, *as_records(observations)]
         merged_truth = dict(self.ground_truth)
         merged_truth.update(ground_truth or {})
         merged_features: Dict[SourceId, Dict[str, object]] = {

@@ -30,7 +30,7 @@ For append-only workloads (streams, growing feeds) recompiling the whole
 encoding on every arrival would be the one remaining O(dataset) step.
 :class:`IncrementalEncoding` is the appendable form of the same encoding:
 it owns its id tables, interns each batch with the routine the dataset
-container uses (:func:`~repro.fusion.dataset.intern_observations`) in
+container uses (:func:`~repro.fusion.dataset.intern_columns`) in
 O(batch) amortized, and runs the same compile function
 (:func:`compile_arrays`) lazily after appends — so its arrays are
 bit-identical to a cold compile of the accumulated dataset (the contract
@@ -44,7 +44,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .dataset import FusionDataset, intern_observations
+from .dataset import FusionDataset, as_records, intern_columns, record_columns
 from .features import FeatureSpace, build_design_matrix
 from .types import Indexer, ObjectId, Observation, SourceId, Value
 
@@ -301,7 +301,7 @@ class DenseEncoding:
         if self._pair_values is None:
             values: List[Value] = []
             for domain in self._domains:
-                values.extend(domain.items)
+                values.extend(domain)
             self._pair_values = values
         return self._pair_values
 
@@ -478,7 +478,7 @@ class IncrementalEncoding(DenseEncoding):
     recompile a fresh :class:`DenseEncoding` would cost:
 
     * the encoding owns its id tables and interns each batch with
-      :func:`~repro.fusion.dataset.intern_observations`, the routine the
+      :func:`~repro.fusion.dataset.intern_columns`, the routine the
       :class:`~repro.fusion.dataset.FusionDataset` container uses (arrival
       order defines index order, first-seen order defines value codes;
       duplicate ``(source, object)`` claims and NaN values are rejected
@@ -564,10 +564,11 @@ class IncrementalEncoding(DenseEncoding):
         """
         n_sources_before = self.n_sources
         n_objects_before = self.n_objects
-        entries, source_idx, object_idx, value_code = intern_observations(
-            observations, self.sources, self.objects, self._domains, self._seen_pairs
+        sources, objects, values = record_columns(as_records(observations))
+        source_idx, object_idx, value_code = intern_columns(
+            sources, objects, values, self.sources, self.objects, self._domains, self._seen_pairs
         )
-        if not entries:
+        if not values:
             return AppendBatch(source_idx=source_idx, object_idx=object_idx, value_code=value_code)
 
         n_objects = self.n_objects
@@ -577,14 +578,14 @@ class IncrementalEncoding(DenseEncoding):
         # largest code plus one.
         np.maximum.at(self._live_sizes.data, object_idx, value_code + 1)
         self._place(object_idx, source_idx, value_code, first_row=self._n_obs)
-        self._n_obs += len(entries)
+        self._n_obs += len(values)
         self._arrays = None
         self._pair_values = None
         return AppendBatch(
             source_idx=source_idx,
             object_idx=object_idx,
             value_code=value_code,
-            values=[obs.value for obs in entries],
+            values=values,
             n_new_sources=self.n_sources - n_sources_before,
             n_new_objects=n_objects - n_objects_before,
         )

@@ -15,7 +15,7 @@ contiguous integer indices produced by :class:`Indexer`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generic, Hashable, Iterable, Iterator, List, Optional, TypeVar
+from typing import Dict, Generic, Hashable, Iterable, Iterator, List, Optional, Sequence, TypeVar
 
 SourceId = Hashable
 ObjectId = Hashable
@@ -69,6 +69,21 @@ class Indexer(Generic[T]):
             self._index[item] = idx
             self._items.append(item)
         return idx
+
+    def add_all(self, items: Sequence[T]) -> List[int]:
+        """Insert every item (idempotently) and return their indices, aligned.
+
+        Equivalent to ``[self.add(item) for item in items]`` — new items get
+        indices in first-seen order and an equal item already present keeps
+        its stored representative — but walks only the distinct items in
+        Python; the per-item lookups run in C.
+        """
+        index, stored = self._index, self._items
+        for item in dict.fromkeys(items):
+            if item not in index:
+                index[item] = len(stored)
+                stored.append(item)
+        return list(map(index.__getitem__, items))
 
     def index(self, item: T) -> int:
         """Return the index of ``item``; raises ``KeyError`` if unknown."""

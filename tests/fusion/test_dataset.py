@@ -42,6 +42,10 @@ class TestConstruction:
         with pytest.raises(DatasetError, match="NaN claim value for source='s' obj='o2'"):
             FusionDataset([("s", "o1", "x"), ("s", "o2", float("nan"))])
 
+    def test_from_columns_rejects_ragged_columns(self):
+        with pytest.raises(DatasetError, match="1 sources, 2 objects, 1 values"):
+            FusionDataset.from_columns(["s"], ["o", "p"], ["v"])
+
     def test_ground_truth_for_unknown_object_rejected(self):
         with pytest.raises(DatasetError, match="unknown object"):
             FusionDataset([("s", "o", "a")], ground_truth={"nope": "a"})

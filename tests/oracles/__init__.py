@@ -18,7 +18,9 @@ as speedup denominators:
   ``tests/scenarios/test_decay_differential.py``);
 * :mod:`tests.oracles.optimizer` — the agreement matrix's pair walk, the
   average domain size, the EM information units and the optimizer
-  decision built on them (``tests/core/test_optimizer_equivalence.py``).
+  decision built on them (``tests/core/test_optimizer_equivalence.py``);
+* :mod:`tests.oracles.ingest` — per-record batch validation and interning
+  (``tests/fusion/test_ingest_equivalence.py``).
 
 An oracle never calls the production code it checks.  It may share the
 unforked pieces both sides build on: the dataset and model containers, the

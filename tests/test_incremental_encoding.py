@@ -331,7 +331,9 @@ class TestDegenerateInputs:
             FusionDataset([])
         # ...and the encoder guards against emptied/stubbed datasets too.
         hollow = FusionDataset([("s", "o", "v")])
-        hollow._observations = ()
+        hollow.obs_source_idx = hollow.obs_object_idx = hollow.obs_value_idx = np.zeros(
+            0, dtype=np.int64
+        )
         with pytest.raises(ValueError, match="zero observations"):
             DenseEncoding(hollow)
         with pytest.raises(ValueError, match="zero observations"):
