@@ -43,7 +43,7 @@ import numpy as np
 from ..fusion.dataset import FusionDataset
 from ..fusion.encoding import encode_dataset
 from ..fusion.features import FeatureSpace
-from ..fusion.types import ObjectId, Value
+from ..fusion.types import DatasetError, ObjectId, Value
 from ..optim.numerics import logit
 from ..optim.objectives import CorrectnessObjective, reduce_correctness_samples
 from ..optim.solvers import (
@@ -455,7 +455,7 @@ class EMLearner:
                 warm = learner.fit(
                     dataset, truth, design=design, feature_space=feature_space, structure=structure
                 )
-            except Exception:
+            except DatasetError:  # no observation overlaps the labels
                 return w  # fall back to the uniform init
             # Sources without labeled observations keep the uniform prior so
             # the first E-step still behaves like majority vote for objects

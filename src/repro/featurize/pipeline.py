@@ -211,7 +211,9 @@ class FeaturizerPipeline:
             )
         encoding = encode_dataset(source)
         arrays = {name: getattr(encoding, name) for name in STAT_ARRAYS}
-        digest = dataset_digest(arrays, encoding.source_features)
+        if encoding._digest is None:  # memoized until IncrementalEncoding.append
+            encoding._digest = dataset_digest(arrays, encoding.source_features)
+        digest = encoding._digest
         key = cache_key(digest, self.version_key)
         hit = self.cache.load(key)
         if hit is not None:

@@ -206,6 +206,10 @@ class DenseEncoding:
         self._arrays: Optional[Dict[str, np.ndarray]] = None
         self._pair_values: Optional[List[Value]] = None
         self._design_cache: Dict[bool, object] = {}
+        # Featurizer dataset digest, filled by FeaturizerPipeline.featurize.
+        self._digest: Optional[str] = None
+        # (truth copy, labeled, codes) of the last truth_codes call.
+        self._truth_memo: Optional[Tuple[dict, np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------
     # Compiled arrays
@@ -327,7 +331,15 @@ class DenseEncoding:
         objects present in ``truth`` and ``codes`` holds the within-domain
         value code of the true value (-1 when the object is unlabeled *or*
         its true value was never claimed by any source).
+
+        The last result is memoized until the next append and reused for
+        any ``==``-equal ``truth`` (domain lookups are dict lookups, so equal
+        values code identically).  Every caller shares the arrays, so both
+        are read-only.
         """
+        memo = self._truth_memo
+        if memo is not None and memo[0] == truth:
+            return memo[1], memo[2]
         labeled = np.zeros(self.n_objects, dtype=bool)
         codes = np.full(self.n_objects, -1, dtype=np.int64)
         objects = self.objects
@@ -339,6 +351,9 @@ class DenseEncoding:
             code = self._domains[o_idx].get(value)
             if code is not None:
                 codes[o_idx] = code
+        labeled.setflags(write=False)
+        codes.setflags(write=False)
+        self._truth_memo = (dict(truth), labeled, codes)
         return labeled, codes
 
     def label_rows(self, truth: Mapping[ObjectId, Value]) -> np.ndarray:
@@ -522,6 +537,8 @@ class IncrementalEncoding(DenseEncoding):
         self._n_obs = 0
         self._arrays = None
         self._pair_values = None
+        self._digest = None
+        self._truth_memo = None
 
         # Slot store backing the CSR spans (parallel arrays, manual doubling).
         self._store_src = np.zeros(16, dtype=np.int64)
@@ -581,6 +598,8 @@ class IncrementalEncoding(DenseEncoding):
         self._n_obs += len(values)
         self._arrays = None
         self._pair_values = None
+        self._digest = None
+        self._truth_memo = None
         return AppendBatch(
             source_idx=source_idx,
             object_idx=object_idx,

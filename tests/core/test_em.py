@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import EMConfig, EMLearner
+from repro.core import EMConfig, EMLearner, ERMLearner
 from repro.core.inference import map_assignment, posteriors
 from repro.data import SyntheticConfig, generate
 from repro.fusion import object_value_accuracy
@@ -86,6 +86,24 @@ class TestSemiSupervisedEM:
         # both must land on sensible solutions
         for model in (warm, cold):
             assert np.mean(model.accuracies()) > 0.55
+
+    def test_warm_start_error_propagates(self, dense_instance, monkeypatch):
+        # Only "no observation overlaps the labels" falls back to the
+        # uniform init; any other warm-start failure is a bug to surface.
+        def broken_fit(self, *args, **kwargs):
+            raise RuntimeError("warm start broke")
+
+        monkeypatch.setattr(ERMLearner, "fit", broken_fit)
+        split = dense_instance.dataset.split(0.2, seed=1)
+        with pytest.raises(RuntimeError, match="warm start broke"):
+            EMLearner(EMConfig(use_features=False)).fit(dense_instance.dataset, split.train_truth)
+
+    def test_warm_start_without_overlap_falls_back(self, dense_instance):
+        ds = dense_instance.dataset
+        ghosts = {f"ghost{i}": "v0" for i in range(5)}
+        warm = EMLearner(EMConfig(use_features=False, warm_start_erm=True)).fit(ds, ghosts)
+        cold = EMLearner(EMConfig(use_features=False, warm_start_erm=False)).fit(ds, ghosts)
+        np.testing.assert_array_equal(warm.w_sources, cold.w_sources)
 
 
 class TestEMWithFeatures:

@@ -7,7 +7,8 @@ as speedup denominators:
 
 * :mod:`tests.oracles.structure` — plain and source-masked candidate
   structures (``tests/test_vectorized_equivalence.py``,
-  ``tests/experiments/test_sweeps.py``);
+  ``tests/experiments/test_sweeps.py``) and the per-label truth coding
+  (``tests/fusion/test_encoding_memos.py``);
 * :mod:`tests.oracles.inference` — dict posteriors and the post-hoc E-step
   clamp (``tests/test_vectorized_equivalence.py``);
 * :mod:`tests.oracles.learners` — ERM and EM fits and the facade's

@@ -1,9 +1,11 @@
 """Loop oracle for :mod:`repro.core.structure`: candidate structures built
-by walking the dataset's observations object by object."""
+by walking the dataset's observations object by object, and the label
+codings (``label_rows``, ``truth_codes``) found by walking each labeled
+object's domain."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -146,3 +148,18 @@ def label_rows(structure: PairStructure, truth: Mapping[ObjectId, Value]) -> np.
                 labels[position] = row
                 break
     return labels
+
+
+def truth_codes(encoding, truth: Mapping[ObjectId, Value]) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-label walk: (labeled mask, domain code of the true value or -1) per object."""
+    labeled = np.zeros(encoding.n_objects, dtype=bool)
+    codes = np.full(encoding.n_objects, -1, dtype=np.int64)
+    for o_idx, obj in enumerate(encoding.objects.items):
+        if obj not in truth:
+            continue
+        labeled[o_idx] = True
+        for code, value in enumerate(encoding.domain_by_index(o_idx).items):
+            if value == truth[obj]:
+                codes[o_idx] = code
+                break
+    return labeled, codes
