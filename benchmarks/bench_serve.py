@@ -15,7 +15,8 @@ fusion workload in three steps:
 3. **Write-load phase**: the same reader pool runs while a writer thread
    streams the second half of the workload through ``append`` with
    periodic snapshot publishes.  The report records queries/sec and
-   p50/p99 for both phases plus snapshot build/swap latency figures.
+   p50/p99 for both phases plus the snapshot build latency figures and
+   the number of snapshots published under load.
 
 The bench **fails** (exit 1) when the under-write lookup p99 exceeds
 ``--max-p99-ratio`` (default 2.0) times the read-only p99 — the
@@ -242,7 +243,6 @@ def run_benchmarks(
         },
         "p99_write_over_read_ratio": p99_ratio,
         "snapshot_build": server.metrics.publish_latency.as_dict(),
-        "snapshot_swap": server.metrics.swap_latency.as_dict(),
     }
     print(
         f"read-only: {serve['read_only']['queries_per_second']:.0f} qps "

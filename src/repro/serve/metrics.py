@@ -11,8 +11,8 @@ dependency, so this module keeps everything on the standard library:
   the gate in ``benchmarks/bench_serve.py``) must keep raw samples instead.
 * :class:`ServeMetrics` — the counters a :class:`~repro.serve.server.FusionServer`
   maintains: per-kind query counts with one shared lookup-latency
-  histogram, ingest batch/observation/error counts, snapshot publish/swap
-  counts with publish-latency histograms, and the age of the currently
+  histogram, ingest batch/observation/error counts, the snapshot publish
+  count with a build-latency histogram, and the age of the currently
   published snapshot.
 
 All mutators take a lock per call; at serving rates (µs-scale lookups)
@@ -45,7 +45,6 @@ GUARDED_BY = {
     "_ingest_observations": "_lock",
     "_ingest_errors": "_lock",
     "_swaps": "_lock",
-    "_drained": "_lock",
     "_last_publish_monotonic": "_lock",
 }
 
@@ -160,24 +159,21 @@ class ServeMetrics:
     """Counters and histograms maintained by a serving front-end.
 
     Tracks per-kind query counts (one shared lookup-latency histogram),
-    ingest batches/observations/errors, snapshot publishes (build and
-    swap latency histograms, swap count, retired-snapshot drain count)
-    and the age of the currently published snapshot.  All methods are
-    thread-safe; :meth:`as_dict` returns a plain-dict snapshot suitable
-    for JSON export.
+    ingest batches/observations/errors, snapshot publishes (count and
+    build-latency histogram) and the age of the currently published
+    snapshot.  All methods are thread-safe; :meth:`as_dict` returns a
+    plain-dict snapshot suitable for JSON export.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self.query_latency = LatencyHistogram()
         self.publish_latency = LatencyHistogram()
-        self.swap_latency = LatencyHistogram()
         self._query_counts: Dict[str, int] = {}
         self._ingest_batches = 0
         self._ingest_observations = 0
         self._ingest_errors = 0
         self._swaps = 0
-        self._drained = 0
         self._last_publish_monotonic: Optional[float] = None
 
     # ------------------------------------------------------------------
@@ -200,18 +196,12 @@ class ServeMetrics:
         with self._lock:
             self._ingest_errors += 1
 
-    def record_publish(self, build_seconds: float, swap_seconds: float) -> None:
-        """Count one snapshot publish (build + reference-swap timings)."""
+    def record_publish(self, build_seconds: float) -> None:
+        """Count one snapshot publish and add its build time."""
         self.publish_latency.record(build_seconds)
-        self.swap_latency.record(swap_seconds)
         with self._lock:
             self._swaps += 1
             self._last_publish_monotonic = time.monotonic()
-
-    def record_drained(self, n: int = 1) -> None:
-        """Count retired snapshots whose readers have drained."""
-        with self._lock:
-            self._drained += int(n)
 
     # ------------------------------------------------------------------
     # Readers
@@ -251,12 +241,6 @@ class ServeMetrics:
         with self._lock:
             return self._swaps
 
-    @property
-    def drained_count(self) -> int:
-        """Retired snapshots fully drained of readers."""
-        with self._lock:
-            return self._drained
-
     def snapshot_age_seconds(self) -> Optional[float]:
         """Seconds since the last publish (None before the first)."""
         with self._lock:
@@ -274,16 +258,10 @@ class ServeMetrics:
                 "errors": self._ingest_errors,
             }
             swaps = self._swaps
-            drained = self._drained
         return {
             "queries": {"total": self.query_latency.count, "by_kind": counts},
             "query_latency": self.query_latency.as_dict(),
             "ingest": ingest,
-            "snapshots": {
-                "swaps": swaps,
-                "drained": drained,
-                "age_seconds": age,
-            },
+            "snapshots": {"swaps": swaps, "age_seconds": age},
             "publish_latency": self.publish_latency.as_dict(),
-            "swap_latency": self.swap_latency.as_dict(),
         }

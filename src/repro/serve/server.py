@@ -1,29 +1,27 @@
-"""Concurrent fusion serving: reader-leased single-reference snapshot swap.
+"""Concurrent fusion serving: one published snapshot reference, one writer lock.
 
 :class:`FusionServer` puts a query front-end over a
 :class:`~repro.extensions.streaming.StreamingFuser`:
 
-* **Readers** take a lease on the currently published
-  :class:`~repro.serve.snapshot.Snapshot` (:meth:`FusionServer.read`, a
-  context manager) and query it lock-free — snapshots are immutable, so
-  a lease is one uncontended refcount increment, never a wait on ingest.
+* **Readers** load the currently published
+  :class:`~repro.serve.snapshot.Snapshot` reference once and query it —
+  no lock, so a read never waits on ingest.  :meth:`FusionServer.read`
+  yields that one reference for a block of queries that must agree.
 * **The writer** (one thread; either the caller or the built-in queue
   loop started by :meth:`FusionServer.start`) appends batches to the
   fuser's :class:`~repro.fusion.encoding.IncrementalEncoding`, optionally
   re-anchors via the fuser's periodic
   :func:`~repro.core.em.fit_incremental` re-fit, and periodically
   **publishes**: build a fresh snapshot from the live state, then swap
-  the single published reference under a microsecond-scale lock.  The
-  superseded snapshot is *retired*, not invalidated — readers still
-  holding a lease on it finish their queries against consistent data,
-  and the snapshot is reaped once its reader count drains.
+  it in by assigning the published reference.  A superseded snapshot is
+  not invalidated or tracked: it lives, and keeps answering with its own
+  data, as long as someone holds it.
 
-The contract readers rely on: a snapshot acquired through
-:meth:`FusionServer.read` is internally consistent forever (no torn
-state, no mutation after publish), and acquiring one costs the same
-whether or not an ingest or publish is in flight.  Writer-side work
-(encoding appends, EM re-fits, snapshot builds) happens entirely outside
-the swap lock.
+The contract readers rely on: a snapshot obtained from the server is
+internally consistent forever (no torn state, no mutation after
+publish), and obtaining one costs the same whether or not an ingest or
+publish is in flight.  That rests on two facts: snapshots never mutate,
+and loading or storing one attribute is atomic in CPython.
 
 All mutating entry points serialize on a writer lock, so a single
 ``FusionServer`` tolerates multiple writer threads — but the intended
@@ -50,10 +48,10 @@ __all__ = ["FusionServer"]
 #: happen inside a ``with self.<lock>:`` block (or in ``__init__``, or in
 #: a function annotated ``# repro-analysis: holds[<lock>]``).  Keep this
 #: table in sync with the concurrency story in the module docstring.
+#: ``_snapshot`` is deliberately unlisted: one writer assigns it under
+#: ``_write_lock``, readers do one attribute load (atomic in CPython),
+#: and snapshots never mutate.
 GUARDED_BY = {
-    "_snapshot": "_swap_lock",
-    "_retiring": "_swap_lock",
-    "_version": "_write_lock",
     "_batches_since_publish": "_write_lock",
 }
 
@@ -109,13 +107,8 @@ class FusionServer:
         self.publish_every = publish_every
         self.with_dataset = with_dataset
         self.metrics = metrics if metrics is not None else ServeMetrics()
-        self._version = 0
         self._snapshot = Snapshot.empty(version=0)
-        # _swap_lock guards only the published reference (and the
-        # retiring list); writers never hold it while doing real work.
-        self._swap_lock = threading.Lock()
         self._write_lock = threading.RLock()
-        self._retiring: List[Snapshot] = []
         self._batches_since_publish = 0
         self._queue: Optional[queue.Queue] = None
         self._writer_thread: Optional[threading.Thread] = None
@@ -126,42 +119,26 @@ class FusionServer:
     # ------------------------------------------------------------------
     @contextmanager
     def read(self) -> Iterator[Snapshot]:
-        """Lease the published snapshot for a block of queries.
+        """Yield the published snapshot for a block of queries.
 
-        The yielded snapshot stays valid for the whole block even if a
-        publish supersedes it mid-read; the lease only delays the old
-        snapshot's *drain* bookkeeping, never the swap itself.
+        The block sees that one snapshot throughout, even if a publish
+        supersedes it mid-read.
         """
-        with self._swap_lock:
-            snapshot = self._snapshot.acquire()
-        try:
-            yield snapshot
-        finally:
-            snapshot.release()
-            self._reap_retired()
+        yield self._snapshot
 
     @property
     def snapshot(self) -> Snapshot:
-        """The published snapshot (un-leased peek; prefer :meth:`read`)."""
-        with self._swap_lock:
-            return self._snapshot
+        """The published snapshot."""
+        return self._snapshot
 
     @property
     def version(self) -> int:
         """Version of the published snapshot (0 until the first publish)."""
-        with self._swap_lock:
-            return self._snapshot.version
-
-    @property
-    def retiring_count(self) -> int:
-        """Retired snapshots still waiting on reader leases."""
-        with self._swap_lock:
-            return len(self._retiring)
+        return self._snapshot.version
 
     def _timed(self, kind: str, fn):
         start = time.perf_counter()
-        with self.read() as snapshot:
-            out = fn(snapshot)
+        out = fn(self._snapshot)
         self.metrics.record_query(kind, time.perf_counter() - start)
         return out
 
@@ -223,47 +200,23 @@ class FusionServer:
             self.fuser.refit()
 
     def publish(self) -> Snapshot:
-        """Build a snapshot from the live state and swap it in atomically.
+        """Build a snapshot from the live state and publish it.
 
         The build (the expensive part: one segmented softmax plus the
-        conflict index) runs outside the swap lock; the swap itself is a
-        single reference assignment under it.  The superseded snapshot is
-        retired and reaped once its readers drain.
+        conflict index) holds only the writer lock, so readers keep
+        querying the previous snapshot until the single reference
+        assignment that publishes the new one.
         """
         with self._write_lock:
             build_start = time.perf_counter()
             snapshot = Snapshot.from_fuser(
-                self.fuser, version=self._version + 1, with_dataset=self.with_dataset
+                self.fuser, version=self._snapshot.version + 1, with_dataset=self.with_dataset
             )
             build_seconds = time.perf_counter() - build_start
-            swap_start = time.perf_counter()
-            with self._swap_lock:
-                old = self._snapshot
-                self._snapshot = snapshot
-                self._version = snapshot.version
-            swap_seconds = time.perf_counter() - swap_start
-            old.retire()
-            if not old.drained:
-                with self._swap_lock:
-                    self._retiring.append(old)
+            self._snapshot = snapshot
             self._batches_since_publish = 0
-            self.metrics.record_publish(build_seconds, swap_seconds)
-            self._reap_retired()
+            self.metrics.record_publish(build_seconds)
             return snapshot
-
-    def _reap_retired(self) -> None:
-        # Benign racy emptiness peek: a stale read only delays reaping to
-        # the next release/publish, and the real walk re-checks under the
-        # lock.  Taking the swap lock here would put it on every reader's
-        # release path for nothing.
-        if not self._retiring:  # repro-analysis: ignore[RA2]
-            return
-        with self._swap_lock:
-            kept = [snapshot for snapshot in self._retiring if not snapshot.drained]
-            n_drained = len(self._retiring) - len(kept)
-            self._retiring = kept
-        if n_drained:
-            self.metrics.record_drained(n_drained)
 
     # ------------------------------------------------------------------
     # Background writer loop

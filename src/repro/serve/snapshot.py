@@ -17,10 +17,9 @@ need in O(1)/O(k):
 Snapshots never mutate after construction (the store's flat arrays are
 frozen via :meth:`~repro.fusion.posterior_store.PosteriorStore.freeze`),
 so any number of reader threads can query one concurrently without
-locks.  The small amount of *runtime* state a snapshot carries — the
-reader-lease refcount used by
-:class:`~repro.serve.server.FusionServer` for retirement — is excluded
-from pickling and re-initialized on load.
+locks.  Construction, unpickling and :meth:`Snapshot.load` all run the
+same alignment check: the object ids, claimed values, conflict index and
+reliability vector must match the store's sizes.
 
 Pickling a snapshot that carries an attached dataset ships the dataset's
 compiled :class:`~repro.fusion.encoding.DenseEncoding` explicitly via
@@ -34,7 +33,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -45,14 +43,6 @@ from ..fusion.posterior_store import PosteriorStore, segmented_argmax
 from ..fusion.types import ObjectId, SourceId, Value
 
 __all__ = ["Snapshot", "ConflictEntry", "ConflictIndex", "build_conflict_index"]
-
-#: Lock discipline, machine-checked by the ``RA2`` rule of
-#: ``tools/repro_analysis``.  Only the lease-refcount runtime is mutable
-#: after construction; the published arrays need no locks (immutable).
-GUARDED_BY = {
-    "_readers": "_lease_lock",
-    "_retired": "_lease_lock",
-}
 
 _META_FILE = "meta.pkl"
 _STORE_DIR = "store"
@@ -141,7 +131,8 @@ class Snapshot:
     pair_values:
         Flat claimed values aligned with the store's CSR rows.
     accuracy_vector, source_ids:
-        Per-source reliability estimates (optional, aligned).
+        Per-source reliability estimates (optional; given together, as a
+        1-D vector with one entry per source id).
     overrides:
         Objects whose truth lies outside the claimed domain (store code
         -1), mapping to the out-of-domain value.
@@ -154,10 +145,10 @@ class Snapshot:
         encoding attached (see the module docstring for the pickling
         contract).
 
-    Queries never mutate the snapshot, so readers need no locks.  The
-    :meth:`acquire`/:meth:`release` lease refcount exists only for the
-    serving layer's retirement protocol; querying a retired snapshot
-    remains valid — retirement is bookkeeping, not invalidation.
+    Queries never mutate the snapshot, so readers need no locks, and a
+    superseded snapshot keeps answering with its own data for as long as
+    anyone holds it.  Raises ``ValueError`` when the ids, claimed values
+    or reliability vector do not match the store's sizes.
     """
 
     def __init__(
@@ -178,20 +169,10 @@ class Snapshot:
         self.store = store.freeze()
         self.object_ids = list(object_ids)
         self.pair_values = list(pair_values)
-        if len(self.object_ids) != store.n_objects:
-            raise ValueError(
-                f"{len(self.object_ids)} object ids for a store of {store.n_objects} objects"
-            )
-        if len(self.pair_values) != store.n_rows:
-            raise ValueError(
-                f"{len(self.pair_values)} pair values for a store of {store.n_rows} rows"
-            )
         self.accuracy_vector = (
             None if accuracy_vector is None else np.asarray(accuracy_vector, dtype=float)
         )
         self.source_ids = None if source_ids is None else list(source_ids)
-        if (self.accuracy_vector is None) != (self.source_ids is None):
-            raise ValueError("accuracy_vector and source_ids must be given together")
         self.overrides = dict(overrides or {})
         self.truth = dict(truth or {})
         self.version = int(version)
@@ -199,8 +180,8 @@ class Snapshot:
         self.n_refits = int(n_refits)
         self.dataset = dataset
         self.conflicts = build_conflict_index(self.store)
+        self._check_alignment()
         self._build_indexes()
-        self._init_runtime()
 
     # ------------------------------------------------------------------
     # Construction
@@ -271,6 +252,33 @@ class Snapshot:
             truth=state["truth"],
             dataset=state["dataset"],
         )
+
+    def _check_alignment(self) -> None:
+        # Construction and unpickling (hence load) both run this, so a
+        # snapshot whose parts disagree in size never serves a query.
+        n_objects = self.store.n_objects
+        if len(self.object_ids) != n_objects:
+            raise ValueError(
+                f"{len(self.object_ids)} object ids for a store of {n_objects} objects"
+            )
+        if len(self.pair_values) != self.store.n_rows:
+            raise ValueError(
+                f"{len(self.pair_values)} pair values for a store of {self.store.n_rows} rows"
+            )
+        for name in ("margins", "second_codes", "order"):
+            length = len(getattr(self.conflicts, name))
+            if length != n_objects:
+                raise ValueError(
+                    f"conflict index {name} has {length} entries for a store of "
+                    f"{n_objects} objects"
+                )
+        if (self.accuracy_vector is None) != (self.source_ids is None):
+            raise ValueError("accuracy_vector and source_ids must be given together")
+        if self.source_ids is not None and self.accuracy_vector.shape != (len(self.source_ids),):
+            raise ValueError(
+                f"accuracy_vector of shape {self.accuracy_vector.shape} for "
+                f"{len(self.source_ids)} source ids"
+            )
 
     def _build_indexes(self) -> None:
         self._positions = {obj: i for i, obj in enumerate(self.object_ids)}
@@ -405,68 +413,13 @@ class Snapshot:
         }
 
     # ------------------------------------------------------------------
-    # Reader-lease runtime (used by FusionServer's retirement protocol)
-    # ------------------------------------------------------------------
-    # Pre-publication initialization: the snapshot is not visible to any
-    # other thread until __init__/__setstate__ returns, so these writes
-    # cannot race (the lock they would take is created right here).
-    # repro-analysis: ignore[RA2]
-    def _init_runtime(self) -> None:
-        self._lease_lock = threading.Lock()
-        self._readers = 0
-        self._retired = False
-        self._drained = threading.Event()
-
-    def acquire(self) -> "Snapshot":
-        """Take a reader lease; pair with :meth:`release`."""
-        with self._lease_lock:
-            self._readers += 1
-        return self
-
-    def release(self) -> None:
-        """Drop a reader lease; the last one out drains a retired snapshot."""
-        with self._lease_lock:
-            self._readers -= 1
-            if self._retired and self._readers == 0:
-                self._drained.set()
-
-    def retire(self) -> None:
-        """Mark the snapshot superseded (drains immediately if unleased)."""
-        with self._lease_lock:
-            self._retired = True
-            if self._readers == 0:
-                self._drained.set()
-
-    @property
-    def reader_count(self) -> int:
-        """Currently held reader leases."""
-        with self._lease_lock:
-            return self._readers
-
-    @property
-    def retired(self) -> bool:
-        """Whether a newer snapshot superseded this one."""
-        with self._lease_lock:
-            return self._retired
-
-    @property
-    def drained(self) -> bool:
-        """Whether the snapshot is retired with no remaining leases."""
-        return self._drained.is_set()
-
-    def wait_drained(self, timeout: Optional[float] = None) -> bool:
-        """Block until retired-and-unleased (True) or ``timeout`` elapses."""
-        return self._drained.wait(timeout)
-
-    # ------------------------------------------------------------------
     # Pickling / persistence
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
         state = {
             key: value
             for key, value in self.__dict__.items()
-            if key
-            not in ("_lease_lock", "_readers", "_retired", "_drained", "_positions", "_source_positions")
+            if key not in ("_positions", "_source_positions")
         }
         dataset = state.get("dataset")
         if dataset is not None:
@@ -482,8 +435,8 @@ class Snapshot:
         encoding_state = state.pop("_encoding_state", None)
         self.__dict__.update(state)
         self.store.freeze()
+        self._check_alignment()
         self._build_indexes()
-        self._init_runtime()
         if encoding_state is not None and self.dataset is not None:
             self.dataset._dense_encoding = DenseEncoding.from_state(
                 self.dataset, encoding_state
@@ -510,7 +463,10 @@ class Snapshot:
 
         With ``mmap=True`` the store's flat arrays attach as read-only
         ``numpy.memmap`` views — a warm start that serves posteriors from
-        the OS page cache instead of loading them wholesale.
+        the OS page cache instead of loading them wholesale.  Raises
+        ``ValueError`` when ``store/`` and ``meta.pkl`` disagree in size
+        (e.g. a save interrupted between the two); parts of equal size
+        from different saves are not detected.
         """
         store = PosteriorStore.load(os.path.join(directory, _STORE_DIR), mmap=mmap)
         with open(os.path.join(directory, _META_FILE), "rb") as handle:

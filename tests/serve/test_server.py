@@ -1,14 +1,14 @@
-"""FusionServer: swap atomicity under concurrent readers, retirement,
-writer loop, and the serving entrypoint.
+"""FusionServer: consistent reads under concurrent publishes, held
+snapshots, the writer loop, and the serving entrypoint.
 
 The reader/writer contract under test:
 
-* a leased snapshot is internally consistent — readers racing a stream
-  of publishes never observe torn state (mismatched array lengths,
-  non-normalized posteriors, a version that goes backwards);
-* queries against a *retired* snapshot still complete with the retired
-  data (retirement is bookkeeping, not invalidation), and retired
-  snapshots drain exactly when their last lease drops;
+* a published snapshot is internally consistent — readers racing a
+  stream of publishes never observe torn state (mismatched array
+  lengths, non-normalized posteriors, a version that goes backwards);
+* a snapshot a reader holds keeps answering with its own data across
+  later publishes;
+* reads never wait on the writer lock;
 * the background writer loop survives bad batches and drains the queue;
 * ``python -m repro.serve`` runs end to end.
 """
@@ -101,54 +101,61 @@ class TestBasics:
         assert server.fuser.refit_every == 1000
 
 
-class TestRetirement:
-    def test_lease_counts(self):
-        server = FusionServer()
-        server.append(batch_for(0))
-        server.publish()
-        with server.read() as snapshot:
-            assert snapshot.reader_count == 1
-            with server.read() as again:
-                assert again is snapshot
-                assert snapshot.reader_count == 2
-        assert snapshot.reader_count == 0
-
-    def test_retired_snapshot_queries_still_complete(self):
+class TestHeldSnapshot:
+    def test_held_snapshot_answers_with_its_own_data_across_publishes(self):
         server = FusionServer()
         server.append(batch_for(0))
         server.publish()
         with server.read() as old:
             before = old.posterior("b0_o0")
-            server.append(batch_for(1))
-            fresh = server.publish()
-            assert old.retired
-            assert not old.drained  # our lease is still out
-            # The retired snapshot keeps answering with its own data.
+            fresh = []
+            for index in range(1, 4):
+                server.append(batch_for(index))
+                fresh.append(server.publish())
+            assert server.version == old.version + 3
+            # The superseded snapshot keeps answering with its own data.
             assert old.posterior("b0_o0") == pytest.approx(before)
-            assert old.posterior("b1_o0") == {}
-            assert fresh.posterior("b1_o0")
-        assert old.drained
-        server._reap_retired()
-        assert server.retiring_count == 0
-        assert server.metrics.drained_count >= 1
+            for index in range(1, 4):
+                assert old.posterior(f"b{index}_o0") == {}
+            for index, snapshot in enumerate(fresh, start=1):
+                assert snapshot.posterior(f"b{index}_o0")
+            assert server.snapshot is fresh[-1]
 
-    def test_unleased_snapshot_drains_on_publish(self):
+    def test_reads_do_not_wait_on_the_writer_lock(self):
         server = FusionServer()
         server.append(batch_for(0))
-        first = server.publish()
-        server.append(batch_for(1))
-        server.publish()
-        assert first.retired and first.drained
-        assert server.retiring_count == 0
+        published = server.publish()
+        held, release = threading.Event(), threading.Event()
+        answers = {}
 
-    def test_wait_drained(self):
-        server = FusionServer()
-        server.append(batch_for(0))
-        first = server.publish()
-        assert not first.wait_drained(timeout=0.01)
-        server.append(batch_for(1))
-        server.publish()
-        assert first.wait_drained(timeout=1.0)
+        def writer():
+            with server._write_lock:
+                held.set()
+                release.wait(timeout=30)
+
+        def reader():
+            answers["value"] = server.value("b0_o0")
+            answers["version"] = server.version
+            with server.read() as snapshot:
+                answers["read"] = snapshot
+
+        writer_thread = threading.Thread(target=writer, daemon=True)
+        writer_thread.start()
+        try:
+            assert held.wait(timeout=10)
+            reader_thread = threading.Thread(target=reader, daemon=True)
+            reader_thread.start()
+            reader_thread.join(timeout=10)
+            assert not reader_thread.is_alive()  # finished while the lock was held
+        finally:
+            release.set()
+            writer_thread.join(timeout=10)
+        assert not writer_thread.is_alive()
+        assert answers == {
+            "value": published.value("b0_o0"),
+            "version": 1,
+            "read": published,
+        }
 
 
 class TestConcurrentSwap:
@@ -201,9 +208,6 @@ class TestConcurrentSwap:
             thread.join()
         assert failures == []
         assert server.version == self.N_BATCHES
-        # Every superseded snapshot eventually drains once readers exit.
-        server._reap_retired()
-        assert server.retiring_count == 0
 
     def test_concurrent_retired_reads_complete(self):
         server = FusionServer()
@@ -215,7 +219,7 @@ class TestConcurrentSwap:
         def stale_reader():
             with server.read() as snapshot:
                 barrier.wait(timeout=5)
-                barrier.wait(timeout=5)  # hold the lease across the swap
+                barrier.wait(timeout=5)  # hold the snapshot across the publish
                 results.append(snapshot.posterior("b0_o0"))
 
         threads = [threading.Thread(target=stale_reader) for _ in range(2)]
@@ -354,6 +358,7 @@ class TestEntrypoint:
         report = json.loads(capsys.readouterr().out)
         assert report["snapshot"]["n_objects"] == 8
         assert report["metrics"]["snapshots"]["swaps"] >= 1
+        assert set(report["metrics"]["snapshots"]) == {"swaps", "age_seconds"}
         assert report["source_accuracies"]
 
 
@@ -391,15 +396,15 @@ class TestDriftingStream:
             # mid-drift parity: the published snapshot answers queries
             # identically to the live fuser at the moment of publish
             probe = [obs.obj for obs in step.observations[:5]]
-            with server.read() as leased:
-                assert leased.version == snapshot.version
+            with server.read() as held:
+                assert held.version == snapshot.version
                 for obj in probe:
                     live = fuser.posterior(obj)
-                    served = leased.posterior(obj)
+                    served = held.posterior(obj)
                     assert set(served) == set(live)
                     for value, p in live.items():
                         assert served[value] == pytest.approx(p, abs=1e-12)
-                    assert leased.value(obj) == fuser.current_value(obj)
+                    assert held.value(obj) == fuser.current_value(obj)
 
         assert versions == sorted(versions)
         assert len(set(versions)) == len(versions)  # strictly increasing

@@ -11,6 +11,9 @@ The serving contract under test:
   margin and excludes objects that cannot conflict;
 * snapshots round-trip through ``save``/``load`` (plain and ``mmap=True``)
   and through pickle;
+* construction, unpickling and ``load`` reject parts whose sizes
+  disagree with the store (a torn save directory, a reliability vector
+  that does not match the source ids);
 * pickling a snapshot that carries the accumulated dataset ships the
   compiled encoding explicitly — ``FusionDataset.__getstate__`` drops the
   cache, so without the explicit state restore every unpickle would
@@ -43,6 +46,12 @@ def build_fuser(**kwargs):
     fuser = StreamingFuser(**kwargs)
     fuser.observe_batch(OBSERVATIONS)
     return fuser
+
+
+def two_object_snapshot():
+    fuser = StreamingFuser()
+    fuser.observe_batch(OBSERVATIONS[:5])  # o1 and o2 only
+    return Snapshot.from_fuser(fuser)
 
 
 class TestQueryParity:
@@ -219,19 +228,58 @@ class TestPersistence:
         assert clone.version == 2
         assert clone.posterior("o1") == pytest.approx(snapshot.posterior("o1"))
         assert not clone.store.probs.flags.writeable
-        # Runtime lease state never travels: the clone starts unleased.
-        assert clone.reader_count == 0
-        assert not clone.retired
 
-    def test_lease_state_excluded_from_pickle(self):
+
+class TestAlignment:
+    """Every published part must fit the store, however it was built."""
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_load_rejects_a_store_from_another_save(self, tmp_path, mmap):
+        # What a crash inside save leaves behind: store/ from the new
+        # save next to meta.pkl from the old one.
+        directory = two_object_snapshot().save(str(tmp_path / "snap"))
+        Snapshot.from_fuser(build_fuser()).store.save(str(tmp_path / "snap" / "store"))
+        with pytest.raises(ValueError, match="2 object ids for a store of 4 objects"):
+            Snapshot.load(directory, mmap=mmap)
+
+    def test_unpickling_rejects_misaligned_state(self):
         snapshot = Snapshot.from_fuser(build_fuser())
-        snapshot.acquire()
-        snapshot.retire()
-        clone = pickle.loads(pickle.dumps(snapshot))
-        assert clone.reader_count == 0
-        assert not clone.retired
-        assert not clone.drained
-        snapshot.release()
+        for key, value, message in [
+            ("object_ids", snapshot.object_ids[:-1], "3 object ids for a store of 4"),
+            ("pair_values", snapshot.pair_values[:-1], "pair values for a store of"),
+            (
+                "conflicts",
+                two_object_snapshot().conflicts,
+                "conflict index margins has 2 entries for a store of 4",
+            ),
+            ("accuracy_vector", snapshot.accuracy_vector[:1], "accuracy_vector of shape"),
+        ]:
+            state = snapshot.__getstate__()
+            state[key] = value
+            with pytest.raises(ValueError, match=message):
+                Snapshot.__new__(Snapshot).__setstate__(state)
+
+    @pytest.mark.parametrize(
+        "vector, source_ids, message",
+        [
+            ([0.9], ["s1", "s2"], "accuracy_vector of shape"),
+            ([0.9, 0.8, 0.7], ["s1", "s2"], "accuracy_vector of shape"),
+            ([[0.9, 0.8]], ["s1", "s2"], "accuracy_vector of shape"),
+            (0.9, ["s1", "s2"], "accuracy_vector of shape"),
+            ([0.9], None, "given together"),
+        ],
+        ids=["short", "long", "2d", "scalar", "no-source-ids"],
+    )
+    def test_accuracy_vector_must_match_source_ids(self, vector, source_ids, message):
+        snapshot = Snapshot.from_fuser(build_fuser())
+        with pytest.raises(ValueError, match=message):
+            Snapshot(
+                snapshot.store,
+                snapshot.object_ids,
+                snapshot.pair_values,
+                accuracy_vector=np.array(vector),
+                source_ids=source_ids,
+            )
 
 
 class TestAttachedEncodingPickling:

@@ -11,6 +11,11 @@ appendable form of ``DenseEncoding``, so the dataset-shaped view over it,
 its cold-recompile and dense-export side doors, the separate incremental
 structure builder and the options that chose between those routes are
 gone.
+
+Serving reads are lease-free: the published snapshot is one reference
+that readers load without a lock, so the reader-lease, retirement and
+drain protocol, the swap lock and the metrics only it could feed are
+gone.
 """
 
 import functools
@@ -28,7 +33,8 @@ from repro.extensions import StreamingFuser
 from repro.factorgraph import GibbsSampler
 from repro.fusion import encoding as encoding_module
 from repro.fusion.encoding import IncrementalEncoding
-from repro.serve import FusionServer
+from repro.serve import FusionServer, ServeMetrics, Snapshot
+from repro.serve import snapshot as snapshot_module
 
 RETIRED_OPTIONS = [
     (build_pair_structure, "backend"),
@@ -75,13 +81,37 @@ RETIRED_NAMES = [
     (IncrementalEncoding, "as_dense"),
     (IncrementalEncoding, "dataset_view"),
     (structure_module, "build_incremental_structure"),
+    (snapshot_module, "GUARDED_BY"),
+    *[
+        (Snapshot, name)
+        for name in (
+            "acquire", "release", "retire", "reader_count", "retired", "drained",
+            "wait_drained", "_init_runtime",
+        )
+    ],
+    *[
+        (Snapshot.empty(), name)
+        for name in ("_lease_lock", "_readers", "_retired", "_drained")
+    ],
+    (FusionServer, "retiring_count"),
+    (FusionServer, "_reap_retired"),
+    *[(FusionServer(), name) for name in ("_swap_lock", "_retiring", "_version")],
+    (ServeMetrics, "record_drained"),
+    (ServeMetrics, "drained_count"),
+    (ServeMetrics(), "swap_latency"),
+    (ServeMetrics(), "_drained"),
 ]
+
+
+def _owner_name(owner) -> str:
+    # Instance attributes need an instance as the owner: "Type()".
+    return getattr(owner, "__name__", None) or f"{type(owner).__name__}()"
 
 
 @pytest.mark.parametrize(
     "owner, name",
     RETIRED_NAMES,
-    ids=[f"{owner.__name__}.{name}" for owner, name in RETIRED_NAMES],
+    ids=[f"{_owner_name(owner)}.{name}" for owner, name in RETIRED_NAMES],
 )
 def test_retired_name_is_gone(owner, name):
     assert not hasattr(owner, name)
