@@ -17,20 +17,23 @@ ERM warm start is used instead.  The likelihood is non-convex and EM may
 converge to local optima — the behaviour the paper's optimizer reasons
 about (e.g. label-flipped solutions when average accuracy < 0.5).
 
-**Warm-started M-step contract** (``solver="lbfgs-warm"``): each M-step is
-a convex weighted logistic regression whose data only drifts through the
-soft labels, so consecutive rounds share second-order information.  The
-warm path starts every solve from the previous round's weights, uses a
-*tolerance-adaptive* stopping rule (coarse while the outer EM delta is
-large, floored at the scipy reference's precision near convergence), and
-computes updates as structured Newton directions on the per-source
-sufficient statistics (:meth:`CorrectnessObjective.newton_direction`, an
-``O(S K^2)`` arrowhead solve) — with a warm-memory L-BFGS
-(:func:`repro.optim.solvers.minimize_lbfgs_warm`) as the generic fallback
-when the structured solve is unavailable.  Both paths minimize the same
-objective as the scipy reference: objective values agree at atol=1e-8,
-while parameter/accuracy agreement is bounded near 1e-6 by scipy's own
-double-precision stopping plateau (see ``tests/test_vectorized_equivalence.py``).
+Each M-step is a convex weighted logistic regression on the per-source
+sufficient statistics, solved deterministically to its optimum by one of
+two solvers (:data:`EM_SOLVERS`); the paper's SGD stays an ERM option.
+
+**Warm-started M-step contract** (``solver="lbfgs-warm"``): the M-step's
+data only drifts through the soft labels, so consecutive rounds share
+second-order information.  The warm path starts every solve from the
+previous round's weights, uses a *tolerance-adaptive* stopping rule
+(coarse while the outer EM delta is large, floored at the scipy
+reference's precision near convergence), and computes updates as
+structured Newton directions (:meth:`CorrectnessObjective.newton_direction`,
+an ``O(S K^2)`` arrowhead solve).  A round whose structured solve is
+singular is solved by the scipy reference instead, with the ``"lbfgs"``
+branch's stopping rule.  Both solvers minimize the same objective:
+objective values agree at atol=1e-8, while parameter/accuracy agreement
+is bounded near 1e-6 by scipy's own double-precision stopping plateau
+(see ``tests/test_vectorized_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -52,15 +55,7 @@ from ..fusion.sharding import (
 from ..fusion.types import DatasetError, ObjectId, Value
 from ..optim.numerics import logit
 from ..optim.objectives import CorrectnessObjective, reduce_correctness_samples
-from ..optim.solvers import (
-    LBFGSMemory,
-    SolverResult,
-    WarmStartState,
-    minimize_lbfgs,
-    minimize_lbfgs_warm,
-    minimize_newton,
-    sgd,
-)
+from ..optim.solvers import SolverResult, WarmStartState, minimize_lbfgs, minimize_newton
 from .erm import ERMConfig, ERMLearner
 from .inference import clamp_rows, expected_correctness
 from .model import AccuracyModel, model_from_flat
@@ -88,10 +83,11 @@ class EMConfig:
         When False, reduces to the paper's Sources-EM variant (the
         discriminative equivalent of Zhao et al.'s generative model).
     solver:
-        M-step solver: ``"lbfgs"`` (scipy L-BFGS-B, the reference),
-        ``"lbfgs-warm"`` (warm-started structured Newton with an L-BFGS
-        fallback — same minimizer, no per-round scipy setup cost, ~2.7x
-        faster end-to-end EM at 10k observations) or ``"sgd"``.
+        M-step solver, one of :data:`EM_SOLVERS`: ``"lbfgs"`` (scipy
+        L-BFGS-B, the reference) or ``"lbfgs-warm"`` (warm-started
+        structured Newton, falling back to the reference for a round whose
+        structured solve is singular — same minimizer, no per-round scipy
+        setup cost, ~2.7x faster end-to-end EM at 10k observations).
         **Equivalence contract:** ``"lbfgs-warm"`` and ``"lbfgs"`` minimize
         the same convex M-step; objective values agree at atol=1e-8 and
         accuracies near 1e-6, bounded by scipy's double-precision stopping
@@ -100,10 +96,11 @@ class EMConfig:
         (:class:`repro.experiments.sweeps.SweepRunner`) default to
         ``"lbfgs-warm"`` on the strength of this contract.
     m_step_tolerance:
-        Convergence tolerance of each M-step solve (scipy ``ftol`` for
-        ``"lbfgs"``, the relative-decrease stop for ``"lbfgs-warm"``).
-        Tighten to make the two solvers' trajectories coincide exactly;
-        the default matches scipy's historical behaviour.
+        Convergence tolerance of each M-step solve: scipy's ``ftol`` for
+        ``"lbfgs"``, whose ``gtol`` is ``min(1e-8, 10 * m_step_tolerance)``;
+        ``"lbfgs-warm"``'s gradient-norm stop is floored at that same
+        ``gtol``.  Tighten to make the two solvers' trajectories coincide
+        exactly; the default matches scipy's historical behaviour.
     n_shards:
         When set, every E-step runs shard-by-shard over contiguous object
         ranges (:mod:`repro.fusion.sharding`): each shard computes partial
@@ -113,8 +110,7 @@ class EMConfig:
         bit-identical to the unsharded fit and probabilities/accuracies
         agree at ``atol=1e-10`` for any shard count (only the cross-shard
         float reduce reorders additions; pinned in
-        ``tests/fusion/test_posterior_store.py``).  Requires a
-        statistics-reducing solver (not ``"sgd"``).
+        ``tests/fusion/test_posterior_store.py``).
     shard_jobs:
         Process fan-out for the shard E-steps *within one fit* (requires
         ``n_shards``): values above 1 evaluate shards on a
@@ -140,15 +136,13 @@ class EMConfig:
     l2_features: float = 1.0
     use_features: bool = True
     solver: str = "lbfgs"
-    sgd_epochs: int = 10
-    seed: int = 0
     m_step_tolerance: float = 1e-8
     n_shards: Optional[int] = None
     shard_jobs: Optional[int] = None
     featurizer: Optional[object] = None
 
 
-EM_SOLVERS = ("lbfgs", "lbfgs-warm", "sgd")
+EM_SOLVERS = ("lbfgs", "lbfgs-warm")
 
 
 @dataclass
@@ -172,11 +166,6 @@ class EMLearner:
         if base.n_shards is not None:
             if int(base.n_shards) < 1:
                 raise ValueError(f"n_shards must be a positive integer, got {base.n_shards!r}")
-            if base.solver == "sgd":
-                raise ValueError(
-                    "n_shards requires a statistics-reducing solver "
-                    "('lbfgs' or 'lbfgs-warm'); sgd consumes per-observation samples"
-                )
         elif base.shard_jobs is not None:
             raise ValueError("shard_jobs requires n_shards to be set")
         if base.featurizer is not None:
@@ -213,16 +202,15 @@ class EMLearner:
         pass a prebuilt (possibly source-masked) candidate structure, its
         per-object truth rows and the fused E-step clamp plan
         (:func:`~repro.core.inference.clamp_rows`), skipping the per-fit
-        derivation.  ``warm_state`` seeds the *inner* M-step solver
-        (starting point and L-BFGS curvature memory) from a previously
-        completed fit; because each M-step is a convex solve this
-        accelerates the first rounds without changing any round's optimum,
-        so the EM trajectory — and therefore the fitted model — is
-        unchanged up to the M-step solver tolerance.  Only
+        derivation.  ``warm_state`` seeds the *inner* M-step solver's
+        starting point from a previously completed fit; because each M-step
+        is a convex solve this accelerates the first rounds without changing
+        any round's optimum, so the EM trajectory — and therefore the fitted
+        model — is unchanged up to the M-step solver tolerance.  Only
         ``solver="lbfgs-warm"`` honors the seed (its gradient-based stop
         can be pinned to the tolerance floor for the seeded round, keeping
         the round's optimum donor-independent; scipy's decrease-based stop
-        cannot), other solvers ignore it.  The learner's own final state is
+        cannot); ``"lbfgs"`` ignores it.  The learner's own final state is
         published as :attr:`warm_state_` for the next fit in a sweep,
         alongside :attr:`m_step_result_` (the last M-step's
         :class:`~repro.optim.solvers.SolverResult`).
@@ -272,31 +260,13 @@ class EMLearner:
         deltas: List[float] = []
         converged = False
         previous_acc = model.accuracies()
-        reduce_m_step = self.config.solver != "sgd"
         warm = self.config.solver == "lbfgs-warm"
         # A warm-state handoff must match this fit's parameter layout; an
-        # incompatible donor (different feature flag or dataset) is ignored
-        # entirely — both its starting point and its curvature memory.
+        # incompatible donor (different feature flag or dataset) is ignored.
         seeded = warm and warm_state is not None and warm_state.compatible_with(w.shape[0])
-        # Curvature memory shared across M-steps: the objective only drifts
-        # through the soft labels, so the previous round's inverse-Hessian
-        # approximation remains a good preconditioner.  A sweep's warm-state
-        # handoff continues a *copy* of the donor fit's memory instead of
-        # starting cold — copying keeps the donor's published state frozen
-        # rather than aliasing one memory across every fit of a sweep.
-        if seeded and warm_state.memory is not None:
-            donor_memory = warm_state.memory
-            warm_memory = LBFGSMemory(
-                max_pairs=donor_memory.max_pairs,
-                s=list(donor_memory.s),
-                y=list(donor_memory.y),
-                rho=list(donor_memory.rho),
-            )
-        else:
-            warm_memory = LBFGSMemory() if warm else None
         # Foreign starting point for the first inner solve only; the convex
-        # M-step reaches the same optimum from any start.  Restricted to the
-        # lbfgs-warm family, whose gradient-based stopping rule we can pin
+        # M-step reaches the same optimum from any start.  Restricted to
+        # "lbfgs-warm", whose gradient-based stopping rule we can pin
         # below; scipy's decrease-based stop would terminate a near-optimal
         # foreign start early and break the equivalence contract.
         solve_from = w
@@ -337,16 +307,9 @@ class EMLearner:
                     # M-step samples: the objective is built once and
                     # re-pointed (re-reduced) at each round's samples —
                     # design, layout and penalties never change.
-                    if reduce_m_step:
-                        source_idx, labels, sample_weights = reduce_correctness_samples(
-                            structure.obs_source_idx, q_obs, dataset.n_sources
-                        )
-                    else:
-                        source_idx, labels, sample_weights = (
-                            structure.obs_source_idx,
-                            q_obs,
-                            None,
-                        )
+                    source_idx, labels, sample_weights = reduce_correctness_samples(
+                        structure.obs_source_idx, q_obs, dataset.n_sources
+                    )
                 if objective is None:
                     objective = CorrectnessObjective(
                         source_idx=source_idx,
@@ -359,15 +322,7 @@ class EMLearner:
                     )
                 else:
                     objective.update_samples(source_idx, labels, sample_weights)
-                if self.config.solver == "sgd":
-                    result = sgd(
-                        objective,
-                        n_samples=structure.obs_source_idx.shape[0],
-                        w0=w,
-                        epochs=self.config.sgd_epochs,
-                        seed=self.config.seed,
-                    )
-                elif warm:
+                if warm:
                     # Tolerance-adaptive stopping: while EM is far from its
                     # fixed point the M-step only needs enough precision to
                     # keep the outer iteration on track; the floor keeps the
@@ -388,21 +343,12 @@ class EMLearner:
                         # weights, it reaches the M-step optimum in one or
                         # two structured Newton solves.
                         result = minimize_newton(objective, w0=solve_from, gtol=gtol)
-                    except np.linalg.LinAlgError:  # pragma: no cover - degenerate
-                        result = minimize_lbfgs_warm(
-                            objective,
-                            w0=solve_from,
-                            memory=warm_memory,
-                            gtol=gtol,
-                            ftol=self.config.m_step_tolerance,
-                        )
+                    except np.linalg.LinAlgError:
+                        # Singular structured solve: this round makes the
+                        # "lbfgs" branch's call instead.
+                        result = self._reference_m_step(objective, solve_from)
                 else:
-                    result = minimize_lbfgs(
-                        objective,
-                        w0=solve_from,
-                        tolerance=self.config.m_step_tolerance,
-                        gtol=min(1e-8, 10.0 * self.config.m_step_tolerance),
-                    )
+                    result = self._reference_m_step(objective, solve_from)
                 w = result.w
                 solve_from = w
                 model = model_from_flat(w, dataset, design, feature_space, intercept=True)
@@ -420,11 +366,20 @@ class EMLearner:
 
         self.trace_ = EMTrace(accuracy_deltas=deltas, n_iterations=len(deltas), converged=converged)
         self.m_step_result_ = result
-        self.warm_state_ = WarmStartState(w=np.array(w, dtype=float), memory=warm_memory)
+        self.warm_state_ = WarmStartState(w=np.array(w, dtype=float))
         final_space = feature_space if self.config.use_features else None
         return model_from_flat(w, dataset, design, final_space, intercept=True)
 
     # ------------------------------------------------------------------
+    def _reference_m_step(self, objective: CorrectnessObjective, w0: np.ndarray) -> SolverResult:
+        """One M-step solved by the scipy reference (``solver="lbfgs"``)."""
+        return minimize_lbfgs(
+            objective,
+            w0=w0,
+            tolerance=self.config.m_step_tolerance,
+            gtol=min(1e-8, 10.0 * self.config.m_step_tolerance),
+        )
+
     def _initial_weights(
         self,
         dataset: FusionDataset,

@@ -32,7 +32,7 @@ from ..fusion.dataset import FusionDataset
 from ..fusion.encoding import encode_dataset
 from ..fusion.result import FusionResult
 from ..fusion.types import DatasetError, NotFittedError, ObjectId, Value
-from .em import EMConfig, EMLearner
+from .em import EM_SOLVERS, EMConfig, EMLearner
 from .erm import ERMConfig, ERMLearner
 from .inference import posterior_rows
 from .model import AccuracyModel
@@ -55,13 +55,16 @@ class SLiMFast:
         ERM objective: ``"correctness"`` (Definition 7) or ``"conditional"``
         (Equation 4).
     solver:
-        M-step/ERM solver shared by both learner configs: ``"lbfgs"``
-        (default), ``"lbfgs-warm"`` (EM reuses second-order state across
-        rounds; ERM treats it as ``"lbfgs"``) or ``"sgd"``.  The warm
-        solver is contract-equivalent to the scipy reference — objective
-        values at atol=1e-8, accuracies near 1e-6 (see
+        M-step/ERM solver shared by both learner configs, one of
+        :data:`~repro.core.em.EM_SOLVERS`: ``"lbfgs"`` (default) or
+        ``"lbfgs-warm"`` (EM warm-starts structured Newton across rounds;
+        ERM treats it as ``"lbfgs"``).  The warm solver is
+        contract-equivalent to the scipy reference — objective values at
+        atol=1e-8, accuracies near 1e-6 (see
         :class:`~repro.core.em.EMConfig` and the :mod:`repro.core.em`
-        docstring) — and is what batched sweeps use by default.
+        docstring) — and is what batched sweeps use by default.  ERM's
+        paper-faithful SGD is reached through
+        ``erm_config=ERMConfig(solver="sgd")``.
     erm_config / em_config:
         Full learner configuration overrides; built from the scalar
         arguments when omitted.
@@ -88,11 +91,12 @@ class SLiMFast:
         em_config: Optional[EMConfig] = None,
         optimizer_per_observation: bool = False,
         optimizer_accuracy_method: str = "domain-corrected",
-        seed: int = 0,
         featurizer: Optional[object] = None,
     ) -> None:
         if learner not in ("auto", "erm", "em"):
             raise ValueError(f"unknown learner {learner!r}")
+        if solver not in EM_SOLVERS:
+            raise ValueError(f"unknown solver {solver!r}; expected one of {EM_SOLVERS}")
         if featurizer is not None and not use_features:
             raise ValueError("featurizer requires use_features=True")
         self.learner = learner
@@ -107,7 +111,6 @@ class SLiMFast:
             l2_features=l2_features,
             solver=solver,
             use_features=use_features,
-            seed=seed,
             featurizer=featurizer,
         )
         self.em_config = em_config or EMConfig(
@@ -115,7 +118,6 @@ class SLiMFast:
             l2_features=l2_features,
             use_features=use_features,
             solver=solver,
-            seed=seed,
             featurizer=featurizer,
         )
 

@@ -16,10 +16,10 @@ sweep then runs against shared, cached artifacts:
   filtering — see :func:`~repro.core.structure.build_masked_structure`);
 * per-(structure, truth) label rows and fused E-step clamp plans;
 * the cached design matrix per ``use_features`` flag;
-* a **warm-start registry**: each completed fit publishes its final
-  weights and L-BFGS curvature memory
-  (:class:`~repro.optim.solvers.WarmStartState`), and each new fit seeds
-  its first (convex) M-step solve from the *nearest-config* prior fit.
+* a **warm-start registry**: each completed EM fit publishes its final
+  weights (:class:`~repro.optim.solvers.WarmStartState`), and each new EM
+  fit seeds its first (convex) M-step solve from the *nearest-config*
+  prior fit.
   Convexity of the M-step means the handoff changes only inner-solver
   paths, never any round's optimum, so batched results remain equivalent
   to isolated fits at the solver tolerance.
@@ -48,7 +48,8 @@ into contiguous, deterministic chunks — one worker task each — and
 warm-start donors are chosen *within* a chunk only, never across a
 scheduling-dependent process boundary, so parallel results equal the
 serial batched run at the same contract tolerances (and are themselves
-independent of worker scheduling).
+independent of worker scheduling).  Each returned fit carries the
+caller's own :class:`FitSpec` object, as in a serial run.
 """
 
 from __future__ import annotations
@@ -554,7 +555,8 @@ class SweepRunner:
         matrices, the cached optimizer accuracy estimate) exactly as the
         serial path would, ships it to each worker once, and hands each
         worker a contiguous chunk of specs.  Results come back in spec
-        order regardless of completion order.
+        order regardless of completion order, each rebound to the caller's
+        spec object (workers only ever see unpickled copies).
         """
         for spec in specs:
             if spec.learner not in ("em", "erm", "auto"):
@@ -586,7 +588,10 @@ class SweepRunner:
         chunks = chunk_indices(len(specs), self.n_jobs)
         with WorkerPool(SweepRunner._from_payload, state, len(chunks)) as pool:
             parts = pool.map(_run_sweep_chunk, [([specs[i] for i in chunk],) for chunk in chunks])
-        return [fit for part in parts for fit in part]
+        fits = [fit for part in parts for fit in part]
+        for spec, fit in zip(specs, fits):
+            fit.spec = spec
+        return fits
 
     @classmethod
     def _from_payload(cls, state: dict) -> "SweepRunner":

@@ -17,7 +17,7 @@ Typical use::
 
     from repro.featurize import FeaturizerPipeline
 
-    pipeline = FeaturizerPipeline(cache_dir=".feature_cache")
+    pipeline = FeaturizerPipeline(cache=".feature_cache")
     design, space = pipeline.design_for(dataset)           # |S| x K
     learner = EMLearner(EMConfig(featurizer=pipeline))     # or wire directly
 """
@@ -157,7 +157,6 @@ class FeaturizerPipeline:
         half_life: float = DEFAULT_HALF_LIFE,
         n_jobs: Optional[int] = 1,
         cache: Union[FeatureCache, str, None] = None,
-        cache_dir: Union[str, None] = None,
     ) -> None:
         self.groups: Tuple[FeatureGroup, ...] = tuple(
             default_groups() if groups is None else groups
@@ -174,8 +173,6 @@ class FeaturizerPipeline:
         if self.half_life <= 0:
             raise DatasetError(f"half_life must be positive, got {half_life!r}")
         self.n_jobs = n_jobs
-        if cache is None and cache_dir is not None:
-            cache = cache_dir
         self.cache: FeatureCache = (
             cache if isinstance(cache, FeatureCache) else FeatureCache(cache)
         )

@@ -1,15 +1,22 @@
 """Optimization algorithms used to fit SLiMFast's parameters.
 
 The paper learns weights with stochastic gradient descent on top of
-DeepDive's sampler; we provide SGD (and AdaGrad) for fidelity plus two
-deterministic solvers that are better behaved for a library default:
+DeepDive's sampler.  Each solve the learners make — an ERM fit or one EM
+M-step — is convex, so the library solves it deterministically to its
+optimum:
 
-* :func:`minimize_lbfgs` — scipy's L-BFGS-B on the smooth (L2) objective.
+* :func:`minimize_lbfgs` — scipy's L-BFGS-B on the smooth (L2) objective;
+  the reference solver of ERM and of EM's ``"lbfgs"`` M-step.
+* :func:`minimize_newton` — damped Newton on an objective's structured
+  Newton direction; EM's warm-started ``"lbfgs-warm"`` M-step, seeded
+  across fits by a :class:`WarmStartState`.
 * :func:`fista` — accelerated proximal gradient for L1-regularized fits,
   used by the lasso-path analysis (paper Section 5.3.1).
 
-All solvers take any objective exposing ``value_and_grad`` (see
-:mod:`repro.optim.objectives`) and return a :class:`SolverResult`.
+:func:`sgd` (mini-batch SGD / AdaGrad) keeps the paper's learning setup
+for ERM (``ERMConfig(solver="sgd")``).  All solvers take any objective
+exposing ``value_and_grad`` (see :mod:`repro.optim.objectives`) and
+return a :class:`SolverResult`.
 """
 
 from __future__ import annotations
@@ -94,195 +101,22 @@ def minimize_lbfgs(
 
 
 @dataclass
-class LBFGSMemory:
-    """Curvature memory carried across warm-started L-BFGS solves.
-
-    Holds the limited-memory ``(s, y)`` displacement/gradient-change pairs
-    of :func:`minimize_lbfgs_warm`.  Passing the same instance to a sequence
-    of solves on *slowly changing* objectives (the EM M-steps: only the soft
-    labels move between rounds, so the Hessian drifts smoothly) lets each
-    solve start from the previous inverse-Hessian approximation instead of
-    a cold identity scaling — after the first EM rounds the M-step typically
-    converges in one or two iterations.
-    """
-
-    max_pairs: int = 10
-    s: list = None  # type: ignore[assignment]
-    y: list = None  # type: ignore[assignment]
-    rho: list = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.s is None:
-            self.s = []
-        if self.y is None:
-            self.y = []
-        if self.rho is None:
-            self.rho = []
-
-    def reset(self) -> None:
-        self.s.clear()
-        self.y.clear()
-        self.rho.clear()
-
-    def push(self, s_vec: np.ndarray, y_vec: np.ndarray) -> None:
-        """Store a curvature pair, dropping the oldest beyond ``max_pairs``."""
-        curvature = float(s_vec @ y_vec)
-        if curvature <= 1e-10 * float(np.linalg.norm(s_vec) * np.linalg.norm(y_vec)):
-            return  # skip non-positive curvature (keeps H positive definite)
-        self.s.append(s_vec)
-        self.y.append(y_vec)
-        self.rho.append(1.0 / curvature)
-        if len(self.s) > self.max_pairs:
-            self.s.pop(0)
-            self.y.pop(0)
-            self.rho.pop(0)
-
-    def direction(self, grad: np.ndarray) -> np.ndarray:
-        """Two-loop recursion: ``-H grad`` under the stored pairs."""
-        q = -grad.copy()
-        if not self.s:
-            return q
-        alphas = []
-        for s_vec, y_vec, rho in zip(reversed(self.s), reversed(self.y), reversed(self.rho)):
-            alpha = rho * float(s_vec @ q)
-            alphas.append(alpha)
-            q -= alpha * y_vec
-        # push() guarantees positive curvature for pairs it stored, but a
-        # deserialized or hand-built memory may carry a degenerate last
-        # pair; fall back to the identity scaling rather than divide by 0.
-        denominator = float(self.y[-1] @ self.y[-1])
-        if denominator > 0.0:
-            q *= float(self.s[-1] @ self.y[-1]) / denominator
-        for s_vec, y_vec, rho, alpha in zip(self.s, self.y, self.rho, reversed(alphas)):
-            beta = rho * float(y_vec @ q)
-            q += (alpha - beta) * s_vec
-        return q
-
-    # ------------------------------------------------------------------
-    # Serialization (compact pickling for cross-process/cross-run reuse)
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        """Stack the curvature pairs into dense arrays for pickling.
-
-        The list-of-vectors layout pickles as one object per vector; the
-        stacked form is a single buffer per component, which matters when a
-        sweep ships many warm states between processes.
-        """
-        return {
-            "max_pairs": self.max_pairs,
-            "s": np.stack(self.s) if self.s else np.zeros((0, 0)),
-            "y": np.stack(self.y) if self.y else np.zeros((0, 0)),
-            "rho": np.asarray(self.rho, dtype=float),
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.max_pairs = int(state["max_pairs"])
-        self.s = [np.array(row) for row in state["s"]]
-        self.y = [np.array(row) for row in state["y"]]
-        self.rho = [float(r) for r in state["rho"]]
-
-
-@dataclass
 class WarmStartState:
-    """Solver state handed from one fit to the next in a parameter sweep.
+    """Final weights handed from one EM fit to the next in a parameter sweep.
 
-    Bundles the final parameter vector of a completed fit with the L-BFGS
-    curvature memory it accumulated.  The sweep engine
-    (:class:`repro.experiments.sweeps.SweepRunner`) passes the state of the
-    *nearest-config* prior fit into the next fit's first M-step solve: the
-    M-step is convex, so a foreign starting point changes only the solve's
-    path, never its optimum — batched results stay equivalent to isolated
-    fits at the solver's own tolerance while nearby configs converge in
-    fewer inner iterations.
+    The sweep engine (:class:`repro.experiments.sweeps.SweepRunner`) passes
+    the state of the *nearest-config* prior fit into the next fit's first
+    M-step solve: the M-step is convex, so a foreign starting point changes
+    only the solve's path, never its optimum — batched results stay
+    equivalent to isolated fits at the solver's own tolerance while nearby
+    configs converge in fewer inner iterations.
     """
 
     w: np.ndarray
-    memory: Optional[LBFGSMemory] = None
 
     def compatible_with(self, n_params: int) -> bool:
         """Whether the stored vector matches an objective's dimensionality."""
         return self.w.shape[0] == n_params
-
-    def to_state(self) -> dict:
-        """Plain-array state dict for explicit serialization.
-
-        Everything is a NumPy array or a scalar (the
-        :class:`LBFGSMemory` pairs are stacked), so the dict survives
-        pickling, ``np.savez`` archives and cross-process shipping without
-        dragging solver classes along.  Round-trips through
-        :meth:`from_state`.
-        """
-        state = {"w": np.asarray(self.w, dtype=float)}
-        if self.memory is not None:
-            state["memory"] = self.memory.__getstate__()
-        return state
-
-    @classmethod
-    def from_state(cls, state: dict) -> "WarmStartState":
-        """Rebuild a warm-start state from :meth:`to_state` output."""
-        memory = None
-        if "memory" in state:
-            memory = LBFGSMemory.__new__(LBFGSMemory)
-            memory.__setstate__(state["memory"])
-        return cls(w=np.asarray(state["w"], dtype=float), memory=memory)
-
-
-def minimize_lbfgs_warm(
-    objective: Objective,
-    w0: np.ndarray,
-    memory: Optional[LBFGSMemory] = None,
-    max_iterations: int = 500,
-    gtol: float = 1e-8,
-    ftol: float = 1e-9,
-) -> SolverResult:
-    """Warm-startable limited-memory BFGS with Armijo backtracking.
-
-    A dependency-light L-BFGS whose curvature memory is owned by the
-    *caller*: pass the same :class:`LBFGSMemory` across a sequence of
-    solves (the EM M-steps) and each solve continues from the previous
-    inverse-Hessian approximation.  This removes the per-call setup cost of
-    ``scipy.optimize.minimize`` — the dominant per-round cost of vectorized
-    EM once the sufficient-statistics reduction has shrunk the data term —
-    while converging to the same unique minimizer of the convex M-step.
-
-    Stops when ``max|grad| <= gtol`` or the relative objective decrease
-    falls below ``ftol`` — the same pair of criteria (and the same defaults)
-    as the scipy reference path, so both solvers terminate at comparable
-    precision; with both tightened they converge to the identical unique
-    minimizer of the convex M-step (asserted at ``atol=1e-8`` in the
-    equivalence tests).
-    """
-    memory = memory if memory is not None else LBFGSMemory()
-    w = np.asarray(w0, dtype=float).copy()
-    if memory.s and memory.s[-1].shape[0] != w.shape[0]:
-        memory.reset()  # objective dimensionality changed; stale memory
-    value, grad = objective.value_and_grad(w)
-    for iteration in range(max_iterations):
-        if float(np.max(np.abs(grad))) <= gtol:
-            return SolverResult(w=w, value=value, n_iterations=iteration, converged=True)
-        direction = memory.direction(grad)
-        descent = float(grad @ direction)
-        if descent >= 0.0:
-            # Stale curvature from a drifted objective: fall back to the
-            # steepest-descent direction for this iteration.
-            memory.reset()
-            direction = -grad
-            descent = float(grad @ direction)
-        step = 1.0
-        for _ in range(40):
-            candidate = w + step * direction
-            candidate_value, candidate_grad = objective.value_and_grad(candidate)
-            if candidate_value <= value + 1e-4 * step * descent:
-                break
-            step *= 0.5
-        else:  # pragma: no cover - pathological objective
-            return SolverResult(w=w, value=value, n_iterations=iteration, converged=False)
-        memory.push(candidate - w, candidate_grad - grad)
-        improvement = value - candidate_value
-        w, value, grad = candidate, candidate_value, candidate_grad
-        if improvement <= ftol * max(1.0, abs(value)):
-            return SolverResult(w=w, value=value, n_iterations=iteration + 1, converged=True)
-    return SolverResult(w=w, value=value, n_iterations=max_iterations, converged=False)
 
 
 def minimize_newton(
@@ -290,7 +124,6 @@ def minimize_newton(
     w0: np.ndarray,
     max_iterations: int = 50,
     gtol: float = 1e-10,
-    ftol: float = 0.0,
 ) -> SolverResult:
     """Damped Newton iteration for objectives exposing ``newton_direction``.
 
@@ -304,8 +137,8 @@ def minimize_newton(
     double-precision plateau of the objective value and reaches gradient
     norms around 1e-12.
 
-    A singular structured solve raises ``np.linalg.LinAlgError``; callers
-    (the EM M-step) fall back to :func:`minimize_lbfgs_warm`.
+    A singular structured solve raises ``np.linalg.LinAlgError``; the EM
+    M-step then solves that round with :func:`minimize_lbfgs` instead.
     """
     w = np.asarray(w0, dtype=float).copy()
     value, grad = objective.value_and_grad(w)
@@ -326,10 +159,7 @@ def minimize_newton(
             step *= 0.5
         else:  # pragma: no cover - pathological objective
             return SolverResult(w=w, value=value, n_iterations=iteration, converged=False)
-        improvement = value - candidate_value
         w, value, grad = candidate, candidate_value, candidate_grad
-        if ftol > 0.0 and improvement <= ftol * max(1.0, abs(value)):
-            return SolverResult(w=w, value=value, n_iterations=iteration + 1, converged=True)
     return SolverResult(w=w, value=value, n_iterations=max_iterations, converged=False)
 
 

@@ -172,13 +172,6 @@ class TestEMConfig:
         learner.fit(dense_instance.dataset, {})
         assert learner.trace_.n_iterations <= 2
 
-    def test_sgd_mstep_runs(self, dense_instance):
-        learner = EMLearner(
-            EMConfig(use_features=False, solver="sgd", max_iterations=3, sgd_epochs=5)
-        )
-        model = learner.fit(dense_instance.dataset, {})
-        assert np.all(np.isfinite(model.accuracies()))
-
 
 class TestWarmSolver:
     def test_unknown_solver_rejected(self):
@@ -204,3 +197,29 @@ class TestWarmSolver:
         scipy_model = EMLearner(EMConfig(solver="lbfgs")).fit(ds, {})
         warm_model = EMLearner(EMConfig(solver="lbfgs-warm")).fit(ds, {})
         np.testing.assert_allclose(warm_model.accuracies(), scipy_model.accuracies(), atol=5e-3)
+
+    def test_singular_newton_falls_back_to_the_scipy_reference(self, dense_instance, monkeypatch):
+        # A round whose structured Newton solve is singular makes the
+        # "lbfgs" branch's call from the round's starting point, so a fit
+        # whose every Newton solve fails is the scipy fit, bit for bit.
+        from repro.optim.objectives import CorrectnessObjective
+
+        ds = dense_instance.dataset
+        truth = ds.split(0.2, seed=0).train_truth
+        reference = EMLearner(EMConfig(solver="lbfgs"))
+        expected = reference.fit(ds, truth)
+
+        singular_calls = []
+
+        def singular(objective, w, grad):
+            singular_calls.append(1)
+            raise np.linalg.LinAlgError("singular arrowhead system")
+
+        monkeypatch.setattr(CorrectnessObjective, "newton_direction", singular)
+        fallback = EMLearner(EMConfig(solver="lbfgs-warm"))
+        model = fallback.fit(ds, truth)
+
+        assert np.array_equal(model.accuracies(), expected.accuracies())
+        assert fallback.trace_.n_iterations == reference.trace_.n_iterations
+        assert fallback.m_step_result_.value == reference.m_step_result_.value
+        assert len(singular_calls) == fallback.trace_.n_iterations

@@ -496,6 +496,24 @@ class TestParallelExecution:
         # workers reuse the parent's featurized design.
         assert log.read_text().split() == [str(os.getpid())] * 2
 
+    def test_results_carry_the_callers_specs(self, dataset):
+        pipeline = FeaturizerPipeline()
+        specs = [
+            FitSpec(
+                name=f"fz@{fraction}",
+                learner="em",
+                train_truth=dataset.split(fraction, seed=0).train_truth,
+                overrides={"max_iterations": 3, "solver": "lbfgs-warm"},
+                featurizer=pipeline,
+            )
+            for fraction in (0.1, 0.2, 0.3, 0.4)
+        ]
+        for n_jobs in (1, 2):
+            fits = SweepRunner(dataset, mode="batched", n_jobs=n_jobs).run(specs)
+            for spec, fit in zip(specs, fits):
+                assert fit.spec is spec
+                assert fit.spec.featurizer is pipeline
+
     def test_single_spec_stays_in_process(self, dataset):
         runner = SweepRunner(dataset, mode="batched", n_jobs=4)
         spec = FitSpec(
@@ -582,31 +600,3 @@ class TestParallelHelpers:
         state = runner._warm_registry[-1][-1]
         revived = pickle.loads(pickle.dumps(state))
         np.testing.assert_array_equal(revived.w, state.w)
-        assert (revived.memory is None) == (state.memory is None)
-
-    def test_warm_start_state_round_trip(self):
-        import pickle
-
-        from repro.optim.solvers import LBFGSMemory, WarmStartState
-
-        rng = np.random.default_rng(0)
-        memory = LBFGSMemory(max_pairs=5)
-        for _ in range(3):
-            s_vec = rng.normal(size=6)
-            memory.push(s_vec, s_vec + 0.1 * rng.normal(size=6))
-        assert memory.s
-        state = WarmStartState(w=rng.normal(size=6), memory=memory)
-
-        revived = WarmStartState.from_state(state.to_state())
-        np.testing.assert_array_equal(revived.w, state.w)
-        assert len(revived.memory.s) == len(state.memory.s)
-        for a, b in zip(revived.memory.s, state.memory.s):
-            np.testing.assert_array_equal(a, b)
-
-        pickled = pickle.loads(pickle.dumps(state))
-        np.testing.assert_array_equal(pickled.w, state.w)
-        assert pickled.memory.rho == state.memory.rho
-        # A deserialized memory still produces descent directions.
-        grad = np.ones_like(state.w)
-        direction = pickled.memory.direction(grad)
-        assert float(grad @ direction) < 0

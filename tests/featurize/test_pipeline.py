@@ -121,10 +121,10 @@ class TestCache:
 
     def test_disk_round_trip(self, tmp_path):
         ds = _dataset(source_features={"s0": {"year": 1999}})
-        writer = FeaturizerPipeline(cache_dir=str(tmp_path))
+        writer = FeaturizerPipeline(cache=str(tmp_path))
         cold = writer.featurize(ds)
         # A fresh pipeline (fresh memo) must hit the on-disk entry.
-        reader = FeaturizerPipeline(cache_dir=str(tmp_path))
+        reader = FeaturizerPipeline(cache=str(tmp_path))
         warm = reader.featurize(ds)
         assert warm.from_cache
         assert np.array_equal(cold.matrix, warm.matrix)
@@ -132,24 +132,24 @@ class TestCache:
         assert warm.meta["version_key"] == writer.version_key
 
     def test_data_change_invalidates(self, tmp_path):
-        pipeline = FeaturizerPipeline(cache_dir=str(tmp_path))
+        pipeline = FeaturizerPipeline(cache=str(tmp_path))
         pipeline.featurize(_dataset())
         changed = pipeline.featurize(_dataset(OBSERVATIONS + [("s3", "o2", "q")]))
         assert not changed.from_cache
 
     def test_group_version_bump_invalidates(self, tmp_path):
         ds = _dataset()
-        v1 = FeaturizerPipeline([VolumeGroup()], cache_dir=str(tmp_path))
-        v2 = FeaturizerPipeline([VolumeGroupV2()], cache_dir=str(tmp_path))
+        v1 = FeaturizerPipeline([VolumeGroup()], cache=str(tmp_path))
+        v2 = FeaturizerPipeline([VolumeGroupV2()], cache=str(tmp_path))
         assert v1.version_key != v2.version_key
         v1.featurize(ds)
         assert not v2.featurize(ds).from_cache
 
     def test_featurizer_version_bump_invalidates(self, tmp_path, monkeypatch):
         ds = _dataset()
-        FeaturizerPipeline(cache_dir=str(tmp_path)).featurize(ds)
+        FeaturizerPipeline(cache=str(tmp_path)).featurize(ds)
         monkeypatch.setattr("repro.featurize.pipeline.FEATURIZER_VERSION", 99)
-        bumped = FeaturizerPipeline(cache_dir=str(tmp_path))
+        bumped = FeaturizerPipeline(cache=str(tmp_path))
         assert "fz99" in bumped.version_key
         assert not bumped.featurize(ds).from_cache
 
@@ -162,7 +162,7 @@ class TestCache:
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         ds = _dataset()
-        pipeline = FeaturizerPipeline(cache_dir=str(tmp_path))
+        pipeline = FeaturizerPipeline(cache=str(tmp_path))
         cold = pipeline.featurize(ds)
         key = cache_key(cold.digest, pipeline.version_key)
         pipeline.cache.path_for(key).write_bytes(b"not an npz")

@@ -138,48 +138,6 @@ class TestSGD:
         assert np.allclose(a.w, b.w)
 
 
-class TestWarmLBFGS:
-    def test_quadratic_exact(self):
-        from repro.optim.solvers import minimize_lbfgs_warm
-
-        target = np.array([1.0, -2.0, 3.0])
-        result = minimize_lbfgs_warm(Quadratic(target), w0=np.zeros(3))
-        assert np.allclose(result.w, target, atol=1e-6)
-        assert result.converged
-
-    def test_memory_reuse_cuts_iterations(self):
-        from repro.optim.solvers import LBFGSMemory, minimize_lbfgs_warm
-
-        objective = logistic_objective(seed=11)
-        memory = LBFGSMemory()
-        cold = minimize_lbfgs_warm(
-            objective, w0=np.zeros(objective.n_params), memory=memory, gtol=1e-9, ftol=1e-15
-        )
-        assert np.max(np.abs(objective.grad(cold.w))) <= 1e-9
-        warm = minimize_lbfgs_warm(objective, w0=cold.w, memory=memory, gtol=1e-9, ftol=1e-15)
-        assert warm.n_iterations == 0
-        np.testing.assert_array_equal(warm.w, cold.w)
-
-    def test_memory_resets_on_dimension_change(self):
-        from repro.optim.solvers import LBFGSMemory, minimize_lbfgs_warm
-
-        memory = LBFGSMemory()
-        minimize_lbfgs_warm(Quadratic(np.array([1.0, 2.0])), w0=np.zeros(2), memory=memory)
-        assert memory.s
-        result = minimize_lbfgs_warm(Quadratic(np.array([3.0])), w0=np.zeros(1), memory=memory)
-        assert result.w[0] == pytest.approx(3.0, abs=1e-6)
-
-    def test_matches_scipy_on_logistic(self):
-        from repro.optim.solvers import minimize_lbfgs_warm
-
-        objective = logistic_objective(seed=12)
-        scipy_fit = minimize_lbfgs(objective, tolerance=1e-14, gtol=1e-11)
-        warm_fit = minimize_lbfgs_warm(
-            objective, w0=np.zeros(objective.n_params), gtol=1e-11, ftol=1e-14
-        )
-        assert warm_fit.value == pytest.approx(scipy_fit.value, abs=1e-10)
-
-
 class TestNewton:
     def test_reaches_tighter_gradients_than_scipy(self):
         from repro.optim.solvers import minimize_newton

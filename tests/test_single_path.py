@@ -21,17 +21,27 @@ Process fan-out has one primitive, ``repro.parallel.WorkerPool``: the
 sweep engine's transport switch, the featurizer's per-call worker count,
 the shard E-step pool class and the ``repro.experiments.parallel`` module
 it lived in are gone.
+
+EM's M-step has two solvers, ``repro.core.em.EM_SOLVERS``: the scipy
+reference and warm-started structured Newton, whose singular rounds make
+the reference's call.  The hand-written warm L-BFGS, the curvature memory
+it carried from fit to fit (with the warm state's serialization helpers),
+EM's SGD M-step with its epoch and seed knobs, the facade's ``seed`` and
+Newton's unused ``ftol`` are gone; SGD stays an ERM solver
+(``ERMConfig(solver="sgd")``).  ``FeaturizerPipeline(cache=)`` takes a
+directory path, so its ``cache_dir=`` alias is gone too.
 """
 
 import functools
 
+import numpy as np
 import pytest
 
 import repro.experiments
 from repro import parallel as parallel_module
 from repro.core import SLiMFast
 from repro.core import structure as structure_module
-from repro.core.em import EMConfig, fit_incremental
+from repro.core.em import EMConfig, EMLearner, fit_incremental
 from repro.core.erm import ERMConfig, correctness_training_pairs
 from repro.core.inference import expected_correctness, posteriors
 from repro.core.structure import build_masked_structure, build_pair_structure
@@ -41,6 +51,8 @@ from repro.factorgraph import GibbsSampler
 from repro.featurize import FeaturizerPipeline
 from repro.fusion import encoding as encoding_module
 from repro.fusion.encoding import IncrementalEncoding
+from repro.optim import solvers as solvers_module
+from repro.optim.solvers import WarmStartState, minimize_newton
 from repro.serve import FusionServer, ServeMetrics, Snapshot
 from repro.serve import snapshot as snapshot_module
 
@@ -62,6 +74,11 @@ RETIRED_OPTIONS = [
     (SweepRunner, "shared_memory"),
     (FeaturizerPipeline().featurize, "n_jobs"),
     (FeaturizerPipeline().design_for, "n_jobs"),
+    (EMConfig, "sgd_epochs"),
+    (EMConfig, "seed"),
+    (SLiMFast, "seed"),
+    (minimize_newton, "ftol"),
+    (FeaturizerPipeline, "cache_dir"),
 ]
 
 
@@ -113,6 +130,11 @@ RETIRED_NAMES = [
     (ServeMetrics(), "_drained"),
     (parallel_module, "ShardStatPool"),
     (repro.experiments, "parallel"),
+    (solvers_module, "LBFGSMemory"),
+    (solvers_module, "minimize_lbfgs_warm"),
+    (WarmStartState, "to_state"),
+    (WarmStartState, "from_state"),
+    (WarmStartState(w=np.zeros(3)), "memory"),
 ]
 
 
@@ -128,3 +150,13 @@ def _owner_name(owner) -> str:
 )
 def test_retired_name_is_gone(owner, name):
     assert not hasattr(owner, name)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: EMLearner(EMConfig(solver="sgd")), lambda: SLiMFast(solver="sgd")],
+    ids=["EMLearner", "SLiMFast"],
+)
+def test_em_sgd_solver_is_rejected(build):
+    with pytest.raises(ValueError, match="unknown solver 'sgd'"):
+        build()
