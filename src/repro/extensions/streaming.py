@@ -44,7 +44,7 @@ import numpy as np
 
 from .._rng import as_generator
 from ..fusion.dataset import FusionDataset
-from ..fusion.encoding import IncrementalEncoding, _AppendBuffer, expand_spans
+from ..fusion.encoding import IncrementalEncoding, _AppendBuffer, expand_spans, relocate_spans
 from ..fusion.result import FusionResult
 from ..fusion.types import ObjectId, Observation, SourceId, Value
 from ..optim.numerics import logit
@@ -108,10 +108,10 @@ class StreamingFuser:
     Source Beta states are flat vectors; the score table is *ragged* —
     object ``o``'s scores live in
     ``_score_flat[_score_start[o] : _score_start[o] + |D_o|]`` with
-    capacity slack (``_score_cap``) doubled on domain growth, exactly the
-    relocate-and-double discipline of the incremental encoding's slot
-    store.  Batches are processed with bulk scatters; see the module
-    docstring for the batch semantics.
+    capacity slack (``_score_cap``) doubled on domain growth by the slot
+    store's rule (:func:`~repro.fusion.encoding.relocate_spans`).  Batches
+    are processed with bulk scatters and no Python loop over objects; see
+    the module docstring for the batch semantics.
 
     Parameters
     ----------
@@ -246,30 +246,25 @@ class StreamingFuser:
             fresh[: self._score_used] = self._score_flat[: self._score_used]
             self._score_flat = fresh
 
-    def _sync_score_spans(self, touched: np.ndarray) -> None:
+    def _sync_score_spans(self, objects: np.ndarray) -> None:
         """Ensure every touched object's span can hold its live domain.
 
+        ``objects`` are the batch's distinct object indices, ascending.
         Overflowing spans relocate to the tail of the flat store with
         doubled capacity (copying their accumulated scores; fresh cells
-        are zero by construction, old cells become dead holes) — the same
-        amortized O(1)-per-growth discipline as
-        :meth:`repro.fusion.encoding.IncrementalEncoding`.
+        are zero by construction, old cells become dead holes) — one
+        :func:`~repro.fusion.encoding.relocate_spans` pass, the slot
+        store's rule.
         """
-        sizes = self.encoding.live_domain_sizes
-        for o_idx in touched.tolist():
-            need = int(sizes[o_idx])
-            cap = int(self._score_cap.data[o_idx])
-            if need <= cap:
-                continue
-            new_cap = max(2 * cap, need, 2)
-            position = self._score_used
-            self._grow_flat(position + new_cap)
-            if cap:
-                start = int(self._score_start.data[o_idx])
-                self._score_flat[position : position + cap] = self._score_flat[start : start + cap]
-            self._score_start.data[o_idx] = position
-            self._score_cap.data[o_idx] = new_cap
-            self._score_used = position + new_cap
+        start, cap = self._score_start.data, self._score_cap.data
+        needs = self.encoding.live_domain_sizes[objects]
+        used, source, destination = relocate_spans(
+            start, cap, objects, needs, cap[objects], self._score_used, min_cap=2
+        )
+        self._grow_flat(used)
+        if source.shape[0]:
+            self._score_flat[destination] = self._score_flat[source]
+        self._score_used = used
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -298,7 +293,7 @@ class StreamingFuser:
         n_objects_before = self._n_objects
         self._grow_sources(self.encoding.n_sources)
         self._grow_objects(self.encoding.n_objects)
-        self._sync_score_spans(np.unique(batch.object_idx))
+        self._sync_score_spans(batch.objects)
 
         # Resolve revealed-but-unseen truth for objects this batch introduced.
         if self.truth:

@@ -434,10 +434,8 @@ class RunningSourceStats:
         # Consensus-dependent stats: re-derive each touched object's
         # contribution.  Old claims are the span prefix (the batch's k_new
         # claims sit at the span's end, in arrival order).
-        new_per_object = np.bincount(batch.object_idx)
-        for o_idx in np.flatnonzero(new_per_object):
-            all_src, all_code, all_rows = encoding.object_claims(int(o_idx), with_rows=True)
-            k_new = int(new_per_object[o_idx])
+        for o_idx, k_new in zip(batch.objects.tolist(), batch.object_counts.tolist()):
+            all_src, all_code, all_rows = encoding.object_claims(o_idx, with_rows=True)
             if all_src.shape[0] > k_new:
                 self._object_contribution(
                     all_src[:-k_new], all_code[:-k_new], all_rows[:-k_new], -1.0

@@ -40,6 +40,8 @@ pinned in ``tests/test_incremental_encoding.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -69,17 +71,42 @@ def expand_spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     The workhorse of segment-wise gathers: given CSR span starts and
     lengths it produces every covered index without a Python-level loop.
     """
-    starts = np.asarray(starts, dtype=np.int64)
     lengths = np.asarray(lengths, dtype=np.int64)
-    total = int(lengths.sum())
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.shape[0] else 0
     if total == 0:
         return np.zeros(0, dtype=np.int64)
     # Exclusive prefix sum gives each span's first output position; the
     # difference between a flat arange and that position is the offset
     # within the span.
-    first_out = np.concatenate([[0], np.cumsum(lengths)[:-1]])
-    within = np.arange(total, dtype=np.int64) - np.repeat(first_out, lengths)
-    return np.repeat(starts, lengths) + within
+    within = np.arange(total, dtype=np.int64) - np.repeat(ends - lengths, lengths)
+    return np.repeat(np.asarray(starts, dtype=np.int64), lengths) + within
+
+
+def relocate_spans(
+    starts, caps, spans, needs, keep, used: int, min_cap: int
+) -> Tuple[int, np.ndarray, np.ndarray]:
+    """Move each of the distinct, ascending ``spans`` that ``needs`` outgrow.
+
+    The ragged stores' relocate-and-double rule in one array pass: a moved
+    span gets capacity ``max(2 * cap, need, min_cap)`` at the store tail,
+    back to back from the high-water mark ``used`` in ascending span order
+    (``starts`` and ``caps`` update in place).  Returns the new high-water
+    mark and the source and destination positions of each moved span's
+    first ``keep`` cells (sources lie below ``used``, destinations above).
+    """
+    grow = needs > caps[spans]
+    moved = spans[grow]
+    if moved.shape[0] == 0:
+        return used, moved, moved  # empty position arrays
+    new_caps = np.maximum(np.maximum(2 * caps[moved], needs[grow]), min_cap)
+    ends = used + np.cumsum(new_caps)
+    new_starts = ends - new_caps
+    source = expand_spans(starts[moved], keep[grow])
+    destination = expand_spans(new_starts, keep[grow])
+    starts[moved] = new_starts
+    caps[moved] = new_caps
+    return int(ends[-1]), source, destination
 
 
 def compile_arrays(
@@ -301,12 +328,11 @@ class DenseEncoding:
 
     @property
     def pair_values(self) -> List[Value]:
-        """Claimed value of every candidate row (lazily materialized)."""
+        """Claimed value of every candidate row (lazily concatenated in C)."""
         if self._pair_values is None:
-            values: List[Value] = []
-            for domain in self._domains:
-                values.extend(domain)
-            self._pair_values = values
+            # Not the ``items`` property: that is a Python call per domain.
+            items = map(attrgetter("_items"), self._domains)
+            self._pair_values = list(chain.from_iterable(items))
         return self._pair_values
 
     # ------------------------------------------------------------------
@@ -473,6 +499,9 @@ class AppendBatch:
     n_new_sources, n_new_objects:
         How many sources/objects this batch introduced (their indices are
         the trailing ones).
+    objects, object_counts:
+        The batch's distinct object indices (ascending) and each one's
+        observation count, from the append's one ``np.unique``.
     """
 
     source_idx: np.ndarray
@@ -481,6 +510,8 @@ class AppendBatch:
     values: List[Value] = field(default_factory=list)
     n_new_sources: int = 0
     n_new_objects: int = 0
+    objects: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    object_counts: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
     def __len__(self) -> int:
         return int(self.source_idx.shape[0])
@@ -502,7 +533,8 @@ class IncrementalEncoding(DenseEncoding):
     * the CSR object→observation layout lives in a *slot store* where each
       object's span carries doubling capacity slack — appending to a full
       span relocates it to the store's tail and doubles it, so placement
-      is amortized O(1) per observation;
+      is amortized O(1) per observation.  A batch moves all the spans it
+      overfills in one :func:`relocate_spans` array pass;
     * design-matrix rows are encoded once per **new** source against a
       :class:`~repro.fusion.features.FeatureSpace` fitted up front on the
       full ``source_features`` mapping.
@@ -595,7 +627,7 @@ class IncrementalEncoding(DenseEncoding):
         # Value codes are first-seen indices, so a domain's size is its
         # largest code plus one.
         np.maximum.at(self._live_sizes.data, object_idx, value_code + 1)
-        self._place(object_idx, source_idx, value_code, first_row=self._n_obs)
+        touched, counts = self._place(object_idx, source_idx, value_code, first_row=self._n_obs)
         self._n_obs += len(values)
         self._arrays = None
         self._pair_values = None
@@ -608,6 +640,8 @@ class IncrementalEncoding(DenseEncoding):
             values=values,
             n_new_sources=self.n_sources - n_sources_before,
             n_new_objects=n_objects - n_objects_before,
+            objects=touched,
+            object_counts=counts,
         )
 
     def _place(
@@ -616,44 +650,34 @@ class IncrementalEncoding(DenseEncoding):
         source_idx: np.ndarray,
         value_code: np.ndarray,
         first_row: int,
-    ) -> None:
-        """Write a batch into the slot store, relocating overfull spans."""
-        touched, counts = np.unique(object_idx, return_counts=True)
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Write a batch into the slot store; return its distinct objects and counts."""
+        objects, counts = np.unique(object_idx, return_counts=True)
+        self._relocate(objects, counts)
         start = self._span_start.data
         length = self._span_len.data
-        cap = self._span_cap.data
-        for o, count in zip(touched.tolist(), counts.tolist()):
-            need = int(length[o]) + count
-            if need <= cap[o]:
-                continue
-            new_cap = max(4, 2 * int(cap[o]), need)
-            self._reserve_store(new_cap)
-            new_start = self._store_used
-            if length[o]:
-                src = slice(int(start[o]), int(start[o] + length[o]))
-                dst = slice(new_start, new_start + int(length[o]))
-                self._store_src[dst] = self._store_src[src]
-                self._store_val[dst] = self._store_val[src]
-                self._store_row[dst] = self._store_row[src]
-            start[o] = new_start
-            cap[o] = new_cap
-            self._store_used = new_start + new_cap
-
         # Stable within-batch order keeps each span in arrival order, the
         # same order the cold compile's stable argsort produces.
         order = np.argsort(object_idx, kind="stable")
-        sorted_objects = object_idx[order]
-        n_batch = order.shape[0]
-        group_first = np.flatnonzero(
-            np.concatenate([[True], sorted_objects[1:] != sorted_objects[:-1]])
-        )
-        group_sizes = np.diff(np.concatenate([group_first, [n_batch]]))
-        within = np.arange(n_batch, dtype=np.int64) - np.repeat(group_first, group_sizes)
-        slots = start[sorted_objects] + length[sorted_objects] + within
+        slots = expand_spans(start[objects] + length[objects], counts)
         self._store_src[slots] = source_idx[order]
         self._store_val[slots] = value_code[order]
         self._store_row[slots] = first_row + order
-        length[touched] += counts
+        length[objects] += counts
+        return objects, counts
+
+    def _relocate(self, objects: np.ndarray, counts: np.ndarray) -> None:
+        """Move the spans the batch overfills to the store tail, doubled."""
+        length = self._span_len.data[objects]
+        start, cap = self._span_start.data, self._span_cap.data
+        used, source, destination = relocate_spans(
+            start, cap, objects, length + counts, length, self._store_used, min_cap=4
+        )
+        self._reserve_store(used - self._store_used)
+        if source.shape[0]:
+            for store in (self._store_src, self._store_val, self._store_row):
+                store[destination] = store[source]
+        self._store_used = used
 
     def _reserve_store(self, extra: int) -> None:
         need = self._store_used + extra

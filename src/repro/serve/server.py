@@ -175,9 +175,12 @@ class FusionServer:
         Returns the number of observations appended.  Raises whatever the
         encoding raises on invalid batches (e.g. duplicate
         ``(source, object)`` claims) — the queue loop catches these and
-        counts them instead.
+        counts them instead.  An empty batch returns 0 at once: no ingest
+        count, no publish-cadence step and no publish.
         """
         observations = list(observations)
+        if not observations:
+            return 0
         with self._write_lock:
             self.fuser.observe_batch(observations)
             self._batches_since_publish += 1

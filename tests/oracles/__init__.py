@@ -16,7 +16,10 @@ as speedup denominators:
   ``tests/experiments/test_sweeps.py``);
 * :mod:`tests.oracles.streaming` — the sequential dict-per-observation
   streaming fuser (``tests/test_incremental_encoding.py``,
-  ``tests/scenarios/test_decay_differential.py``);
+  ``tests/scenarios/test_decay_differential.py``) and the per-object
+  span-relocation loops of the slot store and the score table
+  (``relocate_slot_spans``, ``sync_score_spans``;
+  ``tests/test_incremental_encoding.py``);
 * :mod:`tests.oracles.optimizer` — the agreement matrix's pair walk, the
   average domain size, the EM information units and the optimizer
   decision built on them (``tests/core/test_optimizer_equivalence.py``);

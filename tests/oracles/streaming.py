@@ -1,10 +1,20 @@
-"""Loop oracle for :class:`repro.extensions.streaming.StreamingFuser`: the
-sequential model, one dict update per observation.
+"""Loop oracles for :class:`repro.extensions.streaming.StreamingFuser`.
 
-A production fuser fed batches of size 1 must match this oracle bit for
-bit (``tests/scenarios/test_decay_differential.py``,
-``tests/test_incremental_encoding.py``).  Unlike the production fuser the
-oracle does not reject duplicate ``(source, object)`` claims.
+* :class:`ReferenceStreamingFuser` — the sequential model, one dict update
+  per observation.  A production fuser fed batches of size 1 must match it
+  bit for bit (``tests/scenarios/test_decay_differential.py``,
+  ``tests/test_incremental_encoding.py``).  Unlike the production fuser
+  the oracle does not reject duplicate ``(source, object)`` claims.
+* :func:`relocate_slot_spans` and :func:`sync_score_spans` — the
+  per-object relocation loops of the two ragged stores (the incremental
+  encoding's slot store and the fuser's score table), which the
+  production :func:`repro.fusion.encoding.relocate_spans` pass replaced.
+  They are written as methods: a test binds them to an
+  ``IncrementalEncoding`` (``_relocate``) and a ``StreamingFuser``
+  (``_sync_score_spans``) and asserts the stores stay equal to a
+  production fuser's after every batch
+  (``tests/test_incremental_encoding.py``).  They share the stores'
+  growth helpers (``_reserve_store``, ``_grow_flat``) with production.
 """
 
 from __future__ import annotations
@@ -161,3 +171,53 @@ def replay_dataset(
     fuser = ReferenceStreamingFuser(**kwargs)
     fuser.run((dataset.observations[int(i)] for i in order), truth=train_truth)
     return fuser.to_result(dataset)
+
+
+def relocate_slot_spans(self, touched: np.ndarray, counts: np.ndarray) -> None:
+    """One span at a time: move each overfull slot-store span to the tail.
+
+    ``self`` is an ``IncrementalEncoding``; ``touched`` are the batch's
+    distinct objects (ascending) and ``counts`` their batch claims.
+    """
+    start = self._span_start.data
+    length = self._span_len.data
+    cap = self._span_cap.data
+    for o, count in zip(touched.tolist(), counts.tolist()):
+        need = int(length[o]) + count
+        if need <= cap[o]:
+            continue
+        new_cap = max(4, 2 * int(cap[o]), need)
+        self._reserve_store(new_cap)
+        new_start = self._store_used
+        if length[o]:
+            src = slice(int(start[o]), int(start[o] + length[o]))
+            dst = slice(new_start, new_start + int(length[o]))
+            self._store_src[dst] = self._store_src[src]
+            self._store_val[dst] = self._store_val[src]
+            self._store_row[dst] = self._store_row[src]
+        start[o] = new_start
+        cap[o] = new_cap
+        self._store_used = new_start + new_cap
+
+
+def sync_score_spans(self, touched: np.ndarray) -> None:
+    """One span at a time: move each score span its live domain outgrew.
+
+    ``self`` is a ``StreamingFuser``; ``touched`` are the batch's distinct
+    objects (ascending).
+    """
+    sizes = self.encoding.live_domain_sizes
+    for o_idx in touched.tolist():
+        need = int(sizes[o_idx])
+        cap = int(self._score_cap.data[o_idx])
+        if need <= cap:
+            continue
+        new_cap = max(2 * cap, need, 2)
+        position = self._score_used
+        self._grow_flat(position + new_cap)
+        if cap:
+            start = int(self._score_start.data[o_idx])
+            self._score_flat[position : position + cap] = self._score_flat[start : start + cap]
+        self._score_start.data[o_idx] = position
+        self._score_cap.data[o_idx] = new_cap
+        self._score_used = position + new_cap

@@ -88,6 +88,32 @@ class TestBasics:
         assert metrics.query_counts == {"posterior": 1, "value": 1}
         assert metrics.snapshot_age_seconds() >= 0.0
 
+    def test_empty_batch_is_a_no_op(self):
+        server = FusionServer(publish_every=1)
+        assert server.append(batch_for(0)) == 32
+        published = server.snapshot
+        assert server.append([]) == 0
+        assert server.version == 1
+        assert server.snapshot is published
+        assert server.metrics.ingest_batches == 1
+        assert server.metrics.swap_count == 1
+        # The cadence did not count the empty batch either.
+        server.publish_every = 2
+        server.append(batch_for(1))
+        assert server.version == 1
+        server.append(batch_for(2))
+        assert server.version == 2
+
+    def test_empty_batch_through_the_writer_loop_is_a_no_op(self):
+        server = FusionServer(publish_every=1).start()
+        server.ingest(batch_for(0))
+        server.ingest([])
+        server.flush()
+        server.stop()
+        assert server.version == 1
+        assert server.metrics.ingest_batches == 1
+        assert server.metrics.ingest_errors == 0
+
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError, match="publish_every"):
             FusionServer(publish_every=0)

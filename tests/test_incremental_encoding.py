@@ -1,6 +1,6 @@
 """Equivalence contract of the incremental (append-only) encoding layer.
 
-Two machine-checked contracts:
+Three machine-checked contracts:
 
 1. **Encoding equivalence** — after *any* sequence of appends, every
    materialized :class:`repro.fusion.encoding.IncrementalEncoding` array
@@ -15,12 +15,21 @@ Two machine-checked contracts:
    including decay and self-training), and tracks it closely under
    mini-batching (batch-start trusts; see the streaming module docstring
    for the declared batch semantics).
+3. **Relocation equivalence** — the one-pass span relocation of the slot
+   store and the score table (:func:`repro.fusion.encoding.relocate_spans`)
+   leaves both stores exactly as the per-object loops
+   (``tests/oracles/streaming.py``) do, after every batch.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from types import MethodType
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.em import EMConfig, EMLearner, fit_incremental
 from repro.core.structure import build_pair_structure
@@ -449,6 +458,112 @@ class TestStreamingEquivalence:
         fitted = dict(zip(dataset.sources.items, model.accuracies()))
         correlation = np.corrcoef([accs[s] for s in fitted], [fitted[s] for s in fitted])[0, 1]
         assert correlation > 0.5
+
+
+def _loop_relocating_fuser() -> StreamingFuser:
+    """A fuser whose two span-relocation methods are the loop oracles."""
+    fuser = StreamingFuser()
+    fuser.encoding._relocate = MethodType(oracle_streaming.relocate_slot_spans, fuser.encoding)
+    fuser._sync_score_spans = MethodType(oracle_streaming.sync_score_spans, fuser)
+    return fuser
+
+
+def _assert_same_stores(fuser: StreamingFuser, reference: StreamingFuser) -> None:
+    """Both ragged stores and the source counts, compared with ``==``."""
+    encoding, ref_encoding = fuser.encoding, reference.encoding
+    used = encoding._store_used
+    assert used == ref_encoding._store_used
+    for name in ("_store_src", "_store_val", "_store_row"):
+        np.testing.assert_array_equal(
+            getattr(encoding, name)[:used], getattr(ref_encoding, name)[:used], err_msg=name
+        )
+    for name in ("_span_start", "_span_len", "_span_cap"):
+        np.testing.assert_array_equal(
+            getattr(encoding, name).data, getattr(ref_encoding, name).data, err_msg=name
+        )
+    used = fuser._score_used
+    assert used == reference._score_used
+    np.testing.assert_array_equal(fuser._score_flat[:used], reference._score_flat[:used])
+    for name in ("_score_start", "_score_cap"):
+        np.testing.assert_array_equal(
+            getattr(fuser, name).data, getattr(reference, name).data, err_msg=name
+        )
+    np.testing.assert_array_equal(fuser._correct, reference._correct)
+    np.testing.assert_array_equal(fuser._total, reference._total)
+
+
+def _skewed_stream(seed, n_rows, n_objects, skew, max_domain, n_sources=400):
+    """Random claims whose objects follow a power-law skew.
+
+    The ``k``-th claim on an object comes from source ``(shift + k) mod
+    n_sources``, so no ``(source, object)`` pair repeats; claims past an
+    object's ``n_sources``-th are dropped.  Each object draws its values
+    from its own domain of up to ``max_domain`` values.
+    """
+    rng = np.random.default_rng(seed)
+    weights = 1.0 / np.arange(1, n_objects + 1) ** skew
+    objects = rng.choice(n_objects, size=n_rows, p=weights / weights.sum()).tolist()
+    shift = rng.integers(n_sources, size=n_objects).tolist()
+    domain = rng.integers(1, max_domain + 1, size=n_objects)
+    values = rng.integers(0, domain[objects]).tolist()
+    ranks = Counter()
+    stream = []
+    for obj, value in zip(objects, values):
+        rank = ranks[obj]
+        ranks[obj] += 1
+        if rank < n_sources:
+            stream.append((f"s{(shift[obj] + rank) % n_sources}", f"o{obj}", value))
+    return stream
+
+
+def _replay_against_loops(batches) -> None:
+    fuser, reference = StreamingFuser(), _loop_relocating_fuser()
+    for batch in batches:
+        fuser.observe_batch(batch)
+        reference.observe_batch(batch)
+        _assert_same_stores(fuser, reference)
+
+
+class TestRelocationOracle:
+    """One-pass span relocation vs the per-object relocation loops."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        batch_sizes=st.lists(st.integers(1, 300), min_size=1, max_size=10),
+        n_objects=st.integers(1, 800),
+        skew=st.floats(0.0, 2.5),
+        max_domain=st.integers(1, 12),
+    )
+    # Hundreds of fresh spans relocate in the first batch, and hot objects'
+    # spans and domains outgrow 2, 4 and 8 cells across batches.
+    @example(seed=0, batch_sizes=[300] * 8, n_objects=800, skew=0.4, max_domain=12)
+    @example(seed=1, batch_sizes=[300, 1, 2, 300, 7, 300], n_objects=50, skew=2.0, max_domain=12)
+    def test_stores_match_the_loops_after_every_batch(
+        self, seed, batch_sizes, n_objects, skew, max_domain
+    ):
+        stream = _skewed_stream(seed, sum(batch_sizes), n_objects, skew, max_domain)
+        ends = np.cumsum(batch_sizes).tolist()
+        _replay_against_loops([stream[end - size : end] for size, end in zip(batch_sizes, ends)])
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("seed", range(5))
+    def test_stream_serve_shape_matches_the_loops(self, seed, tmp_path):
+        """perfbench's ``stream_serve`` inputs: 100k claims in 1,000-row batches."""
+        from perfbench.workloads import REFIT_EVERY, SIZES, StreamServe
+
+        inputs = StreamServe(SIZES["full"]["stream_serve"]).setup(seed, tmp_path)
+        fuser, reference = StreamingFuser(), _loop_relocating_fuser()
+        for obj, value in inputs.train_truth.items():
+            fuser.reveal_truth(obj, value)
+            reference.reveal_truth(obj, value)
+        for number, batch in enumerate(inputs.batches, 1):
+            fuser.observe_batch(batch)
+            reference.observe_batch(batch)
+            if number % REFIT_EVERY == 0:
+                fuser.refit()
+                reference.refit()
+            _assert_same_stores(fuser, reference)
 
 
 class TestFitIncremental:
