@@ -301,7 +301,7 @@ class StreamingFuser:
                 value = self.truth.get(self.encoding.objects.item(o_idx))
                 if value is None:
                     continue
-                code = self.encoding.domain_by_index(o_idx).get(value)
+                code = self.encoding.value_code(o_idx, value)
                 self._truth_code[o_idx] = code if code is not None else -2
         # A batch may claim a truth value that was previously outside the
         # object's domain; promote those codes before matching.
@@ -388,7 +388,7 @@ class StreamingFuser:
         self.truth[obj] = value
         o_idx = self.encoding.objects.get(obj)
         if o_idx is not None:
-            code = self.encoding.domain_by_index(o_idx).get(value)
+            code = self.encoding.value_code(o_idx, value)
             self._truth_code[o_idx] = code if code is not None else -2
 
     def reveal_truth(self, obj: ObjectId, value: Value) -> None:
@@ -400,7 +400,7 @@ class StreamingFuser:
         claim_sources, claim_codes = self.encoding.object_claims(o_idx)
         if claim_sources.shape[0] == 0:
             return
-        code = self.encoding.domain_by_index(o_idx).get(value)
+        code = self.encoding.value_code(o_idx, value)
         matched = (
             (claim_codes == code).astype(float)
             if code is not None
@@ -433,7 +433,7 @@ class StreamingFuser:
         o_idx = self.encoding.objects.get(obj)
         if o_idx is None:
             return {}
-        values = self.encoding.domain_by_index(o_idx).items
+        values = self.encoding.domain(obj)
         if obj in self.truth:
             clamped = {value: 0.0 for value in values}
             clamped[self.truth[obj]] = 1.0  # truth may be unclaimed

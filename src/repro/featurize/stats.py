@@ -398,38 +398,37 @@ class RunningSourceStats:
         rows = self.n_observations + np.arange(k, dtype=np.int64)
         self.n_observations += k
 
-        counts = np.bincount(src, minlength=self._n_sources)[: self._n_sources]
-        touched_src = np.flatnonzero(counts)
-        self.n_claims[: self._n_sources] += counts
-        self.sum_row[: self._n_sources] += np.bincount(
-            src, weights=rows.astype(float), minlength=self._n_sources
-        )[: self._n_sources]
+        # Per-source reductions run over the batch's distinct sources only.
+        touched_src, inverse, counts = np.unique(src, return_inverse=True, return_counts=True)
+        n_touched = touched_src.shape[0]
+        self.n_claims[touched_src] += counts
+        self.sum_row[touched_src] += np.bincount(
+            inverse, weights=rows.astype(float), minlength=n_touched
+        )
 
-        batch_first = np.full(self._n_sources, _ROW_SENTINEL, dtype=np.int64)
-        np.minimum.at(batch_first, src, rows)
-        batch_last = np.full(self._n_sources, -1, dtype=np.int64)
-        np.maximum.at(batch_last, src, rows)
-        new_last = np.maximum(self.last_row[: self._n_sources], batch_last)
+        batch_last = np.full(n_touched, -1, dtype=np.int64)
+        np.maximum.at(batch_last, inverse, rows)
+        new_last = np.maximum(self.last_row[touched_src], batch_last)
 
         # Rescale the decayed accumulators to the advanced clock, then add
         # the batch's (<= 0 exponent) volume terms.  (decayed_agree's new
         # terms land in the per-object pass below, which runs after
         # last_row is advanced so its weights match the rescaled state.)
         had_prior = self.last_row[touched_src] >= 0
-        shift = np.zeros(touched_src.shape[0])
+        shift = np.zeros(n_touched)
         shift[had_prior] = (
-            self.last_row[touched_src[had_prior]] - new_last[touched_src[had_prior]]
+            self.last_row[touched_src[had_prior]] - new_last[had_prior]
         ) / self.half_life
         rescale = np.exp2(shift)
         self.decayed_volume[touched_src] *= rescale
         self.decayed_agree[touched_src] *= rescale
-        age = (rows.astype(float) - new_last[src].astype(float)) / self.half_life
-        self.decayed_volume[: self._n_sources] += np.bincount(
-            src, weights=np.exp2(age), minlength=self._n_sources
-        )[: self._n_sources]
+        age = (rows.astype(float) - new_last[inverse].astype(float)) / self.half_life
+        self.decayed_volume[touched_src] += np.bincount(
+            inverse, weights=np.exp2(age), minlength=n_touched
+        )
 
         np.minimum.at(self.first_row, src, rows)
-        self.last_row[: self._n_sources] = new_last
+        self.last_row[touched_src] = new_last
 
         # Consensus-dependent stats: re-derive each touched object's
         # contribution.  Old claims are the span prefix (the batch's k_new

@@ -79,7 +79,7 @@ def intern_columns(
     values: Sequence[Value],
     sources_ix: Indexer[SourceId],
     objects_ix: Indexer[ObjectId],
-    domains: List[Indexer[Value]],
+    domains: List[Dict[Value, int]],
     seen_pairs: Optional[Set[Tuple[SourceId, ObjectId]]] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Validate one batch of id columns, then intern it in first-seen order.
@@ -92,12 +92,14 @@ def intern_columns(
     value, raises :class:`DatasetError` for the first offending row — so a
     rejected batch leaves every table untouched.  Sources, objects and each
     object's value domain are then interned in arrival order: a new object
-    gets a fresh domain :class:`Indexer` appended to ``domains``, and
+    gets an empty domain dict (value -> code) appended to ``domains``, and
     ``seen_pairs`` (when given) absorbs the batch's pairs.
 
     The checks and the source/object interning are whole-column passes
-    (sets and dicts built in C, Python work per *distinct* id); only the
-    value domains are interned row by row.
+    (sets and dicts built in C, Python work per *distinct* id); the value
+    domains are interned row by row, one ``dict.setdefault`` C call per row
+    (equal values such as ``1``, ``1.0`` and ``True`` share the first-seen
+    one's code, and it stays the stored representative).
 
     Returns ``(source_idx, object_idx, value_code)``, the batch's ``int64``
     code columns, aligned to arrival order.
@@ -120,8 +122,8 @@ def intern_columns(
 
     source_idx = sources_ix.add_all(sources)
     object_idx = objects_ix.add_all(objects)
-    domains.extend(Indexer() for _ in range(len(objects_ix) - len(domains)))
-    value_code = [domains[o].add(value) for o, value in zip(object_idx, values)]
+    domains.extend({} for _ in range(len(objects_ix) - len(domains)))
+    value_code = [domains[o].setdefault(v, len(domains[o])) for o, v in zip(object_idx, values)]
     return (
         np.asarray(source_idx, dtype=np.int64),
         np.asarray(object_idx, dtype=np.int64),
@@ -172,8 +174,11 @@ class FusionDataset:
     The id tables (:attr:`sources`, :attr:`objects`, the per-object value
     domains) and the code columns ``obs_source_idx``, ``obs_object_idx``
     and ``obs_value_idx`` are the dataset's state; every learner reads
-    only those.  :meth:`from_columns` builds a dataset straight from three
-    id columns without creating a record per claim.
+    only those.  Each object's domain is a plain dict from claimed value to
+    code, in code (first-seen) order: :meth:`domain` lists it,
+    :meth:`value_code` looks one value up, and :meth:`domain_by_index`
+    returns a copy.  :meth:`from_columns` builds a dataset straight from
+    three id columns without creating a record per claim.
     """
 
     def __init__(
@@ -233,7 +238,7 @@ class FusionDataset:
         self.name = name
         self.sources: Indexer[SourceId] = Indexer()
         self.objects: Indexer[ObjectId] = Indexer()
-        self._domains: List[Indexer[Value]] = []
+        self._domains: List[Dict[Value, int]] = []
         self.obs_source_idx, self.obs_object_idx, self.obs_value_idx = intern_columns(
             sources, objects, values, self.sources, self.objects, self._domains
         )
@@ -283,9 +288,9 @@ class FusionDataset:
         """
         if self._observations is None:
             source_items, object_items = self.sources.items, self.objects.items
-            domains = self._domains
+            domains = list(map(list, self._domains))
             self._observations = tuple(
-                Observation(source_items[s], object_items[o], domains[o].item(v))
+                Observation(source_items[s], object_items[o], domains[o][v])
                 for s, o, v in zip(
                     self.obs_source_idx.tolist(),
                     self.obs_object_idx.tolist(),
@@ -307,12 +312,16 @@ class FusionDataset:
         return int(self.obs_source_idx.shape[0])
 
     def domain(self, obj: ObjectId) -> List[Value]:
-        """Distinct values claimed for ``obj`` (the paper's ``D_o``)."""
-        return self._domains[self.objects.index(obj)].items
+        """Distinct values claimed for ``obj`` (the paper's ``D_o``), in code order."""
+        return list(self._domains[self.objects.index(obj)])
 
     def domain_by_index(self, o_idx: int) -> Indexer[Value]:
-        """Domain indexer for the object with integer index ``o_idx``."""
-        return self._domains[o_idx]
+        """A fresh :class:`Indexer` copy of object ``o_idx``'s domain (O(``|D_o|``))."""
+        return Indexer(self._domains[o_idx])
+
+    def value_code(self, o_idx: int, value: Value) -> Optional[int]:
+        """Code of ``value`` in object ``o_idx``'s domain, or ``None`` if unclaimed."""
+        return self._domains[o_idx].get(value)
 
     def observations_of_object(self, obj: ObjectId) -> List[Observation]:
         """All observations that describe ``obj``, in input order."""

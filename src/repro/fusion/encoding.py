@@ -41,7 +41,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import attrgetter
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -249,7 +248,7 @@ class DenseEncoding:
         return order, counts, dataset.obs_source_idx[order], dataset.obs_value_idx[order]
 
     def _domain_sizes(self) -> np.ndarray:
-        return np.asarray([len(domain) for domain in self._domains], dtype=np.int64)
+        return np.fromiter(map(len, self._domains), dtype=np.int64, count=len(self._domains))
 
     def _compiled(self) -> Dict[str, np.ndarray]:
         """The :attr:`ARRAY_FIELDS` arrays, compiled on first use."""
@@ -322,17 +321,19 @@ class DenseEncoding:
     # ------------------------------------------------------------------
     # Candidate values
     # ------------------------------------------------------------------
-    def domain_by_index(self, o_idx: int) -> Indexer[Value]:
-        """Domain indexer for the object with integer index ``o_idx``."""
-        return self._domains[o_idx]
+    # The dataset's domain reads (an encoding holds the same tables).
+    domain = FusionDataset.domain
+    domain_by_index = FusionDataset.domain_by_index
+    value_code = FusionDataset.value_code
 
     @property
     def pair_values(self) -> List[Value]:
-        """Claimed value of every candidate row (lazily concatenated in C)."""
+        """Claimed value of every candidate row, in row order.
+
+        The domain dicts' keys concatenated in C; cached until the next append.
+        """
         if self._pair_values is None:
-            # Not the ``items`` property: that is a Python call per domain.
-            items = map(attrgetter("_items"), self._domains)
-            self._pair_values = list(chain.from_iterable(items))
+            self._pair_values = list(chain.from_iterable(self._domains))
         return self._pair_values
 
     # ------------------------------------------------------------------
@@ -549,9 +550,9 @@ class IncrementalEncoding(DenseEncoding):
     byte-equal in practice).  The contract is pinned in
     ``tests/test_incremental_encoding.py``.
 
-    The sizes, :meth:`~DenseEncoding.domain_by_index`,
-    :attr:`live_domain_sizes` and :meth:`object_claims` read the live append
-    state and never compile, so the streaming hot path stays O(batch).
+    The sizes, the domain reads (:meth:`~DenseEncoding.value_code` and the
+    like), :attr:`live_domain_sizes` and :meth:`object_claims` read the live
+    append state and never compile, so the streaming hot path stays O(batch).
     """
 
     def __init__(
@@ -565,7 +566,7 @@ class IncrementalEncoding(DenseEncoding):
         self.source_features: Dict[SourceId, Dict[str, object]] = {
             src: dict(feats) for src, feats in (source_features or {}).items()
         }
-        self._domains: List[Indexer[Value]] = []
+        self._domains: List[Dict[Value, int]] = []
         self._seen_pairs: set = set()
         self._n_obs = 0
         self._arrays = None
@@ -784,17 +785,16 @@ class IncrementalEncoding(DenseEncoding):
         rows = self.obs_order
         by_row_source = np.empty(self._n_obs, dtype=np.int64)
         by_row_object = np.empty(self._n_obs, dtype=np.int64)
-        by_row_value = np.empty(self._n_obs, dtype=np.int64)
+        by_row_pair = np.empty(self._n_obs, dtype=np.int64)
         by_row_source[rows] = self.obs_source_idx
         by_row_object[rows] = self.obs_object_idx
-        by_row_value[rows] = self.obs_value_code
+        by_row_pair[rows] = self.obs_pair_idx
         source_items = self.sources.items
         object_items = self.objects.items
+        pair_values = self.pair_values
         return [
-            Observation(source_items[s], object_items[o], self._domains[o].item(v))
-            for s, o, v in zip(
-                by_row_source.tolist(), by_row_object.tolist(), by_row_value.tolist()
-            )
+            Observation(source_items[s], object_items[o], pair_values[p])
+            for s, o, p in zip(by_row_source.tolist(), by_row_object.tolist(), by_row_pair.tolist())
         ]
 
     def to_dataset(

@@ -44,7 +44,7 @@ from .metrics import (
     value_accuracy_from_codes,
 )
 from .posterior_store import PosteriorStore
-from .types import ObjectId, SourceId, Value
+from .types import Indexer, ObjectId, SourceId, Value
 
 
 class FusionResult:
@@ -98,6 +98,7 @@ class FusionResult:
         self._promotion_dataset: Optional[FusionDataset] = None
         self._accuracy_vector: Optional[np.ndarray] = None
         self._source_ids: Optional[List[SourceId]] = None
+        self._object_index: Optional[Indexer] = None
         # Clamped objects whose known truth is outside the claimed domain
         # cannot be represented as a value code; they carry a dict override.
         self._overrides: Dict[ObjectId, Value] = {}
@@ -164,6 +165,7 @@ class FusionResult:
         self._object_ids = list(structure.object_ids)
         self._pair_values = structure.pair_values
         self._pair_offsets = offsets
+        self._object_index = getattr(getattr(structure, "encoding", None), "objects", None)
 
         store = PosteriorStore(offsets, probs)
 
@@ -229,7 +231,7 @@ class FusionResult:
             if obj not in values:
                 continue
             value = values[obj]
-            code = dataset.domain_by_index(o_idx).get(value)
+            code = dataset.value_code(o_idx, value)
             if code is None:
                 overrides[obj] = value
             else:
@@ -308,10 +310,9 @@ class FusionResult:
                     dist = self._posteriors.get(obj)
                     if not dist:
                         continue
-                    domain = dataset.domain_by_index(o_idx)
                     base = bases[o_idx]
                     for value, prob in dist.items():
-                        code = domain.get(value)
+                        code = dataset.value_code(o_idx, value)
                         if code is not None:
                             probs[base + code] = prob
                 self._posterior_store = PosteriorStore(offsets, probs)
@@ -398,9 +399,17 @@ class FusionResult:
         return self._pair_values
 
     def position_index(self) -> Dict[ObjectId, int]:
-        """Object id -> position in the array backing (built once, cached)."""
+        """Object id -> position in the array backing (built once, cached).
+
+        A result over exactly its encoding's objects, in index order (and
+        no append since), copies the encoding's object index in C.
+        """
         if getattr(self, "_position_index", None) is None:
-            self._position_index = {obj: i for i, obj in enumerate(self.object_ids)}
+            objects = self._object_index
+            if objects is not None and objects.items == self.object_ids:
+                self._position_index = objects.as_dict()
+            else:
+                self._position_index = {obj: i for i, obj in enumerate(self.object_ids)}
         return self._position_index
 
     def confidence_vector(self) -> np.ndarray:
@@ -556,6 +565,10 @@ class FusionResult:
         return dataset_source_accuracy_error(dataset, self.source_accuracies)
 
     # ------------------------------------------------------------------
+    def __getstate__(self) -> dict:
+        """Pickle without the position index and the object index it copies."""
+        return {**self.__dict__, "_position_index": None, "_object_index": None}
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         backing = "array" if self.has_arrays else "dict"
         n = len(self._object_ids) if self._object_ids is not None else (

@@ -7,7 +7,8 @@ offsets), the per-source reliability vector, and the revealed-truth
 bookkeeping — and precomputes at publish time everything the query paths
 need in O(1)/O(k):
 
-* a position index (object id -> store row span),
+* a position index (object id -> store position) and each object's MAP
+  row, so a point lookup is two plain indexings,
 * a **conflict index** (:func:`build_conflict_index`): per-object MAP
   margin ``p_max - p_runner_up``, argsorted ascending so
   :meth:`Snapshot.top_conflicts` is a slice — the lowest-margin objects
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import os
 import pickle
+from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -149,6 +151,13 @@ class Snapshot:
     superseded snapshot keeps answering with its own data for as long as
     anyone holds it.  Raises ``ValueError`` when the ids, claimed values
     or reliability vector do not match the store's sizes.
+
+    Construction and unpickling build the query lookups, which are never
+    pickled: the id -> position map (:meth:`from_result` shares the result's
+    ``position_index()``, a C-level copy of the encoding's object index when
+    the result spans the encoding) and each object's MAP row
+    ``offsets[pos] + max(code, 0)``, an ``array("q")`` that :meth:`value`
+    indexes directly.
     """
 
     def __init__(
@@ -214,7 +223,10 @@ class Snapshot:
                 "Snapshot requires an array-backed result; call "
                 "attach_dataset(dataset) on dict-backed results first"
             )
-        return cls(
+        snapshot = cls.__new__(cls)
+        # Preset before __init__ so _build_indexes keeps it.
+        snapshot._positions = result.position_index()
+        snapshot.__init__(
             result.posterior_store,
             result.object_ids,
             result.pair_values,
@@ -227,6 +239,7 @@ class Snapshot:
             n_refits=n_refits,
             dataset=dataset,
         )
+        return snapshot
 
     @classmethod
     def from_fuser(
@@ -281,7 +294,10 @@ class Snapshot:
             )
 
     def _build_indexes(self) -> None:
-        self._positions = {obj: i for i, obj in enumerate(self.object_ids)}
+        if "_positions" not in self.__dict__:
+            self._positions = {obj: i for i, obj in enumerate(self.object_ids)}
+        codes = np.maximum(self.store.value_codes, 0)
+        self._map_rows = array("q", (self.store.offsets[:-1] + codes).tobytes())
         self._source_positions = (
             {} if self.source_ids is None else {s: i for i, s in enumerate(self.source_ids)}
         )
@@ -348,8 +364,7 @@ class Snapshot:
         override = self.overrides.get(obj)
         if override is not None:
             return override
-        code = int(self.store.value_codes[pos])
-        return self.pair_values[int(self.store.offsets[pos]) + code]
+        return self.pair_values[self._map_rows[pos]]
 
     def confidence(self, obj: ObjectId) -> Optional[float]:
         """Posterior mass of the MAP value (1.0 for overrides)."""
@@ -358,8 +373,7 @@ class Snapshot:
             return None
         if obj in self.overrides:
             return 1.0
-        code = int(self.store.value_codes[pos])
-        return float(self.store.probs[int(self.store.offsets[pos]) + code])
+        return float(self.store.probs[self._map_rows[pos]])
 
     def margin(self, obj: ObjectId) -> Optional[float]:
         """MAP margin of an object (inf when it cannot conflict)."""
@@ -419,7 +433,7 @@ class Snapshot:
         state = {
             key: value
             for key, value in self.__dict__.items()
-            if key not in ("_positions", "_source_positions")
+            if key not in ("_positions", "_map_rows", "_source_positions")
         }
         dataset = state.get("dataset")
         if dataset is not None:

@@ -1,8 +1,10 @@
 """Reliability statistics: hand-checked values, chunk invariance, streaming."""
 
+from types import MethodType
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.featurize import (
@@ -15,6 +17,7 @@ from repro.featurize import (
 from repro.featurize.stats import STAT_ARRAYS
 from repro.fusion import FusionDataset, IncrementalEncoding
 from repro.fusion.encoding import encode_dataset
+from tests.oracles import stats as oracle_stats
 
 # Arrival-ordered observations with every interesting case: a contested
 # object (o0), a corroborated uncontested one (o1), and a solo claim (o2).
@@ -200,3 +203,55 @@ class TestRunningSourceStats:
         batch = encoding.append([])
         running.observe(encoding, batch)
         assert running.n_observations == 0
+
+
+def _claim_stream(seed, n_rows, n_sources, n_objects, max_domain):
+    """Up to ``n_rows`` claims on distinct random (source, object) pairs."""
+    rng = np.random.default_rng(seed)
+    n_pairs = n_sources * n_objects
+    pairs = rng.choice(n_pairs, size=min(n_rows, n_pairs), replace=False).tolist()
+    values = rng.integers(0, max_domain, size=len(pairs)).tolist()
+    return [(f"s{p // n_objects}", f"o{p % n_objects}", v) for p, v in zip(pairs, values)]
+
+
+class TestRunningStatsOracle:
+    """Distinct-source reductions vs the full-source-range ``observe``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        batch_sizes=st.lists(st.integers(1, 300), min_size=1, max_size=8),
+        n_sources=st.integers(1, 600),
+        n_objects=st.integers(1, 200),
+        max_domain=st.integers(1, 6),
+        half_life=st.sampled_from([1.0, 3.0, 64.0, 256.0]),
+    )
+    # Many known sources, then size-1 batches that touch one of them.
+    @example(
+        seed=0,
+        batch_sizes=[300, 300, 1, 1, 1, 2, 300],
+        n_sources=600,
+        n_objects=20,
+        max_domain=4,
+        half_life=3.0,
+    )
+    def test_accumulators_match_after_every_batch(
+        self, seed, batch_sizes, n_sources, n_objects, max_domain, half_life
+    ):
+        stream = _claim_stream(seed, sum(batch_sizes), n_sources, n_objects, max_domain)
+        encoding = IncrementalEncoding()
+        running = RunningSourceStats(half_life=half_life)
+        reference = RunningSourceStats(half_life=half_life)
+        reference.observe = MethodType(oracle_stats.observe_running_stats, reference)
+        start = 0
+        for size in batch_sizes:
+            batch = encoding.append(stream[start : start + size])
+            start += size
+            running.observe(encoding, batch)
+            reference.observe(encoding, batch)
+            assert running.n_observations == reference.n_observations
+            assert running._n_sources == reference._n_sources
+            for name in (*running._int_fields, *running._float_fields, "first_row", "last_row"):
+                np.testing.assert_array_equal(
+                    getattr(running, name), getattr(reference, name), err_msg=name
+                )

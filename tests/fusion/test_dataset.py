@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.fusion import DatasetError, FusionDataset, Observation
+from repro.fusion import DatasetError, FusionDataset, IncrementalEncoding, Observation
 from repro.fusion.dataset import subset_sources
+from repro.fusion.encoding import encode_dataset
 
 
 class TestConstruction:
@@ -227,3 +228,44 @@ class TestSubsetSources:
         sub = subset_sources(small_dataset, keep)
         assert set(sub.source_features) <= set(keep)
         assert set(sub.true_accuracies) <= set(keep)
+
+
+class TestDomainAPI:
+    """Each domain is a per-object dict; ``domain_by_index`` returns a copy."""
+
+    # ``True`` equals ``1``, so o1's domain is ["a", 1].
+    OBSERVATIONS = [("s1", "o1", "a"), ("s2", "o1", 1), ("s3", "o1", True), ("s1", "o2", "x")]
+
+    def build(self, kind):
+        if kind == "dataset":
+            return FusionDataset(self.OBSERVATIONS)
+        encoding = IncrementalEncoding()
+        encoding.append(self.OBSERVATIONS)
+        return encoding
+
+    @pytest.mark.parametrize("kind", ["dataset", "incremental"])
+    def test_copy_lists_the_domain(self, kind):
+        built = self.build(kind)
+        assert built.domain("o1") == ["a", 1]
+        assert [type(value) for value in built.domain("o1")] == [str, int]
+        for o_idx, obj in enumerate(built.objects.items):
+            assert list(built.domain_by_index(o_idx)) == built.domain(obj)
+            for code, value in enumerate(built.domain(obj)):
+                assert built.value_code(o_idx, value) == code
+        assert built.value_code(0, True) == 1
+        assert built.value_code(0, "missing") is None
+
+    @pytest.mark.parametrize("kind", ["dataset", "incremental"])
+    def test_mutating_the_copies_changes_nothing(self, kind):
+        built = self.build(kind)
+        pair_values = list(encode_dataset(built).pair_values)
+        built.domain_by_index(0).add("zzz")
+        built.domain("o1").append("zzz")
+        assert built.domain("o1") == ["a", 1]
+        assert built.value_code(0, "zzz") is None
+        assert encode_dataset(built).pair_values == pair_values == ["a", 1, "x"]
+        if kind == "incremental":
+            batch = built.append([("s4", "o1", "zzz"), ("s4", "o2", 1.0), ("s2", "o2", "x")])
+            assert batch.value_code.tolist() == [2, 1, 0]
+            assert built.domain("o1") == ["a", 1, "zzz"]
+            assert built.pair_values == ["a", 1, "zzz", "x", 1.0]

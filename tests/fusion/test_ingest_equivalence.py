@@ -62,7 +62,7 @@ def typed(items):
 
 
 def tables(sources, objects, domains):
-    return typed(sources.items), typed(objects.items), [typed(domain.items) for domain in domains]
+    return typed(sources.items), typed(objects.items), [typed(list(domain)) for domain in domains]
 
 
 def run_oracle(rows, sources, objects, domains, seen_pairs=None):

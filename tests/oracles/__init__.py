@@ -24,7 +24,11 @@ as speedup denominators:
   average domain size, the EM information units and the optimizer
   decision built on them (``tests/core/test_optimizer_equivalence.py``);
 * :mod:`tests.oracles.ingest` — per-record batch validation and interning
-  (``tests/fusion/test_ingest_equivalence.py``).
+  (``tests/fusion/test_ingest_equivalence.py``, and the ``stream_serve``
+  replay in ``tests/serve/test_snapshot.py``);
+* :mod:`tests.oracles.stats` — ``RunningSourceStats.observe`` with its
+  per-source reductions over the whole known source range
+  (``observe_running_stats``; ``tests/featurize/test_stats.py``).
 
 An oracle never calls the production code it checks.  It may share the
 unforked pieces both sides build on: the dataset and model containers, the

@@ -17,18 +17,29 @@ The serving contract under test:
 * pickling a snapshot that carries the accumulated dataset ships the
   compiled encoding explicitly — ``FusionDataset.__getstate__`` drops the
   cache, so without the explicit state restore every unpickle would
-  silently recompile (the regression pinned here).
+  silently recompile (the regression pinned here);
+* the publish-time lookups (the id -> position map and each object's MAP
+  row) answer every object as a decode straight off the result's arrays
+  would, after pickling and a memmapped reload too, and never alias the
+  live stream: objects appended after a publish stay unknown to it.  A
+  ``slow`` replay checks the published claimed values against the ingest
+  oracle at perfbench's ``stream_serve`` shape.
 """
 
 import pickle
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.extensions.streaming import StreamingFuser
 from repro.fusion import encoding as encoding_module
 from repro.fusion.posterior_store import PosteriorStore
-from repro.serve import ConflictEntry, Snapshot, build_conflict_index
+from repro.fusion.types import Indexer
+from repro.serve import ConflictEntry, FusionServer, Snapshot, build_conflict_index
+from tests.oracles import ingest as oracle_ingest
 
 OBSERVATIONS = [
     ("s1", "o1", "a"),
@@ -331,3 +342,132 @@ class TestAttachedEncodingPickling:
         snapshot = Snapshot.from_fuser(build_fuser())
         assert snapshot.dataset is None
         assert pickle.loads(pickle.dumps(snapshot)).dataset is None
+
+
+def reference_decode(result, position):
+    """``(value, confidence, posterior)`` of one object, read off the result's arrays."""
+    obj = result.object_ids[position]
+    start, stop = int(result.pair_offsets[position]), int(result.pair_offsets[position + 1])
+    values = result.pair_values[start:stop]
+    probs = result.posterior_store.probs
+    if obj in result.overrides:
+        override = result.overrides[obj]
+        return override, 1.0, {**dict.fromkeys(values, 0.0), override: 1.0}
+    row = start + int(result.value_codes[position])
+    return result.pair_values[row], float(probs[row]), dict(zip(values, probs[start:stop].tolist()))
+
+
+@st.composite
+def revealed_streams(draw):
+    """Claim batches on up to 12 objects, with truth reveals before each batch.
+
+    Objects claimed once, or only with one value, have a single candidate.
+    A reveal names a claimed value (a point mass), a value claimed only
+    later, or ``"UNSEEN"`` (an override), on seen or not-yet-seen objects.
+    """
+    n_objects = draw(st.integers(1, 12))
+    claims = draw(
+        st.lists(
+            st.tuples(st.integers(0, 5), st.integers(0, n_objects - 1), st.integers(0, 3)),
+            unique_by=lambda claim: claim[:2],
+            min_size=1,
+            max_size=40,
+        )
+    )
+    cuts = sorted(draw(st.lists(st.integers(0, len(claims)), max_size=4)))
+    bounds = [0, *cuts, len(claims)]
+    batches = [
+        [(f"s{s}", f"o{o}", f"v{v}") for s, o, v in claims[begin:end]]
+        for begin, end in zip(bounds, bounds[1:])
+    ]
+    label = st.tuples(
+        st.integers(0, n_objects - 1).map(lambda o: f"o{o}"),
+        st.sampled_from(["v0", "v1", "v2", "v3", "UNSEEN"]),
+    )
+    reveals = draw(
+        st.lists(st.lists(label, max_size=3), min_size=len(batches), max_size=len(batches))
+    )
+    return batches, reveals
+
+
+class TestPublishedLookups:
+    """The publish-time id -> position map and MAP rows."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(stream=revealed_streams())
+    def test_every_object_matches_the_reference_decode(self, stream):
+        batches, reveals = stream
+        fuser = StreamingFuser()
+        for batch, labels in zip(batches, reveals):
+            for obj, value in labels:
+                fuser.reveal_truth(obj, value)
+            fuser.observe_batch(batch)
+        snapshot = Snapshot.from_fuser(fuser)
+        result = fuser.to_result()
+        with tempfile.TemporaryDirectory() as directory:
+            loaded = Snapshot.load(snapshot.save(directory), mmap=True)
+            for published in (snapshot, pickle.loads(pickle.dumps(snapshot)), loaded):
+                assert published.n_objects == len(result.object_ids)
+                for position, obj in enumerate(result.object_ids):
+                    value, confidence, posterior = reference_decode(result, position)
+                    assert published.position(obj) == position
+                    assert published.value(obj) == value
+                    assert published.confidence(obj) == confidence
+                    assert published.posterior(obj) == posterior
+                assert published.position("never-claimed") is None
+
+    def test_later_appends_never_reach_a_published_snapshot(self):
+        fuser = build_fuser()
+        first = Snapshot.from_fuser(fuser, version=1)
+        result = fuser.to_result()
+        n_objects = first.n_objects
+        answers = {obj: (first.position(obj), first.value(obj)) for obj in first.object_ids}
+        fuser.observe_batch([("s1", "o5", "new"), ("s2", "o6", "new"), ("s3", "o2", "w")])
+        second = Snapshot.from_fuser(fuser, version=2)
+        assert second.position("o5") == n_objects
+        for obj in ("o5", "o6"):
+            assert first.position(obj) is None
+            assert first.value(obj) is None
+            # A result built before the append and indexed after it.
+            assert obj not in result.position_index()
+        assert first.n_objects == n_objects
+        assert {obj: (first.position(obj), first.value(obj)) for obj in answers} == answers
+        assert result.position_index() == {obj: i for i, obj in enumerate(result.object_ids)}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", range(5))
+def test_stream_serve_shape_publishes_match_the_ingest_oracle(seed, tmp_path):
+    """perfbench's ``stream_serve`` inputs: 1,000-row batches, a publish every 5.
+
+    At every publish the claimed values are the domains the per-record
+    ingest oracle builds from the same prefix, and every object's value
+    decodes through them.
+    """
+    from perfbench.workloads import PUBLISH_EVERY, REFIT_EVERY, SIZES, StreamServe
+
+    inputs = StreamServe(SIZES["full"]["stream_serve"]).setup(seed, tmp_path)
+    server = FusionServer(StreamingFuser())
+    sources, objects, domains, seen = Indexer(), Indexer(), [], set()
+    for obj, value in inputs.train_truth.items():
+        server.reveal_truth(obj, value)
+    n_batches = len(inputs.batches)
+    for number, batch in enumerate(inputs.batches, 1):
+        server.append(batch)
+        oracle_ingest.intern_observations(batch, sources, objects, domains, seen)
+        if number % REFIT_EVERY == 0:
+            server.refit()
+        if number % PUBLISH_EVERY and number != n_batches:
+            continue
+        snapshot = server.publish()
+        expected = [value for domain in domains for value in domain]
+        assert snapshot.pair_values == expected
+        assert list(map(type, snapshot.pair_values)) == list(map(type, expected))
+        assert snapshot.object_ids == objects.items
+        codes = snapshot.store.value_codes.tolist()
+        for position, obj in enumerate(snapshot.object_ids):
+            if obj in snapshot.overrides:
+                expected_value = snapshot.overrides[obj]
+            else:
+                expected_value = domains[position].item(codes[position])
+            assert snapshot.value(obj) == expected_value
