@@ -3,7 +3,7 @@
 Three sections:
 
 1. **Ratio cases** (gated like the engine benchmark's):
-   ``featurize_stats`` compares the vectorized chunkable statistics pass
+   ``featurize_stats`` compares the vectorized one-pass statistics kernel
    (:func:`repro.featurize.compute_source_stats`) against a pure-Python
    per-observation reference loop computing the same accumulators, and
    ``featurize_cache`` compares a cold featurization of a fresh encoding

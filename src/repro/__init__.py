@@ -27,7 +27,7 @@ Package map:
   the dense-encoding layer backing the vectorized engine.
 * :mod:`repro.featurize` — versioned reliability feature groups computed
   from the claims themselves (volume, breadth, recency, corroboration,
-  contradiction, overlap, entropy), composed by a chunked-parallel,
+  contradiction, overlap, entropy), composed by a
   content+version-cached :class:`~repro.featurize.FeaturizerPipeline`
   that plugs into every learner via ``featurizer=``.
 * :mod:`repro.baselines` — Majority, Counts, ACCU, CATD, SSTF, TruthFinder.

@@ -46,12 +46,7 @@ import numpy as np
 from ..fusion.dataset import FusionDataset
 from ..fusion.encoding import encode_dataset
 from ..fusion.features import FeatureSpace
-from ..fusion.sharding import (
-    shard_blocked_rows,
-    shard_stat_pool,
-    shard_structure,
-    sharded_correctness_stats,
-)
+from ..fusion.sharding import shard_blocked_rows, shard_structure, sharded_correctness_stats
 from ..fusion.types import DatasetError, ObjectId, Value
 from ..optim.numerics import logit
 from ..optim.objectives import CorrectnessObjective, reduce_correctness_samples
@@ -110,14 +105,8 @@ class EMConfig:
         bit-identical to the unsharded fit and probabilities/accuracies
         agree at ``atol=1e-10`` for any shard count (only the cross-shard
         float reduce reorders additions; pinned in
-        ``tests/fusion/test_posterior_store.py``).
-    shard_jobs:
-        Process fan-out for the shard E-steps *within one fit* (requires
-        ``n_shards``): values above 1 evaluate shards on a
-        :class:`repro.parallel.WorkerPool` built once per fit
-        (:func:`repro.fusion.sharding.shard_stat_pool`); ``None``/1 keeps
-        the serial in-process loop.  Both reduce in ascending shard index,
-        so the fit is identical either way.
+        ``tests/fusion/test_posterior_store.py``).  Shards run one after
+        another in this process.
     featurizer:
         Optional :class:`repro.featurize.FeaturizerPipeline` (anything
         with a ``design_for(dataset_or_encoding)`` method).  When set,
@@ -138,7 +127,6 @@ class EMConfig:
     solver: str = "lbfgs"
     m_step_tolerance: float = 1e-8
     n_shards: Optional[int] = None
-    shard_jobs: Optional[int] = None
     featurizer: Optional[object] = None
 
 
@@ -163,11 +151,8 @@ class EMLearner:
             base = EMConfig(**{**base.__dict__, **overrides})
         if base.solver not in EM_SOLVERS:
             raise ValueError(f"unknown solver {base.solver!r}; expected one of {EM_SOLVERS}")
-        if base.n_shards is not None:
-            if int(base.n_shards) < 1:
-                raise ValueError(f"n_shards must be a positive integer, got {base.n_shards!r}")
-        elif base.shard_jobs is not None:
-            raise ValueError("shard_jobs requires n_shards to be set")
+        if base.n_shards is not None and int(base.n_shards) < 1:
+            raise ValueError(f"n_shards must be a positive integer, got {base.n_shards!r}")
         if base.featurizer is not None:
             if not base.use_features:
                 raise ValueError("featurizer requires use_features=True")
@@ -248,14 +233,9 @@ class EMLearner:
         # to the atol=1e-10 cross-shard reduce; see EMConfig.n_shards).
         shards = None
         shard_blocked = None
-        shard_pool = None
         if self.config.n_shards is not None:
             shards = shard_structure(structure, int(self.config.n_shards))
             shard_blocked = shard_blocked_rows(shards, blocked_rows)
-            if self.config.shard_jobs is not None and int(self.config.shard_jobs) > 1:
-                shard_pool = shard_stat_pool(
-                    shards, shard_blocked, dataset.n_sources, int(self.config.shard_jobs)
-                )
 
         deltas: List[float] = []
         converged = False
@@ -277,92 +257,84 @@ class EMLearner:
         objective: Optional[CorrectnessObjective] = None
         result: Optional[SolverResult] = None
         delta = float("inf")
-        try:
-            for _ in range(self.config.max_iterations):
-                # E-step: soft correctness of each observation, with the
-                # ground-truth clamp fused into the segmented softmax.  On
-                # the sharded path the per-observation q never materializes
-                # globally: each shard reduces its own observations to
-                # per-source (totals, mass) partials.
-                if shards is not None:
-                    totals, mass = sharded_correctness_stats(
-                        shards,
-                        model.trust_scores(),
-                        dataset.n_sources,
-                        shard_blocked,
-                        pool=shard_pool,
-                    )
-                    active = np.flatnonzero(totals > 0)
-                    source_idx = active
-                    labels = np.clip(mass[active] / totals[active], 0.0, 1.0)
-                    sample_weights = totals[active]
-                else:
-                    q_obs, _ = expected_correctness(
-                        structure,
-                        model.trust_scores(),
-                        label_rows,
-                        blocked_rows=blocked_rows,
-                    )
+        for _ in range(self.config.max_iterations):
+            # E-step: soft correctness of each observation, with the
+            # ground-truth clamp fused into the segmented softmax.  On
+            # the sharded path the per-observation q never materializes
+            # globally: each shard reduces its own observations to
+            # per-source (totals, mass) partials.
+            if shards is not None:
+                totals, mass = sharded_correctness_stats(
+                    shards, model.trust_scores(), dataset.n_sources, shard_blocked
+                )
+                active = np.flatnonzero(totals > 0)
+                source_idx = active
+                labels = np.clip(mass[active] / totals[active], 0.0, 1.0)
+                sample_weights = totals[active]
+            else:
+                q_obs, _ = expected_correctness(
+                    structure,
+                    model.trust_scores(),
+                    label_rows,
+                    blocked_rows=blocked_rows,
+                )
 
-                    # M-step samples: the objective is built once and
-                    # re-pointed (re-reduced) at each round's samples —
-                    # design, layout and penalties never change.
-                    source_idx, labels, sample_weights = reduce_correctness_samples(
-                        structure.obs_source_idx, q_obs, dataset.n_sources
-                    )
-                if objective is None:
-                    objective = CorrectnessObjective(
-                        source_idx=source_idx,
-                        labels=labels,
-                        design=design,
-                        sample_weights=sample_weights,
-                        l2_sources=self.config.l2_sources,
-                        l2_features=self.config.l2_features,
-                        intercept=True,
-                    )
-                else:
-                    objective.update_samples(source_idx, labels, sample_weights)
-                if warm:
-                    # Tolerance-adaptive stopping: while EM is far from its
-                    # fixed point the M-step only needs enough precision to
-                    # keep the outer iteration on track; the floor keeps the
-                    # final rounds at least as tight as the scipy reference.
-                    floor = min(1e-8, 10.0 * self.config.m_step_tolerance)
-                    gtol = max(floor, min(1e-6, 1e-2 * delta))
-                    if foreign_start:
-                        # A donor's weights may already satisfy the coarse
-                        # early-round gtol, which would hand them back
-                        # verbatim; solving the seeded round to the floor
-                        # keeps the round's optimum — and hence the whole EM
-                        # trajectory — independent of the donor.
-                        gtol = floor
-                        foreign_start = False
-                    try:
-                        # Second-order update on the per-source sufficient
-                        # statistics: warm-started from the previous round's
-                        # weights, it reaches the M-step optimum in one or
-                        # two structured Newton solves.
-                        result = minimize_newton(objective, w0=solve_from, gtol=gtol)
-                    except np.linalg.LinAlgError:
-                        # Singular structured solve: this round makes the
-                        # "lbfgs" branch's call instead.
-                        result = self._reference_m_step(objective, solve_from)
-                else:
+                # M-step samples: the objective is built once and
+                # re-pointed (re-reduced) at each round's samples —
+                # design, layout and penalties never change.
+                source_idx, labels, sample_weights = reduce_correctness_samples(
+                    structure.obs_source_idx, q_obs, dataset.n_sources
+                )
+            if objective is None:
+                objective = CorrectnessObjective(
+                    source_idx=source_idx,
+                    labels=labels,
+                    design=design,
+                    sample_weights=sample_weights,
+                    l2_sources=self.config.l2_sources,
+                    l2_features=self.config.l2_features,
+                    intercept=True,
+                )
+            else:
+                objective.update_samples(source_idx, labels, sample_weights)
+            if warm:
+                # Tolerance-adaptive stopping: while EM is far from its
+                # fixed point the M-step only needs enough precision to
+                # keep the outer iteration on track; the floor keeps the
+                # final rounds at least as tight as the scipy reference.
+                floor = min(1e-8, 10.0 * self.config.m_step_tolerance)
+                gtol = max(floor, min(1e-6, 1e-2 * delta))
+                if foreign_start:
+                    # A donor's weights may already satisfy the coarse
+                    # early-round gtol, which would hand them back
+                    # verbatim; solving the seeded round to the floor
+                    # keeps the round's optimum — and hence the whole EM
+                    # trajectory — independent of the donor.
+                    gtol = floor
+                    foreign_start = False
+                try:
+                    # Second-order update on the per-source sufficient
+                    # statistics: warm-started from the previous round's
+                    # weights, it reaches the M-step optimum in one or
+                    # two structured Newton solves.
+                    result = minimize_newton(objective, w0=solve_from, gtol=gtol)
+                except np.linalg.LinAlgError:
+                    # Singular structured solve: this round makes the
+                    # "lbfgs" branch's call instead.
                     result = self._reference_m_step(objective, solve_from)
-                w = result.w
-                solve_from = w
-                model = model_from_flat(w, dataset, design, feature_space, intercept=True)
+            else:
+                result = self._reference_m_step(objective, solve_from)
+            w = result.w
+            solve_from = w
+            model = model_from_flat(w, dataset, design, feature_space, intercept=True)
 
-                current_acc = model.accuracies()
-                delta = float(np.mean(np.abs(current_acc - previous_acc)))
-                deltas.append(delta)
-                previous_acc = current_acc
-                if delta < self.config.tolerance:
-                    converged = True
-                    break
-        finally:
-            if shard_pool is not None:
-                shard_pool.close()
+            current_acc = model.accuracies()
+            delta = float(np.mean(np.abs(current_acc - previous_acc)))
+            deltas.append(delta)
+            previous_acc = current_acc
+            if delta < self.config.tolerance:
+                converged = True
+                break
 
         self.trace_ = EMTrace(accuracy_deltas=deltas, n_iterations=len(deltas), converged=converged)
         self.m_step_result_ = result

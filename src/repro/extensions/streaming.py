@@ -295,12 +295,16 @@ class StreamingFuser:
         self._grow_objects(self.encoding.n_objects)
         self._sync_score_spans(batch.objects)
 
-        # Resolve revealed-but-unseen truth for objects this batch introduced.
+        # Resolve revealed-but-unseen truth for objects this batch introduced:
+        # the labeled ones are the truth keys among the object table's new
+        # tail, intersected in C.
         if self.truth:
-            for o_idx in range(n_objects_before, self._n_objects):
-                value = self.truth.get(self.encoding.objects.item(o_idx))
+            objects = self.encoding.objects
+            for obj in self.truth.keys() & objects.items_from(n_objects_before):
+                value = self.truth[obj]
                 if value is None:
                     continue
+                o_idx = objects.index(obj)
                 code = self.encoding.value_code(o_idx, value)
                 self._truth_code[o_idx] = code if code is not None else -2
         # A batch may claim a truth value that was previously outside the

@@ -10,8 +10,8 @@ and claimed-object entropy.
 
 Three layers:
 
-* :mod:`~repro.featurize.stats` — chunkable per-source accumulators
-  (bit-identical across any process fan-out) plus the O(batch)
+* :mod:`~repro.featurize.stats` — per-source accumulators from one
+  pass over the encoding's arrays, plus the O(batch)
   :class:`RunningSourceStats` streaming counterpart;
 * :mod:`~repro.featurize.groups` — named, versioned
   :class:`FeatureGroup` column blocks over those accumulators;
@@ -52,7 +52,6 @@ from .stats import (
     SourceStats,
     compute_object_stats,
     compute_source_stats,
-    compute_source_stats_chunk,
 )
 
 __all__ = [
@@ -76,7 +75,6 @@ __all__ = [
     "ObjectStats",
     "RunningSourceStats",
     "compute_source_stats",
-    "compute_source_stats_chunk",
     "compute_object_stats",
     "dataset_digest",
     "cache_key",

@@ -2,7 +2,7 @@
 
 :class:`FeaturizerPipeline` composes versioned reliability
 :mod:`feature groups <repro.featurize.groups>` (computed from the data
-itself via chunked, order-independent per-source reductions) with the
+itself by one pass of per-source reductions) with the
 classic metadata :class:`~repro.fusion.features.FeatureSpace` block, and
 persists results in a content + version addressed
 :class:`~repro.featurize.cache.FeatureCache`.
@@ -43,7 +43,7 @@ from .stats import (
 )
 
 #: Bump to invalidate every cached matrix after a pipeline-semantics change.
-FEATURIZER_VERSION = 4
+FEATURIZER_VERSION = 5
 
 
 class FeaturizedSpace:
@@ -84,8 +84,6 @@ class FeaturizedSpace:
             "has no claim history to featurize. Refit (or refeaturize) with "
             "the source's claims included instead."
         )
-
-    encode = transform_one
 
     def to_state(self) -> Dict[str, object]:
         return {"column_labels": list(self._column_labels), "version_key": self.version_key}
@@ -138,10 +136,6 @@ class FeaturizerPipeline:
         become zeros).  The metadata block stays binary.
     half_life:
         Half-life, in arrival rows, of the decayed-volume accumulator.
-    n_jobs:
-        Process fan-out for the statistics pass (``1`` inline, ``None`` =
-        one worker per usable CPU).  Results are bit-identical across any
-        value.
     cache:
         A :class:`FeatureCache`, a directory path for one, or ``None``
         (in-process memoization only).
@@ -155,7 +149,6 @@ class FeaturizerPipeline:
         metadata_bins: int = 2,
         standardize: bool = True,
         half_life: float = DEFAULT_HALF_LIFE,
-        n_jobs: Optional[int] = 1,
         cache: Union[FeatureCache, str, None] = None,
     ) -> None:
         self.groups: Tuple[FeatureGroup, ...] = tuple(
@@ -172,7 +165,6 @@ class FeaturizerPipeline:
         self.half_life = float(half_life)
         if self.half_life <= 0:
             raise DatasetError(f"half_life must be positive, got {half_life!r}")
-        self.n_jobs = n_jobs
         self.cache: FeatureCache = (
             cache if isinstance(cache, FeatureCache) else FeatureCache(cache)
         )
@@ -222,9 +214,7 @@ class FeaturizerPipeline:
                 meta=meta,
             )
 
-        stats = compute_source_stats(
-            arrays, encoding.n_sources, half_life=self.half_life, n_jobs=self.n_jobs
-        )
+        stats = compute_source_stats(arrays, encoding.n_sources, half_life=self.half_life)
         matrix, names = self._assemble(stats, encoding.sources.items, encoding.source_features)
         meta = {
             "digest": digest,

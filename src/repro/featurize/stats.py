@@ -16,13 +16,10 @@ per-source accumulators:
   entropy).
 
 Everything is a segmented reduction over the encoding's flat arrays:
-object-level quantities (:class:`ObjectStats`) are computed once
-globally, then per-source sums are masked ``np.bincount`` calls over a
-contiguous source range.  Because chunking by source range preserves
-each source's observation order and ``bincount`` accumulates
-sequentially per bin, concatenating per-chunk results is **bit-identical**
-to a single full-range pass — the invariant the chunked-parallel
-pipeline and its tests rely on.
+object-level quantities (:class:`ObjectStats`) are computed once, then
+every per-source sum is one ``np.bincount`` over the observation rows in
+the encoding's object-sorted order (``bincount`` accumulates each bin's
+addends sequentially, so the pass is deterministic).
 
 :class:`RunningSourceStats` maintains the same accumulators under
 O(batch + touched-object claims) streaming appends, for the
@@ -31,13 +28,12 @@ O(batch + touched-object claims) streaming appends, for the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Dict, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
 from ..fusion.posterior_store import segmented_argmax
-from ..parallel import WorkerPool, chunk_indices, resolve_n_jobs
 
 #: Default half-life (in arrival rows) of the decayed-volume accumulator.
 DEFAULT_HALF_LIFE = 256.0
@@ -58,7 +54,7 @@ STAT_ARRAYS = (
 
 @dataclass(frozen=True)
 class ObjectStats:
-    """Global per-object/per-pair quantities shared by every source chunk.
+    """Global per-object/per-pair quantities every per-source sum reads.
 
     Attributes
     ----------
@@ -82,22 +78,11 @@ class ObjectStats:
     entropy: np.ndarray
     domain_sizes: np.ndarray
 
-    def as_arrays(self) -> Dict[str, np.ndarray]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 @dataclass
 class SourceStats:
-    """Per-source accumulators over a contiguous source range.
+    """Per-source accumulators, one array entry per source index."""
 
-    All arrays are aligned to sources ``range(source_start, source_stop)``.
-    ``concat`` glues adjacent chunks back together; the result of
-    concatenating any chunking equals the single-pass computation
-    bit-for-bit (see module docstring).
-    """
-
-    source_start: int
-    source_stop: int
     n_observations: int
     n_objects: int
     half_life: float
@@ -134,33 +119,7 @@ class SourceStats:
 
     @property
     def n_sources(self) -> int:
-        return self.source_stop - self.source_start
-
-    @classmethod
-    def concat(cls, parts: Sequence["SourceStats"]) -> "SourceStats":
-        """Glue adjacent source-range chunks (ascending, contiguous)."""
-        if not parts:
-            raise ValueError("cannot concatenate zero SourceStats chunks")
-        parts = sorted(parts, key=lambda p: p.source_start)
-        for left, right in zip(parts, parts[1:]):
-            if left.source_stop != right.source_start:
-                raise ValueError(
-                    f"source ranges must be contiguous: "
-                    f"[{left.source_start}, {left.source_stop}) then "
-                    f"[{right.source_start}, {right.source_stop})"
-                )
-        head = parts[0]
-        merged = {
-            name: np.concatenate([getattr(p, name) for p in parts]) for name in cls.ARRAY_FIELDS
-        }
-        return cls(
-            source_start=head.source_start,
-            source_stop=parts[-1].source_stop,
-            n_observations=head.n_observations,
-            n_objects=head.n_objects,
-            half_life=head.half_life,
-            **merged,
-        )
+        return int(self.n_claims.shape[0])
 
 
 def compute_object_stats(arrays: Mapping[str, np.ndarray]) -> ObjectStats:
@@ -196,41 +155,35 @@ def compute_object_stats(arrays: Mapping[str, np.ndarray]) -> ObjectStats:
     )
 
 
-def compute_source_stats_chunk(
+def compute_source_stats(
     arrays: Mapping[str, np.ndarray],
-    object_stats: ObjectStats,
-    source_start: int,
-    source_stop: int,
+    n_sources: int,
     *,
     half_life: float = DEFAULT_HALF_LIFE,
 ) -> SourceStats:
-    """Per-source accumulators for sources ``[source_start, source_stop)``.
+    """Full per-source statistics in one pass over the observation rows.
 
-    The mask keeps each source's observations in the encoding's
-    object-sorted order, so every ``bincount`` below accumulates a given
-    source's terms in the same order regardless of how the source axis
-    is chunked — the bit-identity invariant.
+    Each ``bincount`` below accumulates a source's terms in the
+    encoding's object-sorted row order, so the result is deterministic.
     """
-    n = source_stop - source_start
-    obs_source_idx = arrays["obs_source_idx"]
-    mask = (obs_source_idx >= source_start) & (obs_source_idx < source_stop)
-    src = obs_source_idx[mask] - source_start
-    obj = arrays["obs_object_idx"][mask]
-    code = arrays["obs_value_code"][mask]
-    pair = arrays["obs_pair_idx"][mask]
-    rows = arrays["obs_order"][mask]
+    object_stats = compute_object_stats(arrays)
+    src = arrays["obs_source_idx"]
+    obj = arrays["obs_object_idx"]
+    code = arrays["obs_value_code"]
+    pair = arrays["obs_pair_idx"]
+    rows = arrays["obs_order"]
     rows_f = rows.astype(float)
 
     claims_on_obj = object_stats.claims_per_object[obj]
     votes = object_stats.votes[pair]
 
     def count(cond: np.ndarray) -> np.ndarray:
-        return np.bincount(src[cond], minlength=n).astype(np.int64)
+        return np.bincount(src[cond], minlength=n_sources).astype(np.int64)
 
     def total(weights: np.ndarray) -> np.ndarray:
-        return np.bincount(src, weights=weights, minlength=n)
+        return np.bincount(src, weights=weights, minlength=n_sources)
 
-    n_claims = np.bincount(src, minlength=n).astype(np.int64)
+    n_claims = np.bincount(src, minlength=n_sources).astype(np.int64)
     n_solo = count(claims_on_obj == 1)
     n_consensus = count(object_stats.consensus_code[obj] == code)
     n_contradicted = count(votes < claims_on_obj)
@@ -240,9 +193,9 @@ def compute_source_stats_chunk(
     sum_entropy = total(object_stats.entropy[obj])
     sum_row = total(rows_f)
 
-    first_row = np.full(n, _ROW_SENTINEL, dtype=np.int64)
+    first_row = np.full(n_sources, _ROW_SENTINEL, dtype=np.int64)
     np.minimum.at(first_row, src, rows)
-    last_row = np.full(n, -1, dtype=np.int64)
+    last_row = np.full(n_sources, -1, dtype=np.int64)
     np.maximum.at(last_row, src, rows)
 
     # Exponents are <= 0 by construction, so the decayed accumulators
@@ -255,9 +208,7 @@ def compute_source_stats_chunk(
     decayed_agree = total(weights * (votes - 1).astype(float))
 
     return SourceStats(
-        source_start=source_start,
-        source_stop=source_stop,
-        n_observations=int(obs_source_idx.shape[0]),
+        n_observations=int(src.shape[0]),
         n_objects=int(object_stats.domain_sizes.shape[0]),
         half_life=float(half_life),
         n_claims=n_claims,
@@ -274,54 +225,6 @@ def compute_source_stats_chunk(
         decayed_volume=decayed_volume,
         decayed_agree=decayed_agree,
     )
-
-
-def compute_source_stats(
-    arrays: Mapping[str, np.ndarray],
-    n_sources: int,
-    *,
-    half_life: float = DEFAULT_HALF_LIFE,
-    n_jobs: Optional[int] = 1,
-) -> SourceStats:
-    """Full per-source statistics, optionally fanned over processes.
-
-    ``n_jobs=1`` computes everything inline; ``n_jobs=None`` resolves to
-    the usable CPU count via :func:`repro.parallel.resolve_n_jobs`.
-    Results are bit-identical across any ``n_jobs`` (see module
-    docstring); the parallel path ships the flat arrays to workers once
-    through a :class:`repro.parallel.WorkerPool` and reduces chunks in
-    ascending source order.
-    """
-    object_stats = compute_object_stats(arrays)
-    if n_sources == 0:
-        return compute_source_stats_chunk(arrays, object_stats, 0, 0, half_life=half_life)
-
-    chunks = chunk_indices(n_sources, resolve_n_jobs(n_jobs))
-    if len(chunks) <= 1:
-        parts = [
-            compute_source_stats_chunk(arrays, object_stats, c.start, c.stop, half_life=half_life)
-            for c in chunks
-        ]
-    else:
-        state = (
-            {name: arrays[name] for name in STAT_ARRAYS},
-            object_stats.as_arrays(),
-            half_life,
-        )
-        with WorkerPool(_stats_worker, state, len(chunks)) as pool:
-            parts = pool.map(_stats_chunk, [(c.start, c.stop) for c in chunks])
-    return SourceStats.concat(parts)
-
-
-def _stats_worker(state) -> tuple:
-    """:class:`WorkerPool` builder: ``(arrays, ObjectStats, half_life)``."""
-    arrays, object_arrays, half_life = state
-    return arrays, ObjectStats(**object_arrays), half_life
-
-
-def _stats_chunk(built: tuple, start: int, stop: int) -> SourceStats:
-    arrays, object_stats, half_life = built
-    return compute_source_stats_chunk(arrays, object_stats, start, stop, half_life=half_life)
 
 
 # ----------------------------------------------------------------------
@@ -474,8 +377,6 @@ class RunningSourceStats:
         """Materialize the accumulated state as a :class:`SourceStats`."""
         n = self._n_sources
         return SourceStats(
-            source_start=0,
-            source_stop=n,
             n_observations=self.n_observations,
             n_objects=int(n_objects),
             half_life=self.half_life,

@@ -302,23 +302,6 @@ class DenseEncoding:
         return int(self.pair_offsets[-1])
 
     # ------------------------------------------------------------------
-    # Sharding
-    # ------------------------------------------------------------------
-    def shard(self, n_shards: int):
-        """Contiguous object-range shards of this encoding.
-
-        The encoding carries every array :func:`repro.fusion.sharding.
-        shard_structure` slices (CSR candidate layout, object-grouped
-        observation rows, ``base_scores``), so an encoding can feed the
-        sharded E-step directly — each returned
-        :class:`~repro.fusion.sharding.StructureShard` is bit-compatible
-        with the matching global slice.
-        """
-        from .sharding import shard_structure
-
-        return shard_structure(self, n_shards)
-
-    # ------------------------------------------------------------------
     # Candidate values
     # ------------------------------------------------------------------
     # The dataset's domain reads (an encoding holds the same tables).

@@ -18,8 +18,9 @@ sklearn-style lifecycle::
 A fitted space is summarized by a frozen, hashable :class:`FeatureSpec`
 (``space.spec``) and round-trips via :meth:`FeatureSpace.to_state` /
 :meth:`FeatureSpace.from_state` like
-:class:`~repro.fusion.encoding.DenseEncoding`.  The legacy one-shot
-``space.fit(dataset) -> matrix`` call is kept as a deprecation shim.
+:class:`~repro.fusion.encoding.DenseEncoding`.  For a dataset,
+:meth:`FeatureSpace.fit_transform` and :func:`build_design_matrix` fit
+on its ``source_features`` and return the design matrix in one call.
 
 Data-derived reliability features (volume, corroboration, recency, ...)
 live in :mod:`repro.featurize`, which composes its feature groups with this
@@ -28,7 +29,6 @@ metadata encoder into one design matrix.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -156,9 +156,6 @@ class FeatureSpace:
         design = space.transform(dataset)    # |S| x |K| float matrix
         space.column_labels                  # names per column
         row = space.transform_one({"citations": 12})  # encode a new source
-
-    Passing a :class:`FusionDataset` to :meth:`fit` is the deprecated
-    legacy call and returns the design matrix directly.
     """
 
     def __init__(
@@ -184,34 +181,13 @@ class FeatureSpace:
     # ------------------------------------------------------------------
     # Fitting
     # ------------------------------------------------------------------
-    def fit(
-        self,
-        metadata: Union[FusionDataset, Mapping[SourceId, Mapping[str, object]]],
-    ) -> "FeatureSpace":
+    def fit(self, metadata: Mapping[SourceId, Mapping[str, object]]) -> "FeatureSpace":
         """Learn quantile edges and column layout from source metadata.
 
         ``metadata`` maps each source to its raw ``{name: value}`` feature
         mapping.  Re-fitting resets any previous state.  Returns ``self``
         for chaining.
-
-        .. deprecated::
-            Passing a :class:`FusionDataset` is the legacy one-shot call;
-            it fits on ``dataset.source_features`` and returns the encoded
-            design matrix (not ``self``).  Use
-            ``space.fit(dataset.source_features)`` followed by
-            ``space.transform(dataset)`` — or
-            :func:`build_design_matrix` — instead.
         """
-        if isinstance(metadata, FusionDataset):
-            warnings.warn(
-                "FeatureSpace.fit(dataset) returning the design matrix is "
-                "deprecated; call space.fit(dataset.source_features) then "
-                "space.transform(dataset), or use build_design_matrix",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            self.fit(metadata.source_features)
-            return self.transform(metadata)
         self._reset()
         names = sorted({name for feats in metadata.values() for name in feats})
 
@@ -227,10 +203,6 @@ class FeatureSpace:
 
         self._fitted = True
         return self
-
-    def fit_metadata(self, metadata: Mapping[SourceId, Mapping[str, object]]) -> "FeatureSpace":
-        """Alias of :meth:`fit` kept for callers of the pre-redesign API."""
-        return self.fit(metadata)
 
     def fit_transform(self, dataset: FusionDataset) -> np.ndarray:
         """Fit on ``dataset.source_features`` and encode its sources."""
@@ -321,14 +293,6 @@ class FeatureSpace:
                 if column.label.endswith("=<missing>") and column.name not in present:
                     row[self._columns.index(column.label)] = 1.0
         return row
-
-    def encode(self, features: Mapping[str, object]) -> np.ndarray:
-        """Alias of :meth:`transform_one` kept for the pre-redesign API."""
-        return self.transform_one(features)
-
-    def encode_sources(self, dataset: FusionDataset) -> np.ndarray:
-        """Alias of :meth:`transform` kept for the pre-redesign API."""
-        return self.transform(dataset)
 
     def _value_label(
         self, name: str, value: object, unseen: Optional[str] = None

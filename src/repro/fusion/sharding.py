@@ -19,24 +19,21 @@ piece **bit-for-bit**:
   (value codes stay bit-identical; see
   ``tests/fusion/test_posterior_store.py``).
 
-Shards are plain picklable array bundles, so a fit can fan its per-round
-shard E-steps out over a :class:`repro.parallel.WorkerPool`
-(:func:`shard_stat_pool`): the shard arrays ship to each worker once and
-every round sends only the trust vector.  Pooled and in-process rounds
-share one reduce in ascending shard index
-(:func:`sharded_correctness_stats`), so process fan-out never changes the
-fit.
+A sharded fit bounds its peak E-step memory by the largest shard: each
+round runs the shard E-steps one after another in this process and
+reduces their partials in ascending shard index
+(:func:`sharded_correctness_stats`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..optim.objectives import segment_softmax
-from ..parallel import WorkerPool, chunk_bounds, resolve_n_jobs
+from ..parallel import chunk_bounds
 
 
 @dataclass
@@ -74,25 +71,6 @@ class StructureShard:
     def n_observations(self) -> int:
         """Observations whose object falls in the shard."""
         return int(self.obs_pair_idx.shape[0])
-
-    def to_state(self) -> Dict[str, object]:
-        """Flat picklable dict (arrays + ints) for cross-process transport."""
-        return {
-            "object_start": self.object_start,
-            "object_stop": self.object_stop,
-            "pair_start": self.pair_start,
-            "pair_stop": self.pair_stop,
-            "pair_offsets": self.pair_offsets,
-            "pair_object_pos": self.pair_object_pos,
-            "obs_source_idx": self.obs_source_idx,
-            "obs_pair_idx": self.obs_pair_idx,
-            "base_scores": self.base_scores,
-        }
-
-    @classmethod
-    def from_state(cls, state: Dict[str, object]) -> "StructureShard":
-        """Rebuild a shard from :meth:`to_state` output."""
-        return cls(**state)
 
 
 def _pair_positions(structure) -> np.ndarray:
@@ -172,12 +150,16 @@ def shard_blocked_rows(
     return out
 
 
-def shard_posterior_rows(shard: StructureShard, trust: np.ndarray) -> np.ndarray:
+def shard_posterior_rows(
+    shard: StructureShard, trust: np.ndarray, blocked_rows: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Posterior probability of the shard's candidate rows.
 
     Bit-identical to the matching slice of the global
     :func:`repro.core.inference.posterior_rows` output (see the module
-    docstring for why).
+    docstring for why).  ``blocked_rows`` (shard-local, from
+    :func:`shard_blocked_rows`) are the E-step clamp: their scores are
+    set to ``-inf`` before the softmax.
     """
     scores = (
         np.bincount(
@@ -187,6 +169,8 @@ def shard_posterior_rows(shard: StructureShard, trust: np.ndarray) -> np.ndarray
         )
         + shard.base_scores
     )
+    if blocked_rows is not None and blocked_rows.size:
+        scores[blocked_rows] = -np.inf
     return segment_softmax(scores, shard.pair_object_pos, shard.n_objects)
 
 
@@ -206,51 +190,10 @@ def shard_expected_stats(
     (:func:`sharded_correctness_stats`), after which the M-step proceeds
     exactly as in :func:`repro.optim.objectives.reduce_correctness_samples`.
     """
-    scores = (
-        np.bincount(
-            shard.obs_pair_idx,
-            weights=trust[shard.obs_source_idx],
-            minlength=shard.n_pairs,
-        )
-        + shard.base_scores
-    )
-    if blocked_rows is not None and blocked_rows.size:
-        scores[blocked_rows] = -np.inf
-    probs = segment_softmax(scores, shard.pair_object_pos, shard.n_objects)
-    q = probs[shard.obs_pair_idx]
+    q = shard_posterior_rows(shard, trust, blocked_rows)[shard.obs_pair_idx]
     totals = np.bincount(shard.obs_source_idx, minlength=n_sources).astype(float)
     mass = np.bincount(shard.obs_source_idx, weights=q, minlength=n_sources)
     return totals, mass
-
-
-def _shard_table(state) -> tuple:
-    """:class:`WorkerPool` builder: ``(shards, blocked_per_shard, n_sources)``."""
-    shard_states, blocked_per_shard, n_sources = state
-    shards = [StructureShard.from_state(shard) for shard in shard_states]
-    return shards, blocked_per_shard, n_sources
-
-
-def _shard_partial(table: tuple, index: int, trust: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """One shard's ``(totals, mass)`` from a ``(shards, blocked, n_sources)`` table."""
-    shards, blocked_per_shard, n_sources = table
-    blocked = blocked_per_shard[index] if blocked_per_shard is not None else None
-    return shard_expected_stats(shards[index], trust, n_sources, blocked)
-
-
-def shard_stat_pool(
-    shards: List[StructureShard],
-    blocked_per_shard: List[np.ndarray],
-    n_sources: int,
-    n_jobs: Optional[int],
-) -> WorkerPool:
-    """Worker processes holding one fit's shards, for every EM round.
-
-    The shard arrays (and their clamp plans) ship to each worker once;
-    pass the pool to :func:`sharded_correctness_stats` each round, and
-    close it when the fit ends.
-    """
-    state = ([shard.to_state() for shard in shards], list(blocked_per_shard), n_sources)
-    return WorkerPool(_shard_table, state, min(resolve_n_jobs(n_jobs), len(shards)))
 
 
 def sharded_correctness_stats(
@@ -258,24 +201,13 @@ def sharded_correctness_stats(
     trust: np.ndarray,
     n_sources: int,
     blocked_per_shard: Optional[List[np.ndarray]] = None,
-    pool: Optional[WorkerPool] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Sum per-shard partial statistics in ascending shard index.
-
-    With ``pool`` (from :func:`shard_stat_pool` over the same shards) the
-    shard E-steps run in its workers; without, in this process.  Both
-    reduce the partials in the same order, so serial and
-    process-parallel sharded fits produce identical statistics.
-    """
-    calls = [(index, trust) for index in range(len(shards))]
-    if pool is None:
-        table = (shards, blocked_per_shard, n_sources)
-        partials = (_shard_partial(table, *call) for call in calls)
-    else:
-        partials = pool.map(_shard_partial, calls)
+    """Sum per-shard partial statistics in ascending shard index."""
     totals = np.zeros(n_sources)
     mass = np.zeros(n_sources)
-    for shard_totals, shard_mass in partials:
+    for index, shard in enumerate(shards):
+        blocked = blocked_per_shard[index] if blocked_per_shard is not None else None
+        shard_totals, shard_mass = shard_expected_stats(shard, trust, n_sources, blocked)
         totals += shard_totals
         mass += shard_mass
     return totals, mass

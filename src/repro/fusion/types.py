@@ -111,6 +111,10 @@ class Indexer(Generic[T]):
         """All items in index order (a copy; safe to mutate)."""
         return list(self._items)
 
+    def items_from(self, start: int) -> List[T]:
+        """Items at indices ``start`` onward (a copy of that tail only)."""
+        return self._items[start:]
+
     def as_dict(self) -> Dict[T, int]:
         """Item -> index for every item (a C-level copy; safe to mutate)."""
         return dict(self._index)

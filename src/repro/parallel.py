@@ -1,12 +1,10 @@
 """The library's one process fan-out primitive.
 
-Three jobs fan work out over worker processes: a parallel sweep
-(:class:`~repro.experiments.sweeps.SweepRunner` with ``n_jobs > 1``), the
-per-round shard E-steps of one sharded EM fit (``EMConfig(shard_jobs=N)``)
-and the featurizer's statistics pass
-(:func:`~repro.featurize.stats.compute_source_stats` with ``n_jobs > 1``).
-Each ships one large read-only state to every worker once, then sends many
-small calls against it.  :class:`WorkerPool` is that protocol:
+One job fans work out over worker processes: a parallel sweep
+(:class:`~repro.experiments.sweeps.SweepRunner` with ``n_jobs > 1``).  It
+ships one large read-only state (the compiled encoding, its masked
+structures and plans) to every worker once, then sends many small fit
+calls against it.  :class:`WorkerPool` is that protocol:
 
 * every worker runs ``build(state)`` once, in the pool initializer, and
   keeps what it returns;
@@ -25,8 +23,8 @@ Workers receive read-only views: every attached array has its
 state fails loudly instead of corrupting its siblings.
 
 :func:`resolve_n_jobs` and :func:`chunk_bounds` / :func:`chunk_indices`
-are the worker-count and balanced-split rules every fan-out (and the EM
-object-range sharding) uses.  The module needs only the standard library
+are the worker-count and balanced-split rules the sweep fan-out (and the
+EM object-range sharding) uses.  The module needs only the standard library
 and numpy, and imports ``multiprocessing`` and ``concurrent.futures``
 only when a pool is built, so every layer of the library can import it.
 """

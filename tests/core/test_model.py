@@ -80,7 +80,7 @@ class TestPredictAccuracy:
             intercept=0.5,
         )
         predicted = model.predict_accuracy({"citations": 34, "year": 2009})
-        row = space.encode({"citations": 34, "year": 2009})
+        row = space.transform_one({"citations": 34, "year": 2009})
         assert predicted == pytest.approx(float(sigmoid(0.5 + row.sum())))
 
 

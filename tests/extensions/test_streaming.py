@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.extensions import DecayConfig, StreamingFuser, replay_dataset
 from repro.fusion import DatasetError, Observation, object_value_accuracy
@@ -77,6 +79,32 @@ class TestBatchIngest:
         fuser = StreamingFuser()
         fuser.observe_batch([])
         assert fuser.n_processed == 0
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        batch_sizes=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+    )
+    def test_preset_truth_resolves_as_objects_arrive(self, seed, batch_sizes):
+        # Labels revealed before their objects arrive (None and never-claimed
+        # values included) resolve per object, whatever the batch shape.
+        rng = np.random.default_rng(seed)
+        pairs = rng.choice(8 * 30, size=sum(batch_sizes), replace=False).tolist()
+        stream = [(f"s{p // 30}", f"o{p % 30}", f"v{rng.integers(4)}") for p in pairs]
+        labels = ["v0", "v1", "v2", "v3", "never", None]
+        fuser = StreamingFuser()
+        for o in range(40):
+            if rng.random() < 0.5:
+                fuser.reveal_truth(f"o{o}", labels[rng.integers(len(labels))])
+        start = 0
+        for size in batch_sizes:
+            fuser.observe_batch(stream[start : start + size])
+            start += size
+            for o_idx in range(fuser.encoding.n_objects):
+                value = fuser.truth.get(fuser.encoding.objects.item(o_idx))
+                code = None if value is None else fuser.encoding.value_code(o_idx, value)
+                expected = -1 if value is None else (-2 if code is None else code)
+                assert fuser._truth_code[o_idx] == expected
 
     def test_empty_fuser_snapshots_cleanly(self):
         """to_result before any observation returns an empty result."""

@@ -64,12 +64,6 @@ class TestFeaturize:
         assert from_dataset.digest == from_encoding.digest
         assert np.array_equal(from_dataset.matrix, from_encoding.matrix)
 
-    def test_n_jobs_bit_identical(self):
-        ds = _dataset()
-        serial = FeaturizerPipeline(n_jobs=1, cache=FeatureCache()).featurize(ds)
-        fanned = FeaturizerPipeline(n_jobs=2, cache=FeatureCache()).featurize(ds)
-        assert np.array_equal(serial.matrix, fanned.matrix)
-
     def test_metadata_block_appended(self):
         ds = _dataset(source_features={"s0": {"year": 2001}, "s1": {"year": 2010}})
         with_meta = FeaturizerPipeline().featurize(ds)
@@ -197,8 +191,6 @@ class TestFeaturizedSpace:
         space = FeaturizedSpace(["volume:claim_share"])
         with pytest.raises(NotFittedError, match="claim history"):
             space.transform_one({"year": 2000})
-        with pytest.raises(NotFittedError):
-            space.encode({"year": 2000})
 
     def test_columns_for_matches_group_prefix(self):
         space = FeaturizedSpace(

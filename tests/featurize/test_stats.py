@@ -1,4 +1,4 @@
-"""Reliability statistics: hand-checked values, chunk invariance, streaming."""
+"""Reliability statistics: hand-checked values, determinism, streaming."""
 
 from types import MethodType
 
@@ -12,7 +12,6 @@ from repro.featurize import (
     SourceStats,
     compute_object_stats,
     compute_source_stats,
-    compute_source_stats_chunk,
 )
 from repro.featurize.stats import STAT_ARRAYS
 from repro.fusion import FusionDataset, IncrementalEncoding
@@ -87,48 +86,8 @@ class TestSourceStats:
         # s0 agree counts: row 0 (o0=a, votes 2) and row 3 (o1=x, votes 2)
         np.testing.assert_allclose(stats.decayed_agree[0], 0.5 * 1.0 + 1.0 * 1.0)
 
-    def test_empty_source_range(self):
-        ds = FusionDataset(HAND_OBSERVATIONS)
-        obj = compute_object_stats(_arrays(ds))
-        chunk = compute_source_stats_chunk(_arrays(ds), obj, 1, 1)
-        assert chunk.n_sources == 0
-        assert chunk.n_claims.shape == (0,)
-
-    def test_concat_requires_contiguity(self):
-        ds = FusionDataset(HAND_OBSERVATIONS)
-        obj = compute_object_stats(_arrays(ds))
-        a = compute_source_stats_chunk(_arrays(ds), obj, 0, 1)
-        c = compute_source_stats_chunk(_arrays(ds), obj, 2, 3)
-        with pytest.raises(ValueError, match="contiguous"):
-            SourceStats.concat([a, c])
-
 
 class TestChunkInvariance:
-    @settings(max_examples=25, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-        n_sources=st.integers(min_value=1, max_value=12),
-        n_objects=st.integers(min_value=1, max_value=15),
-        domain_size=st.integers(min_value=2, max_value=4),
-        n_chunks=st.integers(min_value=2, max_value=8),
-    )
-    def test_any_chunking_is_bit_identical(self, seed, n_sources, n_objects, domain_size, n_chunks):
-        from repro.parallel import chunk_indices
-
-        ds = _random_dataset(seed, n_sources, n_objects, domain_size)
-        arrays = _arrays(ds)
-        obj = compute_object_stats(arrays)
-        full = compute_source_stats_chunk(arrays, obj, 0, ds.n_sources)
-        parts = [
-            compute_source_stats_chunk(arrays, obj, c.start, c.stop)
-            for c in chunk_indices(ds.n_sources, n_chunks)
-            if len(c)
-        ]
-        glued = SourceStats.concat(parts)
-        for name in SourceStats.ARRAY_FIELDS:
-            # Bit-for-bit, floats included: no tolerance.
-            assert np.array_equal(getattr(full, name), getattr(glued, name)), name
-
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_deterministic_per_seed(self, seed):
@@ -138,16 +97,6 @@ class TestChunkInvariance:
         b = compute_source_stats(arrays, ds.n_sources)
         for name in SourceStats.ARRAY_FIELDS:
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
-
-    def test_process_pool_matches_serial(self):
-        # A real ProcessPoolExecutor fan-out (n_jobs=3) must reproduce the
-        # serial computation bit-for-bit.
-        ds = _random_dataset(7, 12, 30, 3)
-        arrays = _arrays(ds)
-        serial = compute_source_stats(arrays, ds.n_sources, n_jobs=1)
-        parallel = compute_source_stats(arrays, ds.n_sources, n_jobs=3)
-        for name in SourceStats.ARRAY_FIELDS:
-            assert np.array_equal(getattr(serial, name), getattr(parallel, name)), name
 
 
 class TestRunningSourceStats:

@@ -160,13 +160,6 @@ class TestLifecycle:
         space.fit({"s": {"b": "y"}})
         assert space.column_labels == ["b=y"]
 
-    def test_deprecated_dataset_fit_still_returns_matrix(self):
-        ds = _dataset([{"c": "a"}, {"c": "b"}])
-        space = FeatureSpace()
-        with pytest.warns(DeprecationWarning):
-            design = space.fit(ds)
-        assert design.shape == (2, 2)
-
     def test_transform_before_fit_rejected(self):
         with pytest.raises(DatasetError):
             FeatureSpace().transform([{"x": 1.0}])
@@ -246,7 +239,7 @@ class TestUnseenPolicy:
 
     def test_encode_before_fit_rejected(self):
         with pytest.raises(DatasetError):
-            FeatureSpace().encode({"x": 1.0})
+            FeatureSpace().transform_one({"x": 1.0})
 
     def test_invalid_bins_rejected(self):
         with pytest.raises(DatasetError):

@@ -228,16 +228,7 @@ class TestShardingPrimitives:
         from repro.fusion.encoding import encode_dataset
 
         encoding = encode_dataset(skewed_dataset)
-        shards = encoding.shard(3)
-        reference = shard_structure(encoding, 3)
-        assert len(shards) == len(reference)
-        for got, want in zip(shards, reference):
-            assert (got.object_start, got.object_stop) == (
-                want.object_start,
-                want.object_stop,
-            )
-            np.testing.assert_array_equal(got.obs_pair_idx, want.obs_pair_idx)
-            np.testing.assert_array_equal(got.base_scores, want.base_scores)
+        shards = shard_structure(encoding, 3)
         assert sum(s.n_objects for s in shards) == encoding.n_objects
         assert sum(s.n_observations for s in shards) == encoding.n_observations
 
@@ -309,22 +300,11 @@ class TestShardCountInvariance:
             one.posterior_store.probs, four.posterior_store.probs, atol=1e-10
         )
 
-    def test_process_fan_out_matches_serial(self, skewed_dataset):
-        train = dict(list(skewed_dataset.ground_truth.items())[:12])
-        serial = _fit_predict(skewed_dataset, train, n_shards=3)
-        parallel = _fit_predict(skewed_dataset, train, n_shards=3, shard_jobs=2)
-        np.testing.assert_array_equal(parallel.value_codes, serial.value_codes)
-        np.testing.assert_array_equal(
-            parallel.source_accuracy_vector, serial.source_accuracy_vector
-        )
-
     def test_config_validation(self):
         with pytest.raises(ValueError, match="positive integer"):
             EMLearner(EMConfig(n_shards=0))
         with pytest.raises(ValueError, match="sgd"):
             EMLearner(EMConfig(n_shards=2, solver="sgd"))
-        with pytest.raises(ValueError, match="shard_jobs requires"):
-            EMLearner(EMConfig(shard_jobs=2))
 
 
 class TestLazyPromotion:

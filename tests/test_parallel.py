@@ -1,11 +1,10 @@
 """The one process fan-out primitive, ``repro.parallel.WorkerPool``.
 
-The featurizer's statistics pass, a sharded EM fit's per-round shard
-E-steps and a parallel sweep all fan out on it.  These tests pin the
-worker-count rule, the shared-memory transport — forced for each
-consumer, since under ``fork`` it is never taken on its own, and taken
-for real under ``spawn`` — and that the segment is released.  The split
-rule and the pack round trip are pinned in
+A parallel sweep is its one consumer.  These tests pin the worker-count
+rule, the shared-memory transport — forced for the sweep cases, since
+under ``fork`` it is never taken on its own, and taken for real under
+``spawn`` — and that the segment is released.  The split rule and the
+pack round trip are pinned in
 ``tests/experiments/test_sweeps.py::TestParallelHelpers``.
 """
 
@@ -18,13 +17,8 @@ import numpy as np
 import pytest
 
 from repro import parallel
-from repro.core import SLiMFast
-from repro.core.em import EMConfig
 from repro.data import generate
 from repro.experiments import SweepRunner, leave_one_out_specs
-from repro.featurize import SourceStats, compute_source_stats
-from repro.featurize.stats import STAT_ARRAYS
-from repro.fusion.encoding import encode_dataset
 from repro.parallel import SharedArrayPack, WorkerPool, resolve_n_jobs
 from tests.experiments.test_sweeps import CONFIGS, TIGHT, _assert_fits_match, _em_specs
 
@@ -34,30 +28,6 @@ def test_n_jobs_none_counts_usable_cpus(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert resolve_n_jobs(None) == 1
-
-
-def _stats_case():
-    dataset = generate(CONFIGS[1]).dataset
-    encoding = encode_dataset(dataset)
-    arrays = {name: getattr(encoding, name) for name in STAT_ARRAYS}
-    serial = compute_source_stats(arrays, dataset.n_sources, n_jobs=1)
-    pooled = compute_source_stats(arrays, dataset.n_sources, n_jobs=2)
-    for name in SourceStats.ARRAY_FIELDS:
-        assert np.array_equal(getattr(serial, name), getattr(pooled, name)), name
-
-
-def _shards_case():
-    dataset = generate(CONFIGS[1]).dataset
-    train = dataset.split(0.2, seed=0).train_truth
-
-    def fit_predict(**overrides):
-        config = EMConfig(solver="lbfgs-warm", n_shards=3, **overrides)
-        return SLiMFast(learner="em", em_config=config).fit(dataset, train).predict()
-
-    serial = fit_predict()
-    pooled = fit_predict(shard_jobs=2)
-    np.testing.assert_array_equal(pooled.value_codes, serial.value_codes)
-    np.testing.assert_array_equal(pooled.source_accuracy_vector, serial.source_accuracy_vector)
 
 
 def _sweeps_case(config):
@@ -73,11 +43,7 @@ def _sweeps_case(config):
     _assert_fits_match(serial, shm)
 
 
-CONSUMERS = {
-    "stats": _stats_case,
-    "shards": _shards_case,
-    **{f"sweeps-{config.name}": functools.partial(_sweeps_case, config) for config in CONFIGS},
-}
+CONSUMERS = {f"sweeps-{config.name}": functools.partial(_sweeps_case, config) for config in CONFIGS}
 
 
 @pytest.mark.parametrize("case", list(CONSUMERS.values()), ids=list(CONSUMERS))

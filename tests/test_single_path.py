@@ -20,7 +20,14 @@ gone.
 Process fan-out has one primitive, ``repro.parallel.WorkerPool``: the
 sweep engine's transport switch, the featurizer's per-call worker count,
 the shard E-step pool class and the ``repro.experiments.parallel`` module
-it lived in are gone.
+it lived in are gone.  A parallel sweep is its one consumer: the
+featurizer's statistics pass runs once over the whole source range (its
+source-range chunks, their concatenation and the pipeline's worker count
+are gone), and a sharded EM fit runs its shards in-process (the shard
+pool, the shards' transport state and ``EMConfig(shard_jobs=)`` are
+gone).  The encoding's ``shard`` shortcut duplicated
+``shard_structure(encoding, n)``, and ``FeatureSpace``'s pre-redesign
+aliases and dataset-fitting ``fit`` went with the deprecation shim.
 
 EM's M-step has two solvers, ``repro.core.em.EM_SOLVERS``: the scipy
 reference and warm-started structured Newton, whose singular rounds make
@@ -48,9 +55,15 @@ from repro.core.structure import build_masked_structure, build_pair_structure
 from repro.experiments import SweepRunner
 from repro.extensions import StreamingFuser
 from repro.factorgraph import GibbsSampler
-from repro.featurize import FeaturizerPipeline
+import repro.featurize
+from repro.featurize import FeaturizerPipeline, ObjectStats, SourceStats, compute_source_stats
+from repro.featurize import stats as stats_module
+from repro.featurize.pipeline import FeaturizedSpace
 from repro.fusion import encoding as encoding_module
-from repro.fusion.encoding import IncrementalEncoding
+from repro.fusion import sharding as sharding_module
+from repro.fusion.encoding import DenseEncoding, IncrementalEncoding
+from repro.fusion.features import FeatureSpace
+from repro.fusion.sharding import StructureShard, sharded_correctness_stats
 from repro.optim import solvers as solvers_module
 from repro.optim.solvers import WarmStartState, minimize_newton
 from repro.serve import FusionServer, ServeMetrics, Snapshot
@@ -79,6 +92,10 @@ RETIRED_OPTIONS = [
     (SLiMFast, "seed"),
     (minimize_newton, "ftol"),
     (FeaturizerPipeline, "cache_dir"),
+    (FeaturizerPipeline, "n_jobs"),
+    (EMConfig, "shard_jobs"),
+    (compute_source_stats, "n_jobs"),
+    (sharded_correctness_stats, "pool"),
 ]
 
 
@@ -135,6 +152,18 @@ RETIRED_NAMES = [
     (WarmStartState, "to_state"),
     (WarmStartState, "from_state"),
     (WarmStartState(w=np.zeros(3)), "memory"),
+    (repro.featurize, "compute_source_stats_chunk"),
+    (stats_module, "compute_source_stats_chunk"),
+    (SourceStats, "concat"),
+    (ObjectStats, "as_arrays"),
+    (sharding_module, "shard_stat_pool"),
+    (StructureShard, "to_state"),
+    (StructureShard, "from_state"),
+    (DenseEncoding, "shard"),
+    (FeatureSpace, "fit_metadata"),
+    (FeatureSpace, "encode"),
+    (FeatureSpace, "encode_sources"),
+    (FeaturizedSpace, "encode"),
 ]
 
 
