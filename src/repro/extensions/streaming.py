@@ -38,7 +38,7 @@ compile of the accumulated stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -200,6 +200,9 @@ class StreamingFuser:
         self._truth_code = np.full(8, -1, dtype=np.int64)  # -1 unknown, -2 unclaimed truth
         self._n_objects = 0
         self.truth: Dict[ObjectId, Value] = {}
+        # Objects labeled None.  Feedback skips such a label revealed before
+        # its object arrives (its truth code stays -1), but a publish clamps it.
+        self._none_labels: Set[ObjectId] = set()
         self.n_processed = 0
         self.n_refits = 0
         self._last_refit_at = 0
@@ -390,6 +393,10 @@ class StreamingFuser:
     def _preset_truth(self, obj: ObjectId, value: Value) -> None:
         """Record a label without crediting past claims."""
         self.truth[obj] = value
+        if value is None:
+            self._none_labels.add(obj)
+        else:
+            self._none_labels.discard(obj)
         o_idx = self.encoding.objects.get(obj)
         if o_idx is not None:
             code = self.encoding.value_code(o_idx, value)
@@ -483,15 +490,16 @@ class StreamingFuser:
     def to_result(self) -> FusionResult:
         """Snapshot the current state as an array-backed fusion result.
 
-        The score table is packaged directly as a
-        :class:`~repro.fusion.result.FusionResult` (one segmented softmax,
-        no per-object dicts).
+        Read from the live state in O(pairs), with no compile: each object's
+        rows are its live claimed values in index order, their scores are
+        gathered from the ragged score table into one segmented softmax,
+        and the truth clamp comes from the truth-code table the batches
+        keep (:meth:`_clamp_codes`).
         """
-        from ..core.structure import build_pair_structure
         from ..optim.objectives import segment_softmax
 
         if self.encoding.n_observations == 0:
-            # An empty stream has no arrays to compile.
+            # An empty stream has no rows to package.
             return FusionResult(
                 values={},
                 posteriors={},
@@ -500,21 +508,41 @@ class StreamingFuser:
                 diagnostics={"n_processed": 0, "n_refits": self.n_refits},
             )
         encoding = self.encoding
-        structure = build_pair_structure(encoding)
-        flat_scores = self._score_flat[
-            self._score_start.data[encoding.pair_object_idx] + encoding.pair_value_code
-        ]
-        probs = segment_softmax(flat_scores, encoding.pair_object_idx, encoding.n_objects)
+        sizes = encoding.live_domain_sizes
+        n_objects = sizes.shape[0]
+        scores = self._score_flat[expand_spans(self._score_start.data, sizes)]
+        segments = np.repeat(np.arange(n_objects, dtype=np.int64), sizes)
+        probs = segment_softmax(scores, segments, n_objects)
         n = self._n_sources
         return FusionResult.from_rows(
-            structure,
+            encoding,
             probs,
             clamp=self.truth,
+            clamp_codes=self._clamp_codes(),
             accuracy_vector=self._correct[:n] / self._total[:n],
             source_ids=encoding.sources.items,
             method="streaming",
             diagnostics={"n_processed": self.n_processed, "n_refits": self.n_refits},
         )
+
+    def _clamp_codes(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``encoding.truth_codes(self.truth)``, read from the truth-code table.
+
+        The table holds every resolved label's value code (-2 outside the
+        claimed domain), so only ``None`` labels are looked up: one revealed
+        before its object arrived stays -1 in the table.
+        """
+        table = self._truth_code[: self.encoding.n_objects]
+        labeled = table != -1
+        codes = np.maximum(table, -1)
+        objects = self.encoding.objects
+        for obj in self._none_labels:
+            o_idx = objects.get(obj)
+            if o_idx is not None:
+                code = self.encoding.value_code(o_idx, None)
+                labeled[o_idx] = True
+                codes[o_idx] = -1 if code is None else code
+        return labeled, codes
 
     def publish_state(self, with_dataset: bool = False) -> Dict[str, object]:
         """Package the current state for the serving layer.

@@ -43,7 +43,7 @@ from .stats import (
 )
 
 #: Bump to invalidate every cached matrix after a pipeline-semantics change.
-FEATURIZER_VERSION = 5
+FEATURIZER_VERSION = 6
 
 
 class FeaturizedSpace:

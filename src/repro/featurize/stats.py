@@ -87,35 +87,38 @@ class SourceStats:
     n_objects: int
     half_life: float
 
-    n_claims: np.ndarray  # int64: total claims
-    n_solo: np.ndarray  # int64: claims on single-claim objects
-    n_consensus: np.ndarray  # int64: claims matching the object consensus
-    n_contradicted: np.ndarray  # int64: claims disputed by >=1 other source
-    sum_domain: np.ndarray  # float: sum of claimed objects' |D_o|
-    sum_coclaim: np.ndarray  # float: sum of co-claimant counts
-    sum_agree: np.ndarray  # float: sum of agreeing co-claimant counts
-    sum_entropy: np.ndarray  # float: sum of claimed objects' entropies
-    sum_row: np.ndarray  # float: sum of arrival rows
-    first_row: np.ndarray  # int64: earliest arrival row (sentinel if none)
-    last_row: np.ndarray  # int64: latest arrival row (-1 if none)
-    decayed_volume: np.ndarray  # float: sum of 2^((row - last_row)/h)
-    decayed_agree: np.ndarray  # float: recency-weighted sum of agreeing co-claimants
+    n_claims: np.ndarray  # total claims
+    n_solo: np.ndarray  # claims on single-claim objects
+    n_consensus: np.ndarray  # claims matching the object consensus
+    n_contradicted: np.ndarray  # claims disputed by >=1 other source
+    sum_domain: np.ndarray  # sum of claimed objects' |D_o|
+    sum_coclaim: np.ndarray  # sum of co-claimant counts
+    sum_agree: np.ndarray  # sum of agreeing co-claimant counts
+    sum_entropy: np.ndarray  # sum of claimed objects' entropies
+    sum_row: np.ndarray  # sum of arrival rows
+    first_row: np.ndarray  # earliest arrival row (sentinel if none)
+    last_row: np.ndarray  # latest arrival row (-1 if none)
+    decayed_volume: np.ndarray  # sum of 2^((row - last_row)/h)
+    decayed_agree: np.ndarray  # recency-weighted sum of agreeing co-claimants
 
-    ARRAY_FIELDS = (
-        "n_claims",
-        "n_solo",
-        "n_consensus",
-        "n_contradicted",
-        "sum_domain",
-        "sum_coclaim",
-        "sum_agree",
-        "sum_entropy",
-        "sum_row",
-        "first_row",
-        "last_row",
-        "decayed_volume",
-        "decayed_agree",
-    )
+    #: Each per-source accumulator: its dtype and its value for a source
+    #: with no claims.  :class:`RunningSourceStats` allocates, grows and
+    #: snapshots exactly these.
+    ARRAY_FIELDS = {
+        "n_claims": (np.int64, 0),
+        "n_solo": (np.int64, 0),
+        "n_consensus": (np.int64, 0),
+        "n_contradicted": (np.int64, 0),
+        "sum_domain": (float, 0.0),
+        "sum_coclaim": (float, 0.0),
+        "sum_agree": (float, 0.0),
+        "sum_entropy": (float, 0.0),
+        "sum_row": (float, 0.0),
+        "first_row": (np.int64, _ROW_SENTINEL),
+        "last_row": (np.int64, -1),
+        "decayed_volume": (float, 0.0),
+        "decayed_agree": (float, 0.0),
+    }
 
     @property
     def n_sources(self) -> int:
@@ -252,42 +255,17 @@ class RunningSourceStats:
         self.n_observations = 0
         self._capacity = 16
         self._n_sources = 0
-        self._int_fields = (
-            "n_claims",
-            "n_solo",
-            "n_consensus",
-            "n_contradicted",
-        )
-        self._float_fields = (
-            "sum_domain",
-            "sum_coclaim",
-            "sum_agree",
-            "sum_entropy",
-            "sum_row",
-            "decayed_volume",
-            "decayed_agree",
-        )
-        for name in self._int_fields:
-            setattr(self, name, np.zeros(self._capacity, dtype=np.int64))
-        for name in self._float_fields:
-            setattr(self, name, np.zeros(self._capacity, dtype=float))
-        self.first_row = np.full(self._capacity, _ROW_SENTINEL, dtype=np.int64)
-        self.last_row = np.full(self._capacity, -1, dtype=np.int64)
+        for name, (dtype, empty) in SourceStats.ARRAY_FIELDS.items():
+            setattr(self, name, np.full(self._capacity, empty, dtype=dtype))
 
     def _grow(self, n_sources: int) -> None:
-        if n_sources <= self._capacity:
-            self._n_sources = max(self._n_sources, n_sources)
-            return
-        new_capacity = max(2 * self._capacity, n_sources)
-        pad = new_capacity - self._capacity
-        for name in self._int_fields + self._float_fields:
-            arr = getattr(self, name)
-            setattr(self, name, np.concatenate([arr, np.zeros(pad, dtype=arr.dtype)]))
-        self.first_row = np.concatenate(
-            [self.first_row, np.full(pad, _ROW_SENTINEL, dtype=np.int64)]
-        )
-        self.last_row = np.concatenate([self.last_row, np.full(pad, -1, dtype=np.int64)])
-        self._capacity = new_capacity
+        if n_sources > self._capacity:
+            new_capacity = max(2 * self._capacity, n_sources)
+            for name, (dtype, empty) in SourceStats.ARRAY_FIELDS.items():
+                fresh = np.full(new_capacity, empty, dtype=dtype)
+                fresh[: self._capacity] = getattr(self, name)
+                setattr(self, name, fresh)
+            self._capacity = new_capacity
         self._n_sources = max(self._n_sources, n_sources)
 
     # ------------------------------------------------------------------
@@ -380,17 +358,5 @@ class RunningSourceStats:
             n_observations=self.n_observations,
             n_objects=int(n_objects),
             half_life=self.half_life,
-            n_claims=self.n_claims[:n].copy(),
-            n_solo=self.n_solo[:n].copy(),
-            n_consensus=self.n_consensus[:n].copy(),
-            n_contradicted=self.n_contradicted[:n].copy(),
-            sum_domain=self.sum_domain[:n].copy(),
-            sum_coclaim=self.sum_coclaim[:n].copy(),
-            sum_agree=self.sum_agree[:n].copy(),
-            sum_entropy=self.sum_entropy[:n].copy(),
-            sum_row=self.sum_row[:n].copy(),
-            first_row=self.first_row[:n].copy(),
-            last_row=self.last_row[:n].copy(),
-            decayed_volume=self.decayed_volume[:n].copy(),
-            decayed_agree=self.decayed_agree[:n].copy(),
+            **{name: getattr(self, name)[:n].copy() for name in SourceStats.ARRAY_FIELDS},
         )

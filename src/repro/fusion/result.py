@@ -33,11 +33,12 @@ accident.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .dataset import FusionDataset
+from .encoding import DenseEncoding, IncrementalEncoding
 from .metrics import (
     dataset_source_accuracy_error,
     object_value_accuracy,
@@ -99,6 +100,7 @@ class FusionResult:
         self._accuracy_vector: Optional[np.ndarray] = None
         self._source_ids: Optional[List[SourceId]] = None
         self._object_index: Optional[Indexer] = None
+        self._source_index: Optional[Indexer] = None
         # Clamped objects whose known truth is outside the claimed domain
         # cannot be represented as a value code; they carry a dict override.
         self._overrides: Dict[ObjectId, Value] = {}
@@ -119,6 +121,8 @@ class FusionResult:
         source_ids: Optional[Sequence[SourceId]] = None,
         method: str = "unknown",
         diagnostics: Optional[Dict[str, Any]] = None,
+        *,
+        clamp_codes: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> "FusionResult":
         """Build an array-backed result from flat candidate-row posteriors.
 
@@ -126,7 +130,10 @@ class FusionResult:
         ----------
         structure:
             The :class:`~repro.core.structure.PairStructure` the
-            probabilities were computed over.
+            probabilities were computed over, or an
+            :class:`~repro.fusion.encoding.IncrementalEncoding` whose rows
+            are every object's live claimed values in index order (read
+            without compiling; the streaming fuser publishes this way).
         row_probs:
             Posterior probability of every flattened (object, value) row
             (one segmented softmax per object, see
@@ -137,6 +144,11 @@ class FusionResult:
         accuracy_vector, source_ids:
             Estimated per-source accuracies aligned with ``source_ids``
             (typically ``model.accuracies()`` / ``model.source_ids``).
+        clamp_codes:
+            ``(labeled, codes)`` of ``clamp`` per object position, for a
+            caller that keeps them (``codes`` is the truth's value code, or
+            -1 outside the claimed domain); by default they are looked up
+            through the structure's encoding.
 
         No per-object Python structures are built here — and no dense
         matrix either: the flat ``row_probs`` become the ragged store
@@ -157,20 +169,31 @@ class FusionResult:
         self._posterior_matrix = None
         self._promotion_dataset = None
 
-        offsets = np.asarray(structure.pair_offsets, dtype=np.int64)
+        if isinstance(structure, IncrementalEncoding):
+            encoding = structure
+            offsets = np.concatenate(
+                [np.zeros(1, dtype=np.int64), np.cumsum(encoding.live_domain_sizes, dtype=np.int64)]
+            )
+            self._object_ids = encoding.objects.items
+        else:
+            encoding = getattr(structure, "encoding", None)
+            offsets = np.asarray(structure.pair_offsets, dtype=np.int64)
+            self._object_ids = list(structure.object_ids)
         # Clamping mutates rows in place; copy so callers keep their
         # probability vector (posterior_rows output is reusable).
         probs = np.array(row_probs, dtype=float, copy=True)
 
-        self._object_ids = list(structure.object_ids)
         self._pair_values = structure.pair_values
         self._pair_offsets = offsets
-        self._object_index = getattr(getattr(structure, "encoding", None), "objects", None)
+        self._object_index = getattr(encoding, "objects", None)
+        self._source_index = getattr(encoding, "sources", None)
 
         store = PosteriorStore(offsets, probs)
 
         if clamp:
-            labeled, truth_codes = _clamp_codes(structure, clamp)
+            if clamp_codes is None:
+                clamp_codes = _clamp_codes(structure, clamp)
+            labeled, truth_codes = clamp_codes
             in_domain = labeled & (truth_codes >= 0)
             if np.any(in_domain):
                 positions = np.flatnonzero(in_domain)
@@ -405,12 +428,18 @@ class FusionResult:
         no append since), copies the encoding's object index in C.
         """
         if getattr(self, "_position_index", None) is None:
-            objects = self._object_index
-            if objects is not None and objects.items == self.object_ids:
-                self._position_index = objects.as_dict()
-            else:
-                self._position_index = {obj: i for i, obj in enumerate(self.object_ids)}
+            self._position_index = _positions(self._object_index, self.object_ids)
         return self._position_index
+
+    def source_position_index(self) -> Dict[SourceId, int]:
+        """Source id -> position in :attr:`source_accuracy_vector` ({} without one).
+
+        Copies the encoding's source index in C when the result's source
+        ids are exactly the encoding's sources, in index order.
+        """
+        if self._source_ids is None:
+            return {}
+        return _positions(self._source_index, self._source_ids)
 
     def confidence_vector(self) -> np.ndarray:
         """Posterior mass of the MAP value per object (array-backed only).
@@ -481,9 +510,8 @@ class FusionResult:
             for i, obj in enumerate(self._object_ids):
                 start, stop = offsets[i], offsets[i + 1]
                 result[obj] = dict(zip(pair_values[start:stop], probs_list[start:stop]))
-                override = self._overrides.get(obj)
-                if override is not None:
-                    result[obj][override] = 1.0
+                if obj in self._overrides:
+                    result[obj][self._overrides[obj]] = 1.0
             self._posteriors = result
         return self._posteriors
 
@@ -566,8 +594,13 @@ class FusionResult:
 
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
-        """Pickle without the position index and the object index it copies."""
-        return {**self.__dict__, "_position_index": None, "_object_index": None}
+        """Pickle without the position index and the id indexes it copies."""
+        return {
+            **self.__dict__,
+            "_position_index": None,
+            "_object_index": None,
+            "_source_index": None,
+        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         backing = "array" if self.has_arrays else "dict"
@@ -587,8 +620,17 @@ class FusionResult:
         )
 
 
+def _positions(indexer: Optional[Indexer], ids: List) -> Dict:
+    """id -> position in ``ids``; a C-level copy of ``indexer`` when it lists exactly ``ids``."""
+    if indexer is not None and indexer.items == ids:
+        return indexer.as_dict()
+    return {item: i for i, item in enumerate(ids)}
+
+
 def _clamp_codes(structure, clamp: Mapping[ObjectId, Value]):
     """(labeled mask, within-domain truth code or -1) per structure position."""
+    if isinstance(structure, DenseEncoding):
+        return structure.truth_codes(clamp)
     encoding = getattr(structure, "encoding", None)
     if encoding is not None:
         labeled_all, codes_all = encoding.truth_codes(clamp)

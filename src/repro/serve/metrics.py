@@ -15,9 +15,12 @@ dependency, so this module keeps everything on the standard library:
   count with a build-latency histogram, and the age of the currently
   published snapshot.
 
-All mutators take a lock per call; at serving rates (µs-scale lookups)
-the uncontended-lock cost is noise, and readers never hold a metrics lock
-while touching a snapshot.
+Query recording takes no lock: :meth:`ServeMetrics.record_query` appends
+one ``(kind, seconds)`` sample to a list, and the list is folded into the
+per-kind counts and the latency histogram in bulk, under the lock, every
+:data:`QUERY_FOLD_SIZE` samples and before every read of them, so counts
+stay exact.  Every other mutator takes the lock per call; readers never
+hold a metrics lock while touching a snapshot.
 """
 
 from __future__ import annotations
@@ -25,7 +28,10 @@ from __future__ import annotations
 import bisect
 import threading
 import time
-from typing import Dict, List, Optional
+from collections import Counter
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 __all__ = ["LatencyHistogram", "ServeMetrics"]
 
@@ -39,7 +45,10 @@ GUARDED_BY = {
     "_count": "_lock",
     "_sum": "_lock",
     "_max": "_lock",
-    # ServeMetrics
+    # ServeMetrics.  ``_query_samples`` is deliberately unguarded:
+    # record_query only appends to its tail, and the fold, under
+    # ``_lock``, copies ``pending[:n]`` and then runs ``del pending[:n]``,
+    # so a sample appended in between stays for the next fold.
     "_query_counts": "_lock",
     "_ingest_batches": "_lock",
     "_ingest_observations": "_lock",
@@ -47,6 +56,10 @@ GUARDED_BY = {
     "_swaps": "_lock",
     "_last_publish_monotonic": "_lock",
 }
+
+#: Query samples :meth:`ServeMetrics.record_query` buffers before it folds
+#: them into the counters in one locked pass.
+QUERY_FOLD_SIZE = 1024
 
 
 class LatencyHistogram:
@@ -92,6 +105,24 @@ class LatencyHistogram:
             self._sum += seconds
             if seconds > self._max:
                 self._max = seconds
+
+    def record_many(self, seconds: Sequence[float]) -> None:
+        """Add a batch of samples: one vectorized bucket search, one lock."""
+        samples = np.asarray(seconds, dtype=float)
+        if samples.shape[0] == 0:
+            return
+        # searchsorted(side="left") is bisect_left: the buckets record() picks.
+        counts = np.bincount(
+            np.searchsorted(self._bounds, samples, side="left"), minlength=len(self._bounds) + 1
+        ).tolist()
+        total = float(samples.sum())
+        peak = float(samples.max())
+        with self._lock:
+            self._counts = [old + new for old, new in zip(self._counts, counts)]
+            self._count += samples.shape[0]
+            self._sum += total
+            if peak > self._max:
+                self._max = peak
 
     @property
     def count(self) -> int:
@@ -167,8 +198,9 @@ class ServeMetrics:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self.query_latency = LatencyHistogram()
+        self._query_latency = LatencyHistogram()
         self.publish_latency = LatencyHistogram()
+        self._query_samples: List[Tuple[str, float]] = []
         self._query_counts: Dict[str, int] = {}
         self._ingest_batches = 0
         self._ingest_observations = 0
@@ -180,10 +212,27 @@ class ServeMetrics:
     # Recorders
     # ------------------------------------------------------------------
     def record_query(self, kind: str, seconds: float) -> None:
-        """Count one query of ``kind`` and add its latency sample."""
-        self.query_latency.record(seconds)
-        with self._lock:
-            self._query_counts[kind] = self._query_counts.get(kind, 0) + 1
+        """Count one query of ``kind`` and add its latency sample.
+
+        Appends to a buffer without a lock; see :data:`QUERY_FOLD_SIZE`.
+        """
+        samples = self._query_samples
+        samples.append((kind, seconds))
+        if len(samples) >= QUERY_FOLD_SIZE:
+            with self._lock:
+                self._fold_queries()
+
+    def _fold_queries(self) -> None:  # repro-analysis: holds[_lock]
+        """Move the buffered query samples into the counts and the histogram."""
+        pending = self._query_samples
+        n = len(pending)
+        if n == 0:
+            return
+        kinds, seconds = zip(*pending[:n])
+        del pending[:n]
+        for kind, count in Counter(kinds).items():
+            self._query_counts[kind] = self._query_counts.get(kind, 0) + count
+        self._query_latency.record_many(seconds)
 
     def record_ingest(self, n_observations: int) -> None:
         """Count one successfully ingested batch."""
@@ -207,6 +256,13 @@ class ServeMetrics:
     # Readers
     # ------------------------------------------------------------------
     @property
+    def query_latency(self) -> LatencyHistogram:
+        """Latency histogram of every recorded query."""
+        with self._lock:
+            self._fold_queries()
+        return self._query_latency
+
+    @property
     def query_count(self) -> int:
         """Total queries across all kinds."""
         return self.query_latency.count
@@ -215,6 +271,7 @@ class ServeMetrics:
     def query_counts(self) -> Dict[str, int]:
         """Per-kind query counts (a copy)."""
         with self._lock:
+            self._fold_queries()
             return dict(self._query_counts)
 
     @property
@@ -251,7 +308,11 @@ class ServeMetrics:
         """JSON-ready snapshot of every counter and histogram summary."""
         age = self.snapshot_age_seconds()
         with self._lock:
+            # Folding and reading under one hold keeps the total, the
+            # per-kind counts and the histogram on the same samples.
+            self._fold_queries()
             counts = dict(self._query_counts)
+            query_latency = self._query_latency.as_dict()
             ingest = {
                 "batches": self._ingest_batches,
                 "observations": self._ingest_observations,
@@ -259,8 +320,8 @@ class ServeMetrics:
             }
             swaps = self._swaps
         return {
-            "queries": {"total": self.query_latency.count, "by_kind": counts},
-            "query_latency": self.query_latency.as_dict(),
+            "queries": {"total": query_latency["count"], "by_kind": counts},
+            "query_latency": query_latency,
             "ingest": ingest,
             "snapshots": {"swaps": swaps, "age_seconds": age},
             "publish_latency": self.publish_latency.as_dict(),

@@ -136,35 +136,35 @@ class FusionServer:
         """Version of the published snapshot (0 until the first publish)."""
         return self._snapshot.version
 
-    def _timed(self, kind: str, fn):
+    def _timed(self, kind: str, query, *args):
         start = time.perf_counter()
-        out = fn(self._snapshot)
+        out = query(self._snapshot, *args)
         self.metrics.record_query(kind, time.perf_counter() - start)
         return out
 
     def posterior(self, obj: ObjectId) -> Dict[Value, float]:
         """Published posterior over one object's claimed values."""
-        return self._timed("posterior", lambda snapshot: snapshot.posterior(obj))
+        return self._timed("posterior", Snapshot.posterior, obj)
 
     def value(self, obj: ObjectId) -> Optional[Value]:
         """Published MAP value for one object (None if unseen)."""
-        return self._timed("value", lambda snapshot: snapshot.value(obj))
+        return self._timed("value", Snapshot.value, obj)
 
     def confidence(self, obj: ObjectId) -> Optional[float]:
         """Published MAP confidence for one object."""
-        return self._timed("confidence", lambda snapshot: snapshot.confidence(obj))
+        return self._timed("confidence", Snapshot.confidence, obj)
 
     def top_conflicts(self, k: int = 10) -> List[ConflictEntry]:
         """The k most-conflicting objects of the published snapshot."""
-        return self._timed("top_conflicts", lambda snapshot: snapshot.top_conflicts(k))
+        return self._timed("top_conflicts", Snapshot.top_conflicts, k)
 
     def source_accuracy(self, source: SourceId) -> Optional[float]:
         """Published reliability estimate of one source."""
-        return self._timed("source_accuracy", lambda snapshot: snapshot.source_accuracy(source))
+        return self._timed("source_accuracy", Snapshot.source_accuracy, source)
 
     def source_accuracies(self) -> Dict[SourceId, float]:
         """Published reliability estimates of every source."""
-        return self._timed("source_accuracy", lambda snapshot: snapshot.source_accuracies())
+        return self._timed("source_accuracy", Snapshot.source_accuracies)
 
     # ------------------------------------------------------------------
     # Writer side (synchronous entry points)

@@ -153,9 +153,10 @@ class Snapshot:
     or reliability vector do not match the store's sizes.
 
     Construction and unpickling build the query lookups, which are never
-    pickled: the id -> position map (:meth:`from_result` shares the result's
-    ``position_index()``, a C-level copy of the encoding's object index when
-    the result spans the encoding) and each object's MAP row
+    pickled: the object and source id -> position maps (:meth:`from_result`
+    shares the result's ``position_index()`` and
+    ``source_position_index()``, C-level copies of the encoding's id
+    indexes when the result spans the encoding) and each object's MAP row
     ``offsets[pos] + max(code, 0)``, an ``array("q")`` that :meth:`value`
     indexes directly.
     """
@@ -224,8 +225,9 @@ class Snapshot:
                 "attach_dataset(dataset) on dict-backed results first"
             )
         snapshot = cls.__new__(cls)
-        # Preset before __init__ so _build_indexes keeps it.
+        # Preset before __init__ so _build_indexes keeps them.
         snapshot._positions = result.position_index()
+        snapshot._source_positions = result.source_position_index()
         snapshot.__init__(
             result.posterior_store,
             result.object_ids,
@@ -296,11 +298,12 @@ class Snapshot:
     def _build_indexes(self) -> None:
         if "_positions" not in self.__dict__:
             self._positions = {obj: i for i, obj in enumerate(self.object_ids)}
+        if "_source_positions" not in self.__dict__:
+            self._source_positions = (
+                {} if self.source_ids is None else {s: i for i, s in enumerate(self.source_ids)}
+            )
         codes = np.maximum(self.store.value_codes, 0)
         self._map_rows = array("q", (self.store.offsets[:-1] + codes).tobytes())
-        self._source_positions = (
-            {} if self.source_ids is None else {s: i for i, s in enumerate(self.source_ids)}
-        )
 
     # ------------------------------------------------------------------
     # Shape / bookkeeping
@@ -349,10 +352,9 @@ class Snapshot:
         start = int(self.store.offsets[pos])
         stop = int(self.store.offsets[pos + 1])
         values = self.pair_values[start:stop]
-        override = self.overrides.get(obj)
-        if override is not None:
+        if obj in self.overrides:
             clamped = {value: 0.0 for value in values}
-            clamped[override] = 1.0
+            clamped[self.overrides[obj]] = 1.0
             return clamped
         return dict(zip(values, self.store.probs[start:stop].tolist()))
 
@@ -361,9 +363,8 @@ class Snapshot:
         pos = self._positions.get(obj)
         if pos is None:
             return None
-        override = self.overrides.get(obj)
-        if override is not None:
-            return override
+        if obj in self.overrides:
+            return self.overrides[obj]
         return self.pair_values[self._map_rows[pos]]
 
     def confidence(self, obj: ObjectId) -> Optional[float]:

@@ -200,7 +200,7 @@ class TestRunningStatsOracle:
             reference.observe(encoding, batch)
             assert running.n_observations == reference.n_observations
             assert running._n_sources == reference._n_sources
-            for name in (*running._int_fields, *running._float_fields, "first_row", "last_row"):
+            for name in SourceStats.ARRAY_FIELDS:
                 np.testing.assert_array_equal(
                     getattr(running, name), getattr(reference, name), err_msg=name
                 )

@@ -19,7 +19,8 @@ as speedup denominators:
   ``tests/scenarios/test_decay_differential.py``) and the per-object
   span-relocation loops of the slot store and the score table
   (``relocate_slot_spans``, ``sync_score_spans``;
-  ``tests/test_incremental_encoding.py``);
+  ``tests/test_incremental_encoding.py``), and the compile-path publish
+  (``compiled_result``; ``tests/serve/test_snapshot.py``);
 * :mod:`tests.oracles.optimizer` — the agreement matrix's pair walk, the
   average domain size, the EM information units and the optimizer
   decision built on them (``tests/core/test_optimizer_equivalence.py``);

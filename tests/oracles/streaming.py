@@ -15,6 +15,12 @@
   production fuser's after every batch
   (``tests/test_incremental_encoding.py``).  They share the stores'
   growth helpers (``_reserve_store``, ``_grow_flat``) with production.
+* :func:`compiled_result` — ``StreamingFuser.to_result`` by the compile
+  path it replaced: a full pair structure over the compiled encoding,
+  scores gathered through the compiled pair arrays, and the clamp from
+  ``DenseEncoding.truth_codes(fuser.truth)``.  Production reads the live
+  spans and the fuser's truth-code table instead; every publish must
+  equal this one byte for byte (``tests/serve/test_snapshot.py``).
 """
 
 from __future__ import annotations
@@ -25,11 +31,13 @@ from typing import Dict, Iterable, Optional
 import numpy as np
 
 from repro._rng import as_generator
+from repro.core.structure import build_pair_structure
 from repro.extensions.streaming import DecayConfig
 from repro.fusion.dataset import FusionDataset
 from repro.fusion.result import FusionResult
 from repro.fusion.types import ObjectId, Observation, SourceId, Value
 from repro.optim.numerics import logit
+from repro.optim.objectives import segment_softmax
 
 
 @dataclass
@@ -221,3 +229,36 @@ def sync_score_spans(self, touched: np.ndarray) -> None:
         self._score_start.data[o_idx] = position
         self._score_cap.data[o_idx] = new_cap
         self._score_used = position + new_cap
+
+
+def compiled_result(fuser) -> FusionResult:
+    """A ``StreamingFuser``'s publish by the compile path.
+
+    Compiles the fuser's encoding (cached on it until the next append,
+    as any compile is) and packages one segmented softmax over the
+    compiled candidate rows with ``FusionResult.from_rows``.
+    """
+    if fuser.encoding.n_observations == 0:
+        return FusionResult(
+            values={},
+            posteriors={},
+            source_accuracies={},
+            method="streaming",
+            diagnostics={"n_processed": 0, "n_refits": fuser.n_refits},
+        )
+    encoding = fuser.encoding
+    structure = build_pair_structure(encoding)
+    flat_scores = fuser._score_flat[
+        fuser._score_start.data[encoding.pair_object_idx] + encoding.pair_value_code
+    ]
+    probs = segment_softmax(flat_scores, encoding.pair_object_idx, encoding.n_objects)
+    n = fuser._n_sources
+    return FusionResult.from_rows(
+        structure,
+        probs,
+        clamp=fuser.truth,
+        accuracy_vector=fuser._correct[:n] / fuser._total[:n],
+        source_ids=encoding.sources.items,
+        method="streaming",
+        diagnostics={"n_processed": fuser.n_processed, "n_refits": fuser.n_refits},
+    )

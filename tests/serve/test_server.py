@@ -9,10 +9,13 @@ The reader/writer contract under test:
 * a snapshot a reader holds keeps answering with its own data across
   later publishes;
 * reads never wait on the writer lock;
+* per-query counts stay exact when many threads query while others read
+  the metrics;
 * the background writer loop survives bad batches and drains the queue;
 * ``python -m repro.serve`` runs end to end.
 """
 
+import sys
 import threading
 
 import numpy as np
@@ -260,6 +263,66 @@ class TestConcurrentSwap:
         assert len(results) == 2
         for posterior in results:
             assert sum(posterior.values()) == pytest.approx(1.0)
+
+
+class TestQueryAccounting:
+    """Lock-free query recording loses no sample under thread switches."""
+
+    N_QUERIERS = 4
+    PER_QUERIER = 1500  # value + posterior each, several folds per thread
+
+    def test_counts_are_exact_under_concurrent_queries_and_polls(self):
+        server = FusionServer()
+        server.append(batch_for(0))
+        server.publish()
+        metrics = server.metrics
+        objects = [f"b0_o{slot}" for slot in range(8)]
+        stop = threading.Event()
+        failures = []
+
+        def querier():
+            for index in range(self.PER_QUERIER):
+                server.value(objects[index % len(objects)])
+                server.posterior(objects[index % len(objects)])
+
+        def poller():
+            last_total = 0
+            while not stop.is_set():
+                report = metrics.as_dict()
+                total = report["queries"]["total"]
+                by_kind = sum(report["queries"]["by_kind"].values())
+                counts = sum(metrics.query_counts.values())
+                if by_kind != total or total < last_total or counts < total:
+                    failures.append((last_total, total, by_kind, counts))
+                    return
+                last_total = total
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pollers = [threading.Thread(target=poller) for _ in range(2)]
+            queriers = [threading.Thread(target=querier) for _ in range(self.N_QUERIERS)]
+            for thread in pollers + queriers:
+                thread.start()
+            for thread in queriers:
+                thread.join(timeout=60)
+            stop.set()
+            for thread in pollers:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in pollers + queriers)
+        assert failures == []
+        per_kind = self.N_QUERIERS * self.PER_QUERIER
+        assert metrics.query_counts == {"value": per_kind, "posterior": per_kind}
+        assert metrics.query_count == 2 * per_kind
+        assert metrics.query_latency.count == 2 * per_kind
+        report = metrics.as_dict()
+        assert report["queries"] == {
+            "total": 2 * per_kind,
+            "by_kind": {"value": per_kind, "posterior": per_kind},
+        }
+        assert report["query_latency"]["count"] == 2 * per_kind
 
 
 class TestWriterLoop:

@@ -23,7 +23,11 @@ The serving contract under test:
   would, after pickling and a memmapped reload too, and never alias the
   live stream: objects appended after a publish stay unknown to it.  A
   ``slow`` replay checks the published claimed values against the ingest
-  oracle at perfbench's ``stream_serve`` shape.
+  oracle at perfbench's ``stream_serve`` shape;
+* a publish reads the fuser's live spans and truth-code table without
+  compiling, and equals the compile-path oracle
+  (``tests/oracles/streaming.py``) byte for byte: offsets, probabilities,
+  value codes, claimed values, overrides and MAP rows.
 """
 
 import pickle
@@ -31,7 +35,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.extensions.streaming import StreamingFuser
@@ -40,6 +44,7 @@ from repro.fusion.posterior_store import PosteriorStore
 from repro.fusion.types import Indexer
 from repro.serve import ConflictEntry, FusionServer, Snapshot, build_conflict_index
 from tests.oracles import ingest as oracle_ingest
+from tests.oracles import streaming as oracle_streaming
 
 OBSERVATIONS = [
     ("s1", "o1", "a"),
@@ -118,6 +123,19 @@ class TestQueryParity:
         assert snapshot.value("o3") == "UNSEEN"
         assert snapshot.confidence("o3") == 1.0
         assert snapshot.posterior("o3") == {"z": 0.0, "UNSEEN": 1.0}
+
+    def test_none_truth_outside_domain_is_an_override(self):
+        fuser = StreamingFuser()
+        fuser.observe_batch([("s1", "o1", "a"), ("s2", "o1", "b"), ("s1", "o2", "x")])
+        fuser.reveal_truth("o1", None)
+        snapshot = Snapshot.from_fuser(fuser)
+        clamped = {"a": 0.0, "b": 0.0, None: 1.0}
+        assert fuser.posterior("o1") == clamped
+        assert snapshot.overrides == {"o1": None}
+        assert snapshot.value("o1") is None
+        assert snapshot.confidence("o1") == 1.0
+        assert snapshot.posterior("o1") == clamped
+        assert fuser.to_result().posteriors["o1"] == clamped
 
     def test_empty_snapshot(self):
         snapshot = Snapshot.empty(version=7)
@@ -435,14 +453,172 @@ class TestPublishedLookups:
         assert result.position_index() == {obj: i for i, obj in enumerate(result.object_ids)}
 
 
+def assert_same_array(got, want, name):
+    assert got.dtype == want.dtype and got.shape == want.shape, name
+    assert got.tobytes() == want.tobytes(), name
+
+
+def assert_same_values(got, want, name):
+    assert list(got) == list(want), name
+    assert list(map(type, got)) == list(map(type, want)), name
+
+
+def assert_same_publish(fuser, snapshot, compiled):
+    """``snapshot`` (published from ``fuser``) equals the compile-path oracle's."""
+    if not compiled.has_arrays:
+        assert snapshot.n_objects == 0
+        return
+    want = Snapshot.from_result(
+        compiled,
+        version=snapshot.version,
+        n_observations=fuser.encoding.n_observations,
+        n_refits=fuser.n_refits,
+        truth=dict(fuser.truth),
+    )
+    for name in ("offsets", "probs", "value_codes"):
+        assert_same_array(getattr(snapshot.store, name), getattr(want.store, name), name)
+    assert_same_values(snapshot.pair_values, want.pair_values, "pair_values")
+    assert_same_values(snapshot.object_ids, want.object_ids, "object_ids")
+    assert_same_values(snapshot.overrides.items(), want.overrides.items(), "overrides")
+    assert_same_values(snapshot.overrides.values(), want.overrides.values(), "overrides")
+    assert snapshot._map_rows == want._map_rows
+    assert snapshot._positions == want._positions
+    assert snapshot._source_positions == want._source_positions
+    assert snapshot.source_ids == want.source_ids
+    assert_same_array(snapshot.accuracy_vector, want.accuracy_vector, "accuracy_vector")
+    assert snapshot.truth == want.truth
+    assert snapshot.stats() == want.stats()
+
+
+def assert_same_result(result, compiled):
+    """A fuser's ``to_result`` equals the compile-path oracle's, byte for byte."""
+    assert result.has_arrays == compiled.has_arrays
+    assert result.diagnostics == compiled.diagnostics
+    if not compiled.has_arrays:
+        assert result == compiled
+        return
+    assert_same_array(result.pair_offsets, compiled.pair_offsets, "pair_offsets")
+    assert_same_array(result.posterior_store.probs, compiled.posterior_store.probs, "probs")
+    assert_same_array(result.value_codes, compiled.value_codes, "value_codes")
+    assert_same_values(result.pair_values, compiled.pair_values, "pair_values")
+    assert_same_values(result.object_ids, compiled.object_ids, "object_ids")
+    assert_same_values(result.overrides.items(), compiled.overrides.items(), "overrides")
+    assert_same_values(result.overrides.values(), compiled.overrides.values(), "overrides")
+    assert result.source_ids == compiled.source_ids
+    assert_same_array(
+        result.source_accuracy_vector, compiled.source_accuracy_vector, "accuracy_vector"
+    )
+    assert result.posteriors == compiled.posteriors
+
+
+CLAIM_VALUES = ["v0", "v1", "v2", None]
+
+
+@st.composite
+def published_streams(draw):
+    """Claim batches with reveals before each, refits after some, on up to 8 objects.
+
+    Claims and labels draw from ``v0``-``v2`` and ``None``; labels also
+    name ``"UNSEEN"``, which no source claims.  A label may come before or
+    after its object arrives, and name a value a later batch claims.
+    """
+    n_objects = draw(st.integers(1, 8))
+    claims = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, 4), st.integers(0, n_objects - 1), st.sampled_from(CLAIM_VALUES)
+            ),
+            unique_by=lambda claim: claim[:2],
+            max_size=30,
+        )
+    )
+    batch_size = draw(st.integers(1, 12))
+    batches = [
+        [(f"s{s}", f"o{o}", v) for s, o, v in claims[start : start + batch_size]]
+        for start in range(0, len(claims), batch_size)
+    ]
+    label = st.tuples(
+        st.integers(0, n_objects - 1).map(lambda o: f"o{o}"),
+        st.sampled_from([*CLAIM_VALUES, "UNSEEN"]),
+    )
+    reveals = draw(
+        st.lists(st.lists(label, max_size=3), min_size=len(batches), max_size=len(batches))
+    )
+    refits = draw(st.lists(st.booleans(), min_size=len(batches), max_size=len(batches)))
+    return batches, reveals, refits
+
+
+class TestPublishParity:
+    """``to_result`` and ``Snapshot.from_fuser`` against the compile-path oracle."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(stream=published_streams())
+    # A None label before its object arrives; an unclaimed label that a
+    # later batch claims; a refit between publishes.
+    @example(
+        stream=(
+            [[("s0", "o0", "v0"), ("s1", "o0", "v1")], [("s0", "o1", None), ("s2", "o0", "v2")]],
+            [[("o1", None), ("o0", "v2")], []],
+            [True, False],
+        )
+    )
+    def test_every_publish_matches_the_compile_path(self, stream):
+        batches, reveals, refits = stream
+        fuser = StreamingFuser()
+        for version, (batch, labels, refit) in enumerate(zip(batches, reveals, refits), 1):
+            for obj, value in labels:
+                fuser.reveal_truth(obj, value)
+            fuser.observe_batch(batch)
+            if refit and fuser.encoding.n_observations:
+                fuser.refit()
+            result = fuser.to_result()
+            snapshot = Snapshot.from_fuser(fuser, version=version)
+            if not refit:
+                # The append cleared the compile and the truth-code memo,
+                # and the publish rebuilt neither.
+                assert fuser.encoding._arrays is None
+                assert fuser.encoding._truth_memo is None
+            compiled = oracle_streaming.compiled_result(fuser)
+            assert_same_result(result, compiled)
+            assert_same_publish(fuser, snapshot, compiled)
+
+    def test_empty_stream_matches_the_compile_path(self):
+        fuser = StreamingFuser()
+        fuser.reveal_truth("o1", "a")
+        compiled = oracle_streaming.compiled_result(fuser)
+        assert_same_result(fuser.to_result(), compiled)
+        assert_same_publish(fuser, Snapshot.from_fuser(fuser), compiled)
+
+    def test_publish_after_an_append_does_not_compile(self, monkeypatch):
+        fuser = build_fuser()
+        fuser.refit()
+        fuser.reveal_truth("o1", "b")
+        fuser.reveal_truth("o3", "UNSEEN")
+        fuser.reveal_truth("o9", None)
+        fuser.observe_batch([("s1", "o9", "q"), ("s4", "o1", "c")])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a publish compiled or re-coded the truth")
+
+        monkeypatch.setattr(encoding_module, "compile_arrays", refuse)
+        monkeypatch.setattr(encoding_module.DenseEncoding, "truth_codes", refuse)
+        snapshot = Snapshot.from_fuser(fuser)
+        assert fuser.encoding._arrays is None
+        assert snapshot.value("o1") == "b"
+        assert snapshot.value("o3") == "UNSEEN"
+        assert snapshot.posterior("o9") == {"q": 0.0, None: 1.0}
+        assert snapshot.overrides == {"o3": "UNSEEN", "o9": None}
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", range(5))
 def test_stream_serve_shape_publishes_match_the_ingest_oracle(seed, tmp_path):
     """perfbench's ``stream_serve`` inputs: 1,000-row batches, a publish every 5.
 
     At every publish the claimed values are the domains the per-record
-    ingest oracle builds from the same prefix, and every object's value
-    decodes through them.
+    ingest oracle builds from the same prefix, every object's value
+    decodes through them, and the published store is the compile-path
+    oracle's, byte for byte.
     """
     from perfbench.workloads import PUBLISH_EVERY, REFIT_EVERY, SIZES, StreamServe
 
@@ -471,3 +647,4 @@ def test_stream_serve_shape_publishes_match_the_ingest_oracle(seed, tmp_path):
             else:
                 expected_value = domains[position].item(codes[position])
             assert snapshot.value(obj) == expected_value
+        assert_same_publish(server.fuser, snapshot, oracle_streaming.compiled_result(server.fuser))
