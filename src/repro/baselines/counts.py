@@ -81,11 +81,10 @@ class Counts(Fuser):
         correct: Dict[SourceId, float] = {}
         total: Dict[SourceId, float] = {}
         for obs in dataset.observations:
-            expected = truth.get(obs.obj)
-            if expected is None:
+            if obs.obj not in truth:
                 continue
             total[obs.source] = total.get(obs.source, 0.0) + 1.0
-            if obs.value == expected:
+            if obs.value == truth[obs.obj]:
                 correct[obs.source] = correct.get(obs.source, 0.0) + 1.0
         accuracies: Dict[SourceId, float] = {}
         for source in dataset.sources:

@@ -383,13 +383,9 @@ class EMLearner:
             # Sources without labeled observations keep the uniform prior so
             # the first E-step still behaves like majority vote for objects
             # the labeled sources do not cover.
-            if structure.encoding is not None:
-                labeled_all, _ = structure.encoding.truth_codes(truth)
-                labeled_pos = labeled_all[structure.object_dataset_idx]
-            else:
-                labeled_pos = np.asarray([obj in truth for obj in structure.object_ids], dtype=bool)
+            labeled, _ = structure.truth_codes(truth)
             obs_positions = structure.pair_object_pos[structure.obs_pair_idx]
-            labeled_sources = np.unique(structure.obs_source_idx[labeled_pos[obs_positions]])
+            labeled_sources = np.unique(structure.obs_source_idx[labeled[obs_positions]])
             for s_idx in labeled_sources:
                 w[s_idx] = warm.w_sources[s_idx]
             w[dataset.n_sources :] = warm.w_features

@@ -90,11 +90,7 @@ def correctness_training_pairs(
     The arrays follow dataset observation order (the order SGD consumes
     them in), gathered from the dense encoding's index arrays.
     """
-    encoding = encode_dataset(dataset)
-    # A truth entry of None means "unlabeled".
-    labeled, codes = encoding.truth_codes(
-        {obj: value for obj, value in truth.items() if value is not None}
-    )
+    labeled, codes = encode_dataset(dataset).truth_codes(truth)
     object_idx = dataset.obs_object_idx
     rows = np.flatnonzero(labeled[object_idx])
     source_idx = dataset.obs_source_idx[rows]
@@ -117,15 +113,10 @@ def correctness_pairs_from_structure(
     source-masked (leave-one-source-out) structure drive an ERM fit without
     rebuilding a subset dataset.
     """
-    truth = {obj: value for obj, value in truth.items() if value is not None}
-    label_rows = structure.label_rows(dict(truth))
-    if structure.encoding is not None:
-        labeled_all, _ = structure.encoding.truth_codes(truth)
-        labeled_pos = labeled_all[structure.object_dataset_idx]
-    else:
-        labeled_pos = np.asarray([obj in truth for obj in structure.object_ids], dtype=bool)
+    labeled, _ = structure.truth_codes(truth)
+    label_rows = structure.label_rows(truth)
     obs_positions = structure.pair_object_pos[structure.obs_pair_idx]
-    take = labeled_pos[obs_positions]
+    take = labeled[obs_positions]
     source_idx = structure.obs_source_idx[take]
     labels = (structure.obs_pair_idx[take] == label_rows[obs_positions[take]]).astype(float)
     return source_idx, labels

@@ -17,7 +17,7 @@ observation-walking loops these builders replaced live on as test oracles
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,8 +55,12 @@ class PairStructure:
         uniformly over the wrong alternatives.  For binary domains the
         offset is zero and the model is exactly the paper's.
     encoding:
-        The dataset encoding this structure was derived from (unset on
-        source-masked structures; enables array-based :meth:`label_rows`).
+        The dataset encoding this structure was derived from; labels are
+        coded through its :meth:`~repro.fusion.encoding.DenseEncoding.truth_codes`.
+    row_map:
+        Encoding candidate row -> row of this structure (-1 for a row a
+        source mask dropped); ``None`` when every listed object keeps its
+        whole encoding block.
     """
 
     object_ids: List[ObjectId]
@@ -67,7 +71,8 @@ class PairStructure:
     obs_source_idx: np.ndarray
     obs_pair_idx: np.ndarray
     base_scores: np.ndarray
-    encoding: Optional[DenseEncoding] = field(default=None, repr=False)
+    encoding: DenseEncoding = field(repr=False)
+    row_map: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def n_objects(self) -> int:
@@ -81,30 +86,33 @@ class PairStructure:
         """Flattened row range of the object at ``position``."""
         return range(int(self.pair_offsets[position]), int(self.pair_offsets[position + 1]))
 
-    def label_rows(self, truth: Dict[ObjectId, Value]) -> np.ndarray:
-        """Row index of the true value per object; -1 when unclaimed.
+    def truth_codes(self, truth: Mapping[ObjectId, Value]) -> Tuple[np.ndarray, np.ndarray]:
+        """``(labeled, code)`` per listed object, coded into this structure's blocks.
+
+        The encoding's :meth:`~repro.fusion.encoding.DenseEncoding.truth_codes`
+        at the listed objects: ``code`` is the true value's offset within the
+        object's block, -1 when no covered observation claims it.
+        """
+        labeled, codes = self.encoding.truth_codes(truth)
+        labeled = labeled[self.object_dataset_idx]
+        codes = codes[self.object_dataset_idx]
+        if self.row_map is not None:
+            claimed = np.flatnonzero(codes >= 0)
+            rows = self.row_map[
+                self.encoding.pair_offsets[self.object_dataset_idx[claimed]] + codes[claimed]
+            ]
+            codes[claimed] = np.where(rows >= 0, rows - self.pair_offsets[claimed], -1)
+        return labeled, codes
+
+    def label_rows(self, truth: Mapping[ObjectId, Value]) -> np.ndarray:
+        """Row index of the true value per object; -1 when unlabeled or unclaimed.
 
         Single-truth semantics assume at least one source provides the true
         value; objects violating that (possible in noisy simulations) are
         flagged with -1 and excluded from likelihoods.
         """
-        if self.encoding is not None:
-            _, codes = self.encoding.truth_codes(truth)
-            selected = codes[self.object_dataset_idx]
-            labels = np.full(self.n_objects, -1, dtype=np.int64)
-            claimed = selected >= 0
-            labels[claimed] = self.pair_offsets[:-1][claimed] + selected[claimed]
-            return labels
-        labels = np.full(self.n_objects, -1, dtype=np.int64)
-        for position, obj in enumerate(self.object_ids):
-            if obj not in truth:
-                continue
-            wanted = truth[obj]
-            for row in self.rows_of(position):
-                if self.pair_values[row] == wanted:
-                    labels[position] = row
-                    break
-        return labels
+        _, codes = self.truth_codes(truth)
+        return np.where(codes >= 0, self.pair_offsets[:-1] + codes, -1)
 
 
 def build_pair_structure(
@@ -239,8 +247,7 @@ def build_masked_structure(
         obs_source_idx=obs_source,
         obs_pair_idx=obs_pair_idx,
         base_scores=base_scores,
-        # The full-dataset encoding is deliberately NOT attached: its value
-        # codes index the unmasked blocks, so label_rows must fall back to
-        # value matching within the masked blocks.
+        encoding=encoding,
+        row_map=new_row_of,
     )
 

@@ -179,9 +179,6 @@ class SweepRunner:
         to the contracted ``"lbfgs-warm"`` solver; ``"isolated"`` runs each
         spec through the existing per-fit path (fresh derivations, classic
         ``"lbfgs"`` default, no cross-fit state).
-    warm_start:
-        Disable the cross-fit warm-state handoff while keeping the other
-        batched sharing (useful for ablation).
     n_jobs:
         Worker processes :meth:`run` fans independent fits out over
         (``None`` = one per usable CPU, default 1 = serial).  Parallel
@@ -206,7 +203,6 @@ class SweepRunner:
         self,
         dataset: FusionDataset,
         mode: str = "batched",
-        warm_start: bool = True,
         n_jobs: Optional[int] = 1,
     ) -> None:
         if mode not in SWEEP_MODES:
@@ -219,7 +215,6 @@ class SweepRunner:
             )
         self.dataset = dataset
         self.mode = mode
-        self.warm_start = warm_start and mode == "batched"
 
         self._structures: Dict[Tuple[int, ...], PairStructure] = {}
         self._label_plans: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = {}
@@ -317,8 +312,6 @@ class SweepRunner:
         source mask first, then by the symmetric difference of the revealed
         truth sets — the knobs that move the M-step optimum the least.
         """
-        if not self.warm_start:
-            return None, None
         truth_items = frozenset(dict(spec.train_truth).items())
         best: Optional[Tuple[tuple, str, WarmStartState]] = None
         exclude_key = self._exclude_key(tuple(spec.exclude_sources))
@@ -461,7 +454,7 @@ class SweepRunner:
             # ERM fits are never warm-started (see above), so registering
             # their state would only accumulate dead weight vectors.
             new_state = None
-        if new_state is not None and self.warm_start:
+        if new_state is not None:
             self._warm_registry.append(
                 (spec, learner_used, frozenset(truth.items()), new_state)
             )
@@ -569,7 +562,6 @@ class SweepRunner:
 
         state = {
             "dataset": self.dataset,  # pickles without its cached encoding
-            "warm_start": self.warm_start,
             "encoding": self._encoding.export_state(),
             # Workers re-wrap the full structure from the encoding.
             "structures": {
@@ -598,9 +590,9 @@ class SweepRunner:
         """Worker-side rebuild: a batched runner with pre-seeded caches."""
         dataset = state["dataset"]
         dataset._dense_encoding = DenseEncoding.from_state(dataset, state["encoding"])
-        runner = cls(dataset, mode="batched", warm_start=state["warm_start"])
+        runner = cls(dataset, mode="batched")
         for key, masked in state["structures"].items():
-            runner._structures[key] = PairStructure(**masked)
+            runner._structures[key] = PairStructure(**masked, encoding=dataset._dense_encoding)
         runner._structures[()] = build_pair_structure(dataset)
         runner._label_plans = dict(state["label_plans"])
         runner._featurized_designs = dict(state["featurized_designs"])

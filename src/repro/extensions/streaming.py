@@ -38,7 +38,7 @@ compile of the accumulated stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -197,12 +197,11 @@ class StreamingFuser:
         self._score_used = 0
         self._score_start = _AppendBuffer(np.int64)
         self._score_cap = _AppendBuffer(np.int64)
-        self._truth_code = np.full(8, -1, dtype=np.int64)  # -1 unknown, -2 unclaimed truth
+        # Per object: its label's value code, -1 unlabeled, -2 labeled with a
+        # value no source has claimed yet.
+        self._truth_code = np.full(8, -1, dtype=np.int64)
         self._n_objects = 0
         self.truth: Dict[ObjectId, Value] = {}
-        # Objects labeled None.  Feedback skips such a label revealed before
-        # its object arrives (its truth code stays -1), but a publish clamps it.
-        self._none_labels: Set[ObjectId] = set()
         self.n_processed = 0
         self.n_refits = 0
         self._last_refit_at = 0
@@ -298,25 +297,16 @@ class StreamingFuser:
         self._grow_objects(self.encoding.n_objects)
         self._sync_score_spans(batch.objects)
 
-        # Resolve revealed-but-unseen truth for objects this batch introduced:
-        # the labeled ones are the truth keys among the object table's new
-        # tail, intersected in C.
+        # Code the labels revealed before their objects arrived: the truth
+        # keys among the object table's new tail, intersected in C.
+        objects = self.encoding.objects
         if self.truth:
-            objects = self.encoding.objects
             for obj in self.truth.keys() & objects.items_from(n_objects_before):
-                value = self.truth[obj]
-                if value is None:
-                    continue
-                o_idx = objects.index(obj)
-                code = self.encoding.value_code(o_idx, value)
-                self._truth_code[o_idx] = code if code is not None else -2
-        # A batch may claim a truth value that was previously outside the
-        # object's domain; promote those codes before matching.
-        pending = np.flatnonzero(self._truth_code[batch.object_idx] == -2)
-        for i in pending.tolist():
-            o_idx = int(batch.object_idx[i])
-            if batch.values[i] == self.truth[self.encoding.objects.item(o_idx)]:
-                self._truth_code[o_idx] = batch.value_code[i]
+                self._code_label(objects.index(obj), self.truth[obj])
+        # A batch may claim a label's value that was outside its object's
+        # domain; recode those labels before matching.
+        for o_idx in batch.objects[self._truth_code[batch.objects] == -2].tolist():
+            self._code_label(o_idx, self.truth[objects.item(o_idx)])
 
         # All per-batch state updates touch only the batch's own sources
         # and objects, so observing stays O(batch) as the stream grows.
@@ -390,17 +380,17 @@ class StreamingFuser:
     # ------------------------------------------------------------------
     # Truth feedback
     # ------------------------------------------------------------------
+    def _code_label(self, o_idx: int, value: Value) -> None:
+        """Store a label's value code, or -2 while no source claims the value."""
+        code = self.encoding.value_code(o_idx, value)
+        self._truth_code[o_idx] = -2 if code is None else code
+
     def _preset_truth(self, obj: ObjectId, value: Value) -> None:
         """Record a label without crediting past claims."""
         self.truth[obj] = value
-        if value is None:
-            self._none_labels.add(obj)
-        else:
-            self._none_labels.discard(obj)
         o_idx = self.encoding.objects.get(obj)
         if o_idx is not None:
-            code = self.encoding.value_code(o_idx, value)
-            self._truth_code[o_idx] = code if code is not None else -2
+            self._code_label(o_idx, value)
 
     def reveal_truth(self, obj: ObjectId, value: Value) -> None:
         """Feed a ground-truth label; retroactively credits past claims."""
@@ -411,12 +401,8 @@ class StreamingFuser:
         claim_sources, claim_codes = self.encoding.object_claims(o_idx)
         if claim_sources.shape[0] == 0:
             return
-        code = self.encoding.value_code(o_idx, value)
-        matched = (
-            (claim_codes == code).astype(float)
-            if code is not None
-            else np.zeros(claim_codes.shape[0])
-        )
+        # An unclaimed label's -2 matches no claim.
+        matched = (claim_codes == self._truth_code[o_idx]).astype(float)
         np.add.at(self._correct, claim_sources, matched)
         np.add.at(self._total, claim_sources, 1.0)
         self._apply_window(claim_sources)
@@ -528,21 +514,11 @@ class StreamingFuser:
     def _clamp_codes(self) -> Tuple[np.ndarray, np.ndarray]:
         """``encoding.truth_codes(self.truth)``, read from the truth-code table.
 
-        The table holds every resolved label's value code (-2 outside the
-        claimed domain), so only ``None`` labels are looked up: one revealed
-        before its object arrived stays -1 in the table.
+        The table codes every label of an arrived object, so its -2
+        (labeled outside the claimed domain) is the encoding's -1.
         """
         table = self._truth_code[: self.encoding.n_objects]
-        labeled = table != -1
-        codes = np.maximum(table, -1)
-        objects = self.encoding.objects
-        for obj in self._none_labels:
-            o_idx = objects.get(obj)
-            if o_idx is not None:
-                code = self.encoding.value_code(o_idx, None)
-                labeled[o_idx] = True
-                codes[o_idx] = -1 if code is None else code
-        return labeled, codes
+        return table != -1, np.maximum(table, -1)
 
     def publish_state(self, with_dataset: bool = False) -> Dict[str, object]:
         """Package the current state for the serving layer.

@@ -26,7 +26,7 @@ from ..core.model import AccuracyModel
 from ..fusion.dataset import FusionDataset
 from ..fusion.features import FeatureSpace, build_design_matrix
 from ..fusion.types import ObjectId, Value
-from .graph import FactorGraph
+from .graph import LATENT, FactorGraph
 
 OFFSET_WEIGHT_ID = "__offset__"
 
@@ -141,8 +141,8 @@ def compile_dataset(
     graph = FactorGraph()
     for obj in dataset.objects:
         domain = dataset.domain(obj)
-        observed = evidence.get(obj)
-        if observed is not None and observed not in domain:
+        observed = evidence.get(obj, LATENT)
+        if observed is not LATENT and observed not in domain:
             # Evidence for a value no source claimed: extend the domain so
             # the variable can be clamped (single-truth semantics normally
             # prevent this, but simulated splits may hit it).

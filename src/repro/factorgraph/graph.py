@@ -20,7 +20,7 @@ The engine is validated against the closed-form inference of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -29,6 +29,21 @@ from ..fusion.types import FusionError
 
 class GraphError(FusionError):
     """Raised for malformed factor graphs."""
+
+
+class _Latent:
+    """Type of :data:`LATENT`; copies and pickles resolve to the one instance."""
+
+    def __repr__(self) -> str:
+        return "LATENT"
+
+    def __reduce__(self) -> str:
+        return "LATENT"
+
+
+#: The ``observed`` value of a variable without evidence (``None`` is a
+#: value like any other, so it can be evidence).
+LATENT = _Latent()
 
 
 @dataclass
@@ -42,17 +57,17 @@ class Variable:
     domain:
         The variable's possible values (at least one).
     observed:
-        Evidence value, or ``None`` for a latent variable.
+        Evidence value, or :data:`LATENT` for a latent variable.
     """
 
     name: Hashable
     domain: Tuple[Hashable, ...]
-    observed: Optional[Hashable] = None
+    observed: Hashable = LATENT
 
     def __post_init__(self) -> None:
         if not self.domain:
             raise GraphError(f"variable {self.name!r} has an empty domain")
-        if self.observed is not None and self.observed not in self.domain:
+        if self.observed is not LATENT and self.observed not in self.domain:
             raise GraphError(f"evidence {self.observed!r} outside the domain of {self.name!r}")
 
     @property
@@ -102,7 +117,7 @@ class FactorGraph:
         self,
         name: Hashable,
         domain: Sequence[Hashable],
-        observed: Optional[Hashable] = None,
+        observed: Hashable = LATENT,
     ) -> Variable:
         """Add a variable; names must be unique."""
         if name in self._variables:
@@ -150,7 +165,7 @@ class FactorGraph:
         return [self._factors[i] for i in self._adjacency[name]]
 
     def latent_variables(self) -> List[Variable]:
-        return [v for v in self._variables.values() if v.observed is None]
+        return [v for v in self._variables.values() if v.observed is LATENT]
 
     # ------------------------------------------------------------------
     # Scoring
@@ -186,7 +201,7 @@ class FactorGraph:
 
     def _resolve(self, name: Hashable, assignment: Dict[Hashable, Hashable]) -> Hashable:
         variable = self._variables[name]
-        if variable.observed is not None:
+        if variable.observed is not LATENT:
             return variable.observed
         if name not in assignment:
             raise GraphError(f"latent variable {name!r} missing from assignment")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .._rng import as_generator
 from ..optim.numerics import softmax
-from .graph import FactorGraph, Variable
+from .graph import LATENT, FactorGraph, Variable
 
 
 @dataclass
@@ -72,7 +72,7 @@ class PseudoLikelihoodLearner:
         Only evidence (observed) variables contribute; ``learnable_ids``
         restricts which weights move (e.g. to keep offset weights fixed).
         """
-        evidence = [v for v in graph.variables if v.observed is not None]
+        evidence = [v for v in graph.variables if v.observed is not LATENT]
         if not evidence:
             raise ValueError("pseudo-likelihood learning requires evidence variables")
         learnable = (set(learnable_ids) if learnable_ids is not None else set(graph.weights.keys()))

@@ -387,11 +387,10 @@ class FusionDataset:
         correct: Dict[SourceId, int] = {}
         total: Dict[SourceId, int] = {}
         for obs in self.observations:
-            expected = truth.get(obs.obj)
-            if expected is None:
+            if obs.obj not in truth:
                 continue
             total[obs.source] = total.get(obs.source, 0) + 1
-            if obs.value == expected:
+            if obs.value == truth[obs.obj]:
                 correct[obs.source] = correct.get(obs.source, 0) + 1
         return {src: correct.get(src, 0) / count for src, count in total.items()}
 

@@ -340,7 +340,10 @@ class DenseEncoding:
         Returns ``(labeled, codes)`` where ``labeled`` is a boolean mask of
         objects present in ``truth`` and ``codes`` holds the within-domain
         value code of the true value (-1 when the object is unlabeled *or*
-        its true value was never claimed by any source).
+        its true value was never claimed by any source).  This is the one
+        label rule every learner, clamp and stream reads: a truth entry
+        labels its object whatever its value, ``None`` included, and its
+        code is the object's domain lookup.
 
         The last result is memoized until the next append and reused for
         any ``==``-equal ``truth`` (domain lookups are dict lookups, so equal
@@ -365,18 +368,6 @@ class DenseEncoding:
         codes.setflags(write=False)
         self._truth_memo = (dict(truth), labeled, codes)
         return labeled, codes
-
-    def label_rows(self, truth: Mapping[ObjectId, Value]) -> np.ndarray:
-        """Candidate row of each object's true value; -1 when unavailable.
-
-        Matches :meth:`repro.core.structure.PairStructure.label_rows` for
-        the full-dataset structure.
-        """
-        _, codes = self.truth_codes(truth)
-        rows = np.full(self.n_objects, -1, dtype=np.int64)
-        claimed = codes >= 0
-        rows[claimed] = self.pair_offsets[:-1][claimed] + codes[claimed]
-        return rows
 
     # ------------------------------------------------------------------
     # Cross-process export
@@ -478,8 +469,6 @@ class AppendBatch:
     source_idx, object_idx, value_code:
         Per batch observation: its source index, object index, and
         within-domain value code.
-    values:
-        The raw claimed values, aligned with the arrays.
     n_new_sources, n_new_objects:
         How many sources/objects this batch introduced (their indices are
         the trailing ones).
@@ -491,7 +480,6 @@ class AppendBatch:
     source_idx: np.ndarray
     object_idx: np.ndarray
     value_code: np.ndarray
-    values: List[Value] = field(default_factory=list)
     n_new_sources: int = 0
     n_new_objects: int = 0
     objects: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
@@ -621,7 +609,6 @@ class IncrementalEncoding(DenseEncoding):
             source_idx=source_idx,
             object_idx=object_idx,
             value_code=value_code,
-            values=values,
             n_new_sources=self.n_sources - n_sources_before,
             n_new_objects=n_objects - n_objects_before,
             objects=touched,

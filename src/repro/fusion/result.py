@@ -38,7 +38,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .dataset import FusionDataset
-from .encoding import DenseEncoding, IncrementalEncoding
+from .encoding import IncrementalEncoding
 from .metrics import (
     dataset_source_accuracy_error,
     object_value_accuracy,
@@ -147,8 +147,8 @@ class FusionResult:
         clamp_codes:
             ``(labeled, codes)`` of ``clamp`` per object position, for a
             caller that keeps them (``codes`` is the truth's value code, or
-            -1 outside the claimed domain); by default they are looked up
-            through the structure's encoding.
+            -1 outside the claimed domain); by default they are
+            ``structure.truth_codes(clamp)``.
 
         No per-object Python structures are built here — and no dense
         matrix either: the flat ``row_probs`` become the ragged store
@@ -176,7 +176,7 @@ class FusionResult:
             )
             self._object_ids = encoding.objects.items
         else:
-            encoding = getattr(structure, "encoding", None)
+            encoding = structure.encoding
             offsets = np.asarray(structure.pair_offsets, dtype=np.int64)
             self._object_ids = list(structure.object_ids)
         # Clamping mutates rows in place; copy so callers keep their
@@ -185,14 +185,14 @@ class FusionResult:
 
         self._pair_values = structure.pair_values
         self._pair_offsets = offsets
-        self._object_index = getattr(encoding, "objects", None)
-        self._source_index = getattr(encoding, "sources", None)
+        self._object_index = encoding.objects
+        self._source_index = encoding.sources
 
         store = PosteriorStore(offsets, probs)
 
         if clamp:
             if clamp_codes is None:
-                clamp_codes = _clamp_codes(structure, clamp)
+                clamp_codes = structure.truth_codes(clamp)
             labeled, truth_codes = clamp_codes
             in_domain = labeled & (truth_codes >= 0)
             if np.any(in_domain):
@@ -625,29 +625,3 @@ def _positions(indexer: Optional[Indexer], ids: List) -> Dict:
     if indexer is not None and indexer.items == ids:
         return indexer.as_dict()
     return {item: i for i, item in enumerate(ids)}
-
-
-def _clamp_codes(structure, clamp: Mapping[ObjectId, Value]):
-    """(labeled mask, within-domain truth code or -1) per structure position."""
-    if isinstance(structure, DenseEncoding):
-        return structure.truth_codes(clamp)
-    encoding = getattr(structure, "encoding", None)
-    if encoding is not None:
-        labeled_all, codes_all = encoding.truth_codes(clamp)
-        idx = structure.object_dataset_idx
-        return labeled_all[idx], codes_all[idx]
-    n = structure.n_objects
-    labeled = np.zeros(n, dtype=bool)
-    codes = np.full(n, -1, dtype=np.int64)
-    offsets = structure.pair_offsets
-    for position, obj in enumerate(structure.object_ids):
-        if obj not in clamp:
-            continue
-        labeled[position] = True
-        wanted = clamp[obj]
-        start, stop = int(offsets[position]), int(offsets[position + 1])
-        for row in range(start, stop):
-            if structure.pair_values[row] == wanted:
-                codes[position] = row - start
-                break
-    return labeled, codes

@@ -320,7 +320,15 @@ class TestLeaveOneOutEquivalence:
                 assert reference_posteriors[obj][value] == pytest.approx(prob, abs=1e-5)
 
     def test_masked_structure_matches_oracle(self, dataset):
-        exclude = dataset.sources.items[:2]
+        # Besides two sources, drop every claimer of one value of a
+        # multi-valued object: a label on that value stays a label, but the
+        # value leaves the object's masked block.
+        by_object = {}
+        for obs in dataset.observations:
+            by_object.setdefault(obs.obj, {}).setdefault(obs.value, set()).add(obs.source)
+        obj, by_value = next((o, v) for o, v in by_object.items() if len(v) > 1)
+        hidden, claimers = next(iter(by_value.items()))
+        exclude = list(dict.fromkeys([*dataset.sources.items[:2], *sorted(claimers)]))
         vec = build_masked_structure(dataset, exclude)
         ref = oracle_structure.build_masked_structure(dataset, exclude)
         assert vec.object_ids == ref.object_ids
@@ -331,6 +339,10 @@ class TestLeaveOneOutEquivalence:
         np.testing.assert_array_equal(vec.obs_source_idx, ref.obs_source_idx)
         np.testing.assert_array_equal(vec.obs_pair_idx, ref.obs_pair_idx)
         np.testing.assert_allclose(vec.base_scores, ref.base_scores, atol=1e-12)
+        truth = {**dataset.split(0.3, seed=0).train_truth, obj: hidden}
+        rows = vec.label_rows(truth)
+        np.testing.assert_array_equal(rows, oracle_structure.label_rows(ref, truth))
+        assert rows[vec.object_ids.index(obj)] == -1
 
     def test_masked_em_warm_start_matches_oracle(self, dataset):
         # The ERM warm start inside a masked EM fit must restrict itself to
@@ -379,12 +391,6 @@ class TestRunnerBehaviour:
 
         with pytest.raises(DatasetError, match="ground truth"):
             SweepRunner(dataset).run_one(FitSpec(name="erm", learner="erm"))
-
-    def test_warm_start_can_be_disabled(self, dataset):
-        specs = _em_specs(dataset, fractions=(0.1, 0.2))
-        runner = SweepRunner(dataset, warm_start=False)
-        fits = runner.run(specs)
-        assert all(fit.warm_started is None for fit in fits)
 
     def test_structures_and_plans_are_cached(self, dataset):
         runner = SweepRunner(dataset)

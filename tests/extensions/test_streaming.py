@@ -2,11 +2,68 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.extensions import DecayConfig, StreamingFuser, replay_dataset
 from repro.fusion import DatasetError, Observation, object_value_accuracy
+from tests.oracles.streaming import ReferenceStreamingFuser
+
+# One claim per batch against the sequential oracle: claimed values include
+# None, and labels include None and a value no source ever claims.
+CLAIM_VALUES = ["a", "b", "c", None]
+LABELS = ["a", "b", None, "never"]
+FUSER_KWARGS = [
+    {},
+    {"self_training": False},
+    {"trust_decay": DecayConfig(half_life=3.0)},
+    {"trust_decay": DecayConfig(window=4.0)},
+]
+# A None label revealed before its object arrives, then claims a, b, a, b
+# from s1-s4: the oracle credits each claim 0 (accuracy 1.4 / 3 each).
+NONE_LABEL_BEFORE_ARRIVAL = [
+    ("reveal", 1, None),
+    ("claim", 1, 1, "a"),
+    ("claim", 2, 1, "b"),
+    ("claim", 3, 1, "a"),
+    ("claim", 4, 1, "b"),
+]
+
+
+def stream_events(n_sources: int, n_objects: int, max_size: int, min_size: int = 0):
+    """Claims ``("claim", s, o, value)`` and reveals ``("reveal", o, label)``."""
+    claim = st.tuples(
+        st.just("claim"),
+        st.integers(0, n_sources - 1),
+        st.integers(0, n_objects - 1),
+        st.sampled_from(CLAIM_VALUES),
+    )
+    reveal = st.tuples(st.just("reveal"), st.integers(0, n_objects - 1), st.sampled_from(LABELS))
+    return st.lists(st.one_of(claim, claim, reveal), min_size=min_size, max_size=max_size)
+
+
+def assert_matches_sequential_oracle(events, fuser_kwargs) -> StreamingFuser:
+    """Replay ``events`` through both fusers, comparing bit for bit after each."""
+    fuser = StreamingFuser(**fuser_kwargs)
+    reference = ReferenceStreamingFuser(**fuser_kwargs)
+    claimed = set()
+    for event in events:
+        if event[0] == "claim":
+            _, s, o, value = event
+            if (s, o) in claimed:
+                continue  # the production fuser rejects a duplicate claim
+            claimed.add((s, o))
+            observation = Observation(f"s{s}", f"o{o}", value)
+            fuser.observe_batch([observation])
+            reference.observe(observation)
+        else:
+            _, o, label = event
+            fuser.reveal_truth(f"o{o}", label)
+            reference.reveal_truth(f"o{o}", label)
+        assert fuser.source_accuracies() == reference.source_accuracies()
+        for obj in reference.scores:
+            assert fuser.posterior(obj) == reference.posterior(obj)
+    return fuser
 
 
 class TestStreamingFuserBasics:
@@ -61,6 +118,35 @@ class TestStreamingFuserBasics:
         assert float(fuser._total[0]) < 5.0
 
 
+class TestSequentialOracle:
+    """Batches of size 1 reproduce the sequential model, None labels included."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(events=stream_events(5, 4, 40), fuser_kwargs=st.sampled_from(FUSER_KWARGS))
+    @example(events=NONE_LABEL_BEFORE_ARRIVAL, fuser_kwargs={})
+    @example(events=NONE_LABEL_BEFORE_ARRIVAL, fuser_kwargs={"self_training": False})
+    def test_size_one_batches_match_the_oracle(self, events, fuser_kwargs):
+        assert_matches_sequential_oracle(events, fuser_kwargs)
+
+    @pytest.mark.slow
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(
+        events=stream_events(8, 12, 400, min_size=150),
+        fuser_kwargs=st.sampled_from(FUSER_KWARGS),
+    )
+    def test_long_streams_match_the_oracle(self, events, fuser_kwargs):
+        assert_matches_sequential_oracle(events, fuser_kwargs)
+
+    def test_none_label_revealed_before_arrival_credits_nothing(self):
+        fuser = assert_matches_sequential_oracle(NONE_LABEL_BEFORE_ARRIVAL, {})
+        assert fuser.source_accuracies() == {f"s{s}": 1.4 / 3.0 for s in range(1, 5)}
+        assert fuser.posterior("o1") == {"a": 0.0, "b": 0.0, None: 1.0}
+
+
 class TestBatchIngest:
     def test_observe_batch_bulk(self):
         fuser = StreamingFuser()
@@ -87,7 +173,8 @@ class TestBatchIngest:
     )
     def test_preset_truth_resolves_as_objects_arrive(self, seed, batch_sizes):
         # Labels revealed before their objects arrive (None and never-claimed
-        # values included) resolve per object, whatever the batch shape.
+        # values included) resolve per object, whatever the batch shape:
+        # None is coded like any other label.
         rng = np.random.default_rng(seed)
         pairs = rng.choice(8 * 30, size=sum(batch_sizes), replace=False).tolist()
         stream = [(f"s{p // 30}", f"o{p % 30}", f"v{rng.integers(4)}") for p in pairs]
@@ -101,9 +188,12 @@ class TestBatchIngest:
             fuser.observe_batch(stream[start : start + size])
             start += size
             for o_idx in range(fuser.encoding.n_objects):
-                value = fuser.truth.get(fuser.encoding.objects.item(o_idx))
-                code = None if value is None else fuser.encoding.value_code(o_idx, value)
-                expected = -1 if value is None else (-2 if code is None else code)
+                obj = fuser.encoding.objects.item(o_idx)
+                if obj in fuser.truth:
+                    code = fuser.encoding.value_code(o_idx, fuser.truth[obj])
+                    expected = -2 if code is None else code
+                else:
+                    expected = -1
                 assert fuser._truth_code[o_idx] == expected
 
     def test_empty_fuser_snapshots_cleanly(self):

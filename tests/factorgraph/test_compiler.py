@@ -1,9 +1,13 @@
 """Tests for the dataset-to-factor-graph compiler."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.core import ERMLearner, posteriors
 from repro.factorgraph import GibbsSampler, compile_dataset
+from repro.factorgraph.graph import LATENT
 
 
 class TestCompileStructure:
@@ -19,7 +23,16 @@ class TestCompileStructure:
     def test_evidence_objects_observed(self, tiny_dataset):
         compiled = compile_dataset(tiny_dataset, evidence={"gba": "true"})
         assert compiled.graph.variable(("T", "gba")).observed == "true"
-        assert compiled.graph.variable(("T", "gigyf2")).observed is None
+        assert compiled.graph.variable(("T", "gigyf2")).observed is LATENT
+
+    def test_none_evidence_is_a_label_like_any_other(self, tiny_dataset):
+        compiled = compile_dataset(tiny_dataset, evidence={"gba": None})
+        var = compiled.graph.variable(("T", "gba"))
+        assert var.observed is None
+        assert None in var.domain
+        assert var not in compiled.graph.latent_variables()
+        assert copy.deepcopy(var).observed is None
+        assert pickle.loads(pickle.dumps(LATENT)) is copy.deepcopy(LATENT) is LATENT
 
     def test_evidence_extends_domain_when_unclaimed(self, tiny_dataset):
         compiled = compile_dataset(tiny_dataset, evidence={"gba": "false"})

@@ -34,11 +34,10 @@ def correctness_training_pairs(
     excluded = set(exclude_sources)
     sources, labels = [], []
     for obs in dataset.observations:
-        expected = truth.get(obs.obj)
-        if expected is None or obs.source in excluded:
+        if obs.obj not in truth or obs.source in excluded:
             continue
         sources.append(dataset.sources.index(obs.source))
-        labels.append(1.0 if obs.value == expected else 0.0)
+        labels.append(1.0 if obs.value == truth[obs.obj] else 0.0)
     return np.asarray(sources, dtype=np.int64), np.asarray(labels, dtype=float)
 
 

@@ -101,9 +101,8 @@ class ReferenceStreamingFuser:
         self.scores[obj][value] = self.scores[obj].get(value, 0.0) + trust
         self.claims.setdefault(obj, {})[source] = value
 
-        expected = self.truth.get(obj)
-        if expected is not None:
-            state.correct += 1.0 if value == expected else 0.0
+        if obj in self.truth:
+            state.correct += 1.0 if value == self.truth[obj] else 0.0
             state.total += 1.0
         elif self.self_training:
             state.correct += self.posterior(obj).get(value, 0.0)

@@ -1,7 +1,8 @@
 """Loop oracle for :mod:`repro.core.structure`: candidate structures built
 by walking the dataset's observations object by object, and the label
 codings (``label_rows``, ``truth_codes``) found by walking each labeled
-object's domain."""
+object's domain.  The oracle structures carry no encoding: their labels are
+coded by :func:`label_rows` here, never through production's truth codes."""
 
 from __future__ import annotations
 
@@ -69,6 +70,7 @@ def build_pair_structure(
         obs_source_idx=np.asarray(obs_source, dtype=np.int64),
         obs_pair_idx=obs_pair_arr,
         base_scores=base_scores,
+        encoding=None,
     )
 
 
@@ -134,6 +136,7 @@ def _mask(structure: PairStructure, exclude_idx: set) -> PairStructure:
         obs_source_idx=np.asarray(obs_source, dtype=np.int64),
         obs_pair_idx=obs_pair_arr,
         base_scores=base_scores,
+        encoding=None,
     )
 
 

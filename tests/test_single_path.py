@@ -29,6 +29,13 @@ gone).  The encoding's ``shard`` shortcut duplicated
 ``shard_structure(encoding, n)``, and ``FeatureSpace``'s pre-redesign
 aliases and dataset-fitting ``fit`` went with the deprecation shim.
 
+Labels have one coding, ``DenseEncoding.truth_codes``, read through each
+``PairStructure``: the encoding's duplicate of the structure's
+``label_rows``, the stream's ``None``-label set and the raw values an
+append returned only to match labels by ``==`` are gone.  A batched sweep
+always hands warm state between its EM fits, so ``SweepRunner(warm_start=)``
+is gone.
+
 EM's M-step has two solvers, ``repro.core.em.EM_SOLVERS``: the scipy
 reference and warm-started structured Newton, whose singular rounds make
 the reference's call.  The hand-written warm L-BFGS, the curvature memory
@@ -96,6 +103,7 @@ RETIRED_OPTIONS = [
     (EMConfig, "shard_jobs"),
     (compute_source_stats, "n_jobs"),
     (sharded_correctness_stats, "pool"),
+    (SweepRunner, "warm_start"),
 ]
 
 
@@ -164,6 +172,9 @@ RETIRED_NAMES = [
     (FeatureSpace, "encode"),
     (FeatureSpace, "encode_sources"),
     (FeaturizedSpace, "encode"),
+    (StreamingFuser(), "_none_labels"),
+    (DenseEncoding, "label_rows"),
+    (IncrementalEncoding().append([("s", "o", "v")]), "values"),
 ]
 
 

@@ -151,7 +151,6 @@ class TestStructureEquivalence:
         vec = build_pair_structure(dataset)
         ref = oracle_structure.label_rows(oracle_structure.build_pair_structure(dataset), truth)
         np.testing.assert_array_equal(vec.label_rows(truth), ref)
-        np.testing.assert_array_equal(encode_dataset(dataset).label_rows(truth), ref)
 
 
 class TestPosteriorEquivalence:
