@@ -1,17 +1,15 @@
 """Out-of-core scale benchmark: the ragged posterior store at ~1M observations.
 
 Builds a deliberately *skewed* workload — one hub object whose candidate
-domain is tens of thousands of values wide, plus a long tail of narrow
-objects — where the retired dense ``(n_objects, max_domain)`` posterior
-matrix would cost ``n_objects * max_domain`` cells (tens of GiB at full
-scale) while the ragged :class:`repro.fusion.posterior_store.PosteriorStore`
+domain is thousands of values wide, plus a long tail of narrow objects —
+where the retired dense ``(n_objects, max_domain)`` posterior matrix
+would cost ``n_objects * max_domain`` cells (tens of GiB at full scale)
+while the ragged :class:`repro.fusion.posterior_store.PosteriorStore`
 holds one row per *candidate* (a few MiB).  The case:
 
-* fits semi-supervised EM end to end under the ragged store, sharded
-  (``EMConfig.n_shards``) so no step ever touches a dense matrix;
-* asserts the shard-count invariance contract in-case (``n_shards=1`` vs
-  ``n_shards=4``: value codes bit-identical, posterior probabilities and
-  source accuracies within ``atol=1e-10``);
+* fits and predicts through the facade under the ragged store and names
+  the learner the optimizer chose (``SLiMFast()``: EM at smoke size, ERM
+  at ``scale_1m``);
 * demonstrates that the dense path *cannot* run: projected dense cells
   exceed ``DENSE_MAX_CELLS`` and ``posterior_matrix`` materialization is
   refused with ``MemoryError``;
@@ -20,8 +18,8 @@ holds one row per *candidate* (a few MiB).  The case:
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_scale.py            # smoke (~240k obs)
-    PYTHONPATH=src python benchmarks/bench_scale.py --full     # scale_1m (~1M obs)
+    PYTHONPATH=src python benchmarks/bench_scale.py            # smoke (140k obs)
+    PYTHONPATH=src python benchmarks/bench_scale.py --full     # scale_1m (990k obs)
 
 ``REPRO_BENCH_SCALE=full`` (the ``run_all.py --full`` convention) also
 selects the full size.  Exits nonzero when any contract assertion fails,
@@ -44,11 +42,6 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
     resource = None
 
 DEFAULT_OUTPUT = Path(__file__).parent / "results" / "BENCH_scale.json"
-
-#: Shard-count invariance tolerance (the cross-shard reduce reorders
-#: float additions; everything else is bit-identical — see
-#: ``repro/fusion/sharding.py``).
-PROB_ATOL = 1e-10
 
 SIZES = {
     # A (source, object) pair may claim at most once, so the hub's domain
@@ -125,46 +118,24 @@ def run_case(full: bool, output: Path) -> int:
         file=sys.stderr,
     )
 
-    failures = []
-    fits = {}
-    results = {}
-    for n_shards in (1, 4):
-        started = time.perf_counter()
-        model = SLiMFast(
-            em_config=EMConfig(
-                solver="lbfgs-warm",
-                max_iterations=3,
-                tolerance=0.0,
-                n_shards=n_shards,
-            )
-        )
-        result = model.fit(dataset, train).predict()
-        seconds = time.perf_counter() - started
-        fits[n_shards] = {"seconds": seconds, "peak_rss_kb": _peak_rss_kb()}
-        results[n_shards] = (result, model.model_.accuracies())
-        print(f"n_shards={n_shards}: fit+predict {seconds:.1f}s", file=sys.stderr)
-
-    # Shard-count invariance, asserted at the equivalence contract.
-    result_1, acc_1 = results[1]
-    result_4, acc_4 = results[4]
-    store_1 = result_1.posterior_store
-    store_4 = result_4.posterior_store
-    codes_identical = bool(np.array_equal(store_1.value_codes, store_4.value_codes))
-    prob_delta = float(np.max(np.abs(store_1.probs - store_4.probs), initial=0.0))
-    acc_delta = float(np.max(np.abs(acc_1 - acc_4), initial=0.0))
-    if not codes_identical:
-        failures.append("shard invariance: value codes differ between n_shards=1 and 4")
-    if prob_delta > PROB_ATOL:
-        failures.append(f"shard invariance: prob delta {prob_delta:.2e} > {PROB_ATOL:.0e}")
-    if acc_delta > PROB_ATOL:
-        failures.append(f"shard invariance: accuracy delta {acc_delta:.2e} > {PROB_ATOL:.0e}")
+    started = time.perf_counter()
+    model = SLiMFast(em_config=EMConfig(solver="lbfgs-warm", max_iterations=3, tolerance=0.0))
+    result = model.fit(dataset, train).predict()
+    fit = {
+        "learner": model.chosen_learner_,
+        "seconds": time.perf_counter() - started,
+        "peak_rss_kb": _peak_rss_kb(),
+    }
+    print(f"learner={fit['learner']}: fit+predict {fit['seconds']:.1f}s", file=sys.stderr)
 
     # The dense posterior matrix must be impossible here: the projection
     # overflows the materialization guard, and the store refuses it.
-    dense_cells = store_1.dense_cells()
+    failures = []
+    store = result.posterior_store
+    dense_cells = store.dense_cells()
     dense_refused = False
     try:
-        result_1.posterior_matrix
+        result.posterior_matrix
     except MemoryError:
         dense_refused = True
     if dense_cells <= DENSE_MAX_CELLS:
@@ -176,12 +147,11 @@ def run_case(full: bool, output: Path) -> int:
     if not dense_refused:
         failures.append("dense materialization was not refused")
 
-    ragged_mib = store_1.nbytes / 2**20
-    dense_mib = store_1.dense_nbytes() / 2**20
+    ragged_mib = store.nbytes / 2**20
+    dense_mib = store.dense_nbytes() / 2**20
     print(
         f"ragged store {ragged_mib:.1f} MiB vs projected dense {dense_mib:.0f} MiB "
-        f"({dense_cells:,} cells); dense refused: {dense_refused}; "
-        f"codes identical: {codes_identical}; prob delta {prob_delta:.1e}",
+        f"({dense_cells:,} cells); dense refused: {dense_refused}",
         file=sys.stderr,
     )
 
@@ -198,23 +168,17 @@ def run_case(full: bool, output: Path) -> int:
             "n_sources": dataset.n_sources,
             "n_objects": dataset.n_objects,
             "n_observations": dataset.n_observations,
-            "max_domain": int(store_1.max_domain),
+            "max_domain": int(store.max_domain),
             "build_seconds": build_seconds,
         },
         "store": {
-            "n_rows": int(store_1.n_rows),
-            "ragged_bytes": int(store_1.nbytes),
-            "projected_dense_bytes": int(store_1.dense_nbytes()),
+            "n_rows": int(store.n_rows),
+            "ragged_bytes": int(store.nbytes),
+            "projected_dense_bytes": int(store.dense_nbytes()),
             "projected_dense_cells": int(dense_cells),
             "dense_refused": dense_refused,
         },
-        "fits": {f"n_shards={k}": v for k, v in fits.items()},
-        "invariance": {
-            "codes_identical": codes_identical,
-            "max_prob_delta": prob_delta,
-            "max_accuracy_delta": acc_delta,
-            "atol": PROB_ATOL,
-        },
+        "fit": fit,
         "failures": failures,
     }
     output.parent.mkdir(parents=True, exist_ok=True)
@@ -234,7 +198,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--full",
         action="store_true",
-        help="scale_1m size (~1M observations; default is a CI-sized smoke)",
+        help="scale_1m size (990k observations; default is a CI-sized smoke)",
     )
     parser.add_argument(
         "--output",

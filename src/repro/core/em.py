@@ -46,7 +46,6 @@ import numpy as np
 from ..fusion.dataset import FusionDataset
 from ..fusion.encoding import encode_dataset
 from ..fusion.features import FeatureSpace
-from ..fusion.sharding import shard_blocked_rows, shard_structure, sharded_correctness_stats
 from ..fusion.types import DatasetError, ObjectId, Value
 from ..optim.numerics import logit
 from ..optim.objectives import CorrectnessObjective, reduce_correctness_samples
@@ -96,17 +95,6 @@ class EMConfig:
         ``"lbfgs-warm"``'s gradient-norm stop is floored at that same
         ``gtol``.  Tighten to make the two solvers' trajectories coincide
         exactly; the default matches scipy's historical behaviour.
-    n_shards:
-        When set, every E-step runs shard-by-shard over contiguous object
-        ranges (:mod:`repro.fusion.sharding`): each shard computes partial
-        per-source sufficient statistics and the M-step reduces them —
-        peak E-step memory is bounded by the largest shard instead of the
-        whole structure.  **Equivalence contract:** value codes are
-        bit-identical to the unsharded fit and probabilities/accuracies
-        agree at ``atol=1e-10`` for any shard count (only the cross-shard
-        float reduce reorders additions; pinned in
-        ``tests/fusion/test_posterior_store.py``).  Shards run one after
-        another in this process.
     featurizer:
         Optional :class:`repro.featurize.FeaturizerPipeline` (anything
         with a ``design_for(dataset_or_encoding)`` method).  When set,
@@ -126,7 +114,6 @@ class EMConfig:
     use_features: bool = True
     solver: str = "lbfgs"
     m_step_tolerance: float = 1e-8
-    n_shards: Optional[int] = None
     featurizer: Optional[object] = None
 
 
@@ -151,8 +138,6 @@ class EMLearner:
             base = EMConfig(**{**base.__dict__, **overrides})
         if base.solver not in EM_SOLVERS:
             raise ValueError(f"unknown solver {base.solver!r}; expected one of {EM_SOLVERS}")
-        if base.n_shards is not None and int(base.n_shards) < 1:
-            raise ValueError(f"n_shards must be a positive integer, got {base.n_shards!r}")
         if base.featurizer is not None:
             if not base.use_features:
                 raise ValueError("featurizer requires use_features=True")
@@ -227,16 +212,6 @@ class EMLearner:
         )
         model = model_from_flat(w, dataset, design, feature_space, intercept=True)
 
-        # Sharded E-step: contiguous object-range shards computed once per
-        # fit; each round reduces their partial per-source statistics
-        # instead of touching the full structure in one pass (identical up
-        # to the atol=1e-10 cross-shard reduce; see EMConfig.n_shards).
-        shards = None
-        shard_blocked = None
-        if self.config.n_shards is not None:
-            shards = shard_structure(structure, int(self.config.n_shards))
-            shard_blocked = shard_blocked_rows(shards, blocked_rows)
-
         deltas: List[float] = []
         converged = False
         previous_acc = model.accuracies()
@@ -259,32 +234,20 @@ class EMLearner:
         delta = float("inf")
         for _ in range(self.config.max_iterations):
             # E-step: soft correctness of each observation, with the
-            # ground-truth clamp fused into the segmented softmax.  On
-            # the sharded path the per-observation q never materializes
-            # globally: each shard reduces its own observations to
-            # per-source (totals, mass) partials.
-            if shards is not None:
-                totals, mass = sharded_correctness_stats(
-                    shards, model.trust_scores(), dataset.n_sources, shard_blocked
-                )
-                active = np.flatnonzero(totals > 0)
-                source_idx = active
-                labels = np.clip(mass[active] / totals[active], 0.0, 1.0)
-                sample_weights = totals[active]
-            else:
-                q_obs, _ = expected_correctness(
-                    structure,
-                    model.trust_scores(),
-                    label_rows,
-                    blocked_rows=blocked_rows,
-                )
+            # ground-truth clamp fused into the segmented softmax.
+            q_obs, _ = expected_correctness(
+                structure,
+                model.trust_scores(),
+                label_rows,
+                blocked_rows=blocked_rows,
+            )
 
-                # M-step samples: the objective is built once and
-                # re-pointed (re-reduced) at each round's samples —
-                # design, layout and penalties never change.
-                source_idx, labels, sample_weights = reduce_correctness_samples(
-                    structure.obs_source_idx, q_obs, dataset.n_sources
-                )
+            # M-step samples: the objective is built once and re-pointed
+            # (re-reduced) at each round's samples — design, layout and
+            # penalties never change.
+            source_idx, labels, sample_weights = reduce_correctness_samples(
+                structure.obs_source_idx, q_obs, dataset.n_sources
+            )
             if objective is None:
                 objective = CorrectnessObjective(
                     source_idx=source_idx,

@@ -53,9 +53,6 @@ class ERMConfig:
         the lasso-path module drives this over a grid).
     solver:
         "lbfgs" (default, deterministic) or "sgd" (paper-faithful).
-        ``"lbfgs-warm"`` is accepted as an alias of ``"lbfgs"`` so a single
-        facade-level solver choice covers both learners; warm-starting only
-        pays off across the repeated M-steps of EM, not a one-shot ERM fit.
     intercept:
         Fit a shared bias; required for unseen-source prediction.
     use_features:
@@ -131,7 +128,7 @@ class ERMLearner:
             base = ERMConfig(**{**base.__dict__, **overrides})
         if base.objective not in ("correctness", "conditional"):
             raise ValueError(f"unknown objective {base.objective!r}")
-        if base.solver not in ("lbfgs", "lbfgs-warm", "sgd"):
+        if base.solver not in ("lbfgs", "sgd"):
             raise ValueError(f"unknown solver {base.solver!r}")
         if base.featurizer is not None:
             if not base.use_features:

@@ -32,7 +32,7 @@ from ..fusion.dataset import FusionDataset
 from ..fusion.encoding import encode_dataset
 from ..fusion.result import FusionResult
 from ..fusion.types import DatasetError, NotFittedError, ObjectId, Value
-from .em import EM_SOLVERS, EMConfig, EMLearner
+from .em import EMConfig, EMLearner
 from .erm import ERMConfig, ERMLearner
 from .inference import posterior_rows
 from .model import AccuracyModel
@@ -46,30 +46,15 @@ class SLiMFast:
     Parameters
     ----------
     learner:
-        ``"auto"`` (paper's optimizer, Algorithm 2), ``"erm"`` or ``"em"``.
+        ``"auto"`` (paper's optimizer, Algorithm 2, at its defaults: see
+        :func:`~repro.core.optimizer.decide`), ``"erm"`` or ``"em"``.
     use_features:
         Consume domain-specific features if the dataset provides them.
-    tau:
-        Optimizer bound threshold (paper default 0.1).
-    objective:
-        ERM objective: ``"correctness"`` (Definition 7) or ``"conditional"``
-        (Equation 4).
-    solver:
-        M-step/ERM solver shared by both learner configs, one of
-        :data:`~repro.core.em.EM_SOLVERS`: ``"lbfgs"`` (default) or
-        ``"lbfgs-warm"`` (EM warm-starts structured Newton across rounds;
-        ERM treats it as ``"lbfgs"``).  The warm solver is
-        contract-equivalent to the scipy reference — objective values at
-        atol=1e-8, accuracies near 1e-6 (see
-        :class:`~repro.core.em.EMConfig` and the :mod:`repro.core.em`
-        docstring) — and is what batched sweeps use by default.  ERM's
-        paper-faithful SGD is reached through
-        ``erm_config=ERMConfig(solver="sgd")``.
     erm_config / em_config:
-        Full learner configuration overrides; built from the scalar
-        arguments when omitted.
-    optimizer_per_observation / optimizer_accuracy_method:
-        Optimizer variants, see :mod:`repro.core.optimizer`.
+        Full learner configurations (objective, penalties, solver, ...).
+        Each defaults to its class's defaults with this facade's
+        ``use_features`` and ``featurizer``; a config passed here is used
+        as given.
     featurizer:
         Optional :class:`repro.featurize.FeaturizerPipeline`: the design
         matrix comes from data-derived reliability features (plus the
@@ -82,44 +67,19 @@ class SLiMFast:
         self,
         learner: str = "auto",
         use_features: bool = True,
-        tau: float = 0.1,
-        objective: str = "correctness",
-        l2_sources: float = 4.0,
-        l2_features: float = 1.0,
-        solver: str = "lbfgs",
         erm_config: Optional[ERMConfig] = None,
         em_config: Optional[EMConfig] = None,
-        optimizer_per_observation: bool = False,
-        optimizer_accuracy_method: str = "domain-corrected",
         featurizer: Optional[object] = None,
     ) -> None:
         if learner not in ("auto", "erm", "em"):
             raise ValueError(f"unknown learner {learner!r}")
-        if solver not in EM_SOLVERS:
-            raise ValueError(f"unknown solver {solver!r}; expected one of {EM_SOLVERS}")
         if featurizer is not None and not use_features:
             raise ValueError("featurizer requires use_features=True")
         self.learner = learner
         self.use_features = use_features
         self.featurizer = featurizer
-        self.tau = tau
-        self.optimizer_per_observation = optimizer_per_observation
-        self.optimizer_accuracy_method = optimizer_accuracy_method
-        self.erm_config = erm_config or ERMConfig(
-            objective=objective,
-            l2_sources=l2_sources,
-            l2_features=l2_features,
-            solver=solver,
-            use_features=use_features,
-            featurizer=featurizer,
-        )
-        self.em_config = em_config or EMConfig(
-            l2_sources=l2_sources,
-            l2_features=l2_features,
-            use_features=use_features,
-            solver=solver,
-            featurizer=featurizer,
-        )
+        self.erm_config = erm_config or ERMConfig(use_features=use_features, featurizer=featurizer)
+        self.em_config = em_config or EMConfig(use_features=use_features, featurizer=featurizer)
 
         self.model_: Optional[AccuracyModel] = None
         self.decision_: Optional[OptimizerDecision] = None
@@ -151,14 +111,7 @@ class SLiMFast:
         started = time.perf_counter()
         choice = self.learner
         if choice == "auto":
-            self.decision_ = decide(
-                dataset,
-                truth,
-                n_features=design.shape[1],
-                tau=self.tau,
-                per_observation=self.optimizer_per_observation,
-                accuracy_method=self.optimizer_accuracy_method,
-            )
+            self.decision_ = decide(dataset, truth, n_features=design.shape[1])
             choice = self.decision_.algorithm
         self.timings_["optimizer"] = time.perf_counter() - started
 

@@ -368,8 +368,9 @@ class SweepRunner:
         Explicit-learner specs pass overrides through verbatim (typos fail
         loudly).  ``learner="auto"`` specs may carry overrides for either
         learner, so only the fields the chosen config class actually has
-        are applied.  Batched EM defaults to the contracted ``lbfgs-warm``
-        solver unless the spec overrides it.
+        are applied; a field both classes have, such as ``solver``, must
+        hold a value both accept.  Batched EM defaults to the contracted
+        ``lbfgs-warm`` solver unless the spec overrides it.
         """
         overrides = dict(spec.overrides)
         config_cls = EMConfig if learner_used == "em" else ERMConfig

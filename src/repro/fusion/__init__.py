@@ -14,7 +14,6 @@ from .metrics import (
 )
 from .posterior_store import DenseMaterializationWarning, PosteriorStore
 from .result import FusionResult
-from .sharding import StructureShard, shard_structure
 from .types import (
     DatasetError,
     DatasetStats,
@@ -42,8 +41,6 @@ __all__ = [
     "FusionResult",
     "PosteriorStore",
     "DenseMaterializationWarning",
-    "StructureShard",
-    "shard_structure",
     "Observation",
     "Indexer",
     "DatasetStats",

@@ -22,11 +22,11 @@ Workers receive read-only views: every attached array has its
 ``writeable`` flag cleared, so a worker that accidentally mutates shared
 state fails loudly instead of corrupting its siblings.
 
-:func:`resolve_n_jobs` and :func:`chunk_bounds` / :func:`chunk_indices`
-are the worker-count and balanced-split rules the sweep fan-out (and the
-EM object-range sharding) uses.  The module needs only the standard library
-and numpy, and imports ``multiprocessing`` and ``concurrent.futures``
-only when a pool is built, so every layer of the library can import it.
+:func:`resolve_n_jobs` and :func:`chunk_indices` are the worker-count
+and balanced-split rules the sweep fan-out uses.  The module needs only
+the standard library and numpy, and imports ``multiprocessing`` and
+``concurrent.futures`` only when a pool is built, so every layer of the
+library can import it.
 """
 
 from __future__ import annotations
@@ -62,31 +62,23 @@ def resolve_n_jobs(n_jobs: Optional[int]) -> int:
     return count
 
 
-def chunk_bounds(n_items: int, n_chunks: int) -> np.ndarray:
-    """Boundaries of the contiguous, balanced split of ``range(n_items)``.
-
-    Returns ``min(n_chunks, max(n_items, 1)) + 1`` nondecreasing int64
-    boundaries from 0 to ``n_items``; parts differ in size by at most one
-    and are empty only when ``n_items == 0``.  A pure function of
-    ``(n_items, n_chunks)``, never of scheduling order.
-    """
-    if n_items < 0:
-        raise ValueError("n_items must be non-negative")
-    if n_chunks < 1:
-        raise ValueError(f"n_chunks must be a positive integer, got {n_chunks!r}")
-    return np.linspace(0, n_items, min(n_chunks, max(n_items, 1)) + 1).astype(np.int64)
-
-
 def chunk_indices(n_items: int, n_chunks: int) -> List[range]:
     """Split ``range(n_items)`` into at most ``n_chunks`` contiguous ranges.
 
-    The non-empty parts of :func:`chunk_bounds`, in order.  Contiguity
+    The ranges are non-empty, in order, and differ in length by at most
+    one; ``n_items == 0`` gives none.  A pure function of
+    ``(n_items, n_chunks)``, never of scheduling order.  Contiguity
     matters: the sweep engine hands each chunk to one worker task, and
     nearest-config warm-start donors are drawn from the chunk's own
     completed fits, so specs that were adjacent in the caller's sweep
     order stay adjacent in a worker.
     """
-    bounds = chunk_bounds(n_items, n_chunks).tolist()
+    if n_items < 0:
+        raise ValueError("n_items must be non-negative")
+    if n_chunks < 1:
+        raise ValueError(f"n_chunks must be a positive integer, got {n_chunks!r}")
+    n_parts = min(n_chunks, max(n_items, 1))
+    bounds = np.linspace(0, n_items, n_parts + 1).astype(np.int64).tolist()
     return [range(start, stop) for start, stop in zip(bounds, bounds[1:]) if stop > start]
 
 

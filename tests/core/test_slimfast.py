@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core import SLiMFast
+from repro.core.em import EMConfig
+from repro.core.erm import ERMConfig
+from repro.core.optimizer import decide
 from repro.data import generate
-from repro.fusion import DatasetError, NotFittedError
+from repro.featurize import FeaturizerPipeline
+from repro.fusion import DatasetError, NotFittedError, encode_dataset
 
 
 class TestFacadeBasics:
@@ -63,6 +67,9 @@ class TestAutoDecision:
         assert fuser.decision_ is not None
         assert fuser.chosen_learner_ in ("em", "erm")
         assert fuser.decision_.algorithm == fuser.chosen_learner_
+        # The facade runs Algorithm 2 at the optimizer's own defaults.
+        design, _ = encode_dataset(small_dataset).design(True)
+        assert fuser.decision_ == decide(small_dataset, split.train_truth, design.shape[1])
 
     def test_fixed_learner_skips_optimizer(self, small_dataset):
         split = small_dataset.split(0.1, seed=0)
@@ -92,6 +99,37 @@ class TestVariantNaming:
         split = small_dataset.split(0.2, seed=0)
         result = SLiMFast(**kwargs).fit_predict(small_dataset, split.train_truth)
         assert result.method == expected
+
+
+#: The rows of the facade's variants table (``repro.core.slimfast``).
+VARIANTS = {
+    "SLiMFast": dict(),
+    "SLiMFast-ERM": dict(learner="erm"),
+    "SLiMFast-EM": dict(learner="em"),
+    "Sources-ERM": dict(learner="erm", use_features=False),
+    "Sources-EM": dict(learner="em", use_features=False),
+}
+# A featurizer requires use_features=True.
+CONFIG_CASES = {
+    f"{name}{'-featurizer' if with_featurizer else ''}": (kwargs, with_featurizer)
+    for name, kwargs in VARIANTS.items()
+    for with_featurizer in (False, True)
+    if kwargs.get("use_features", True) or not with_featurizer
+}
+
+
+class TestLearnerConfigs:
+    """Every variant's learner configs are the config classes' defaults."""
+
+    @pytest.mark.parametrize(
+        "kwargs, with_featurizer", list(CONFIG_CASES.values()), ids=list(CONFIG_CASES)
+    )
+    def test_configs_equal_direct_builds(self, kwargs, with_featurizer):
+        featurizer = FeaturizerPipeline() if with_featurizer else None
+        use_features = kwargs.get("use_features", True)
+        fuser = SLiMFast(**kwargs, featurizer=featurizer)
+        assert fuser.erm_config == ERMConfig(use_features=use_features, featurizer=featurizer)
+        assert fuser.em_config == EMConfig(use_features=use_features, featurizer=featurizer)
 
 
 class TestTimings:

@@ -1,4 +1,4 @@
-"""Ragged posterior store: dense parity, memmap, sharding invariance.
+"""Ragged posterior store: dense parity, memmap, lazy promotion.
 
 The out-of-core contract under test:
 
@@ -8,9 +8,6 @@ The out-of-core contract under test:
   ``value_codes``, ``confidence_vector``) returns the same numbers;
 * stores round-trip through ``.npy`` files and attach as ``numpy.memmap``
   views;
-* sharded EM (``EMConfig.n_shards``) is invariant in the shard count:
-  value codes bit-identical, probabilities/accuracies at ``atol=1e-10``
-  (only the cross-shard reduce reorders float additions);
 * dict-backed promotion (``attach_dataset``) is lazy — no posterior
   materialization until posteriors are actually read.
 """
@@ -18,7 +15,7 @@ The out-of-core contract under test:
 import numpy as np
 import pytest
 
-from repro.core.em import EMConfig, EMLearner
+from repro.core.em import EMConfig
 from repro.core.slimfast import SLiMFast
 from repro.fusion import FusionDataset, FusionResult
 from repro.fusion.posterior_store import (
@@ -26,13 +23,6 @@ from repro.fusion.posterior_store import (
     PosteriorStore,
     segmented_argmax,
 )
-from repro.fusion.sharding import (
-    shard_blocked_rows,
-    shard_posterior_rows,
-    shard_structure,
-    sharded_correctness_stats,
-)
-from repro.parallel import chunk_bounds
 
 
 @pytest.fixture
@@ -56,8 +46,8 @@ def skewed_dataset():
     return FusionDataset(observations, ground_truth=truth)
 
 
-def _fit_predict(dataset, train, **em_overrides):
-    model = SLiMFast(em_config=EMConfig(solver="lbfgs-warm", **em_overrides))
+def _fit_predict(dataset, train):
+    model = SLiMFast(em_config=EMConfig(solver="lbfgs-warm"))
     return model.fit(dataset, train).predict()
 
 
@@ -202,109 +192,6 @@ class TestEdgeDomains:
         store = PosteriorStore(np.array([0, 0, 2]), np.array([0.3, 0.7]))
         np.testing.assert_array_equal(store.value_codes, [0, 1])
         np.testing.assert_array_equal(store.max_probs(), [0.0, 0.7])
-
-
-class TestShardingPrimitives:
-    def test_shard_bounds_cover_and_balance(self):
-        # shard_structure splits object ranges with the fan-out's rule.
-        bounds = chunk_bounds(10, 4)
-        assert bounds[0] == 0 and bounds[-1] == 10
-        sizes = np.diff(bounds)
-        assert sizes.min() >= 2 and sizes.max() <= 3
-
-    def test_shard_structure_partitions_rows(self, skewed_dataset):
-        from repro.core.structure import build_pair_structure
-
-        structure = build_pair_structure(skewed_dataset)
-        shards = shard_structure(structure, 4)
-        assert sum(s.n_objects for s in shards) == structure.n_objects
-        assert sum(s.n_pairs for s in shards) == structure.n_pairs
-        assert sum(s.n_observations for s in shards) == structure.obs_pair_idx.shape[0]
-        for shard in shards:
-            assert shard.pair_offsets[0] == 0
-            assert shard.pair_offsets[-1] == shard.n_pairs
-
-    def test_encoding_shard_matches_structure_shards(self, skewed_dataset):
-        from repro.fusion.encoding import encode_dataset
-
-        encoding = encode_dataset(skewed_dataset)
-        shards = shard_structure(encoding, 3)
-        assert sum(s.n_objects for s in shards) == encoding.n_objects
-        assert sum(s.n_observations for s in shards) == encoding.n_observations
-
-    def test_shard_posterior_rows_bit_identical(self, skewed_dataset):
-        from repro.core.inference import posterior_rows
-        from repro.core.structure import build_pair_structure
-
-        structure = build_pair_structure(skewed_dataset)
-        model = SLiMFast().fit(skewed_dataset, {})
-        full = posterior_rows(structure, model.model_)
-        trust = model.model_.trust_scores()
-        for shard in shard_structure(structure, 5):
-            np.testing.assert_array_equal(
-                shard_posterior_rows(shard, trust),
-                full[shard.pair_start : shard.pair_stop],
-            )
-
-    def test_sharded_stats_match_global_reduce(self, skewed_dataset):
-        from repro.core.inference import clamp_rows, expected_correctness
-        from repro.core.structure import build_pair_structure
-        from repro.optim.objectives import reduce_correctness_samples
-
-        train = dict(list(skewed_dataset.ground_truth.items())[:8])
-        structure = build_pair_structure(skewed_dataset)
-        label_rows = structure.label_rows(train)
-        blocked = clamp_rows(structure, label_rows)
-        model = SLiMFast().fit(skewed_dataset, train)
-        trust = model.model_.trust_scores()
-
-        q_obs, _ = expected_correctness(structure, trust, label_rows, blocked_rows=blocked)
-        active, labels, weights = reduce_correctness_samples(
-            structure.obs_source_idx, q_obs, skewed_dataset.n_sources
-        )
-
-        shards = shard_structure(structure, 4)
-        totals, mass = sharded_correctness_stats(
-            shards, trust, skewed_dataset.n_sources, shard_blocked_rows(shards, blocked)
-        )
-        np.testing.assert_array_equal(np.flatnonzero(totals > 0), active)
-        np.testing.assert_array_equal(totals[active], weights)
-        np.testing.assert_allclose(
-            np.clip(mass[active] / totals[active], 0.0, 1.0), labels, atol=1e-10
-        )
-
-
-class TestShardCountInvariance:
-    """The tentpole contract: n_shards=1 == n_shards=4 == unsharded."""
-
-    @pytest.mark.parametrize("n_shards", [1, 4])
-    def test_fit_predict_invariant(self, skewed_dataset, n_shards):
-        train = dict(list(skewed_dataset.ground_truth.items())[:12])
-        reference = _fit_predict(skewed_dataset, train)
-        sharded = _fit_predict(skewed_dataset, train, n_shards=n_shards)
-        np.testing.assert_array_equal(sharded.value_codes, reference.value_codes)
-        np.testing.assert_allclose(
-            sharded.posterior_store.probs, reference.posterior_store.probs, atol=1e-10
-        )
-        np.testing.assert_allclose(
-            sharded.source_accuracy_vector,
-            reference.source_accuracy_vector,
-            atol=1e-10,
-        )
-
-    def test_unsupervised_fit_invariant(self, skewed_dataset):
-        one = _fit_predict(skewed_dataset, {}, n_shards=1)
-        four = _fit_predict(skewed_dataset, {}, n_shards=4)
-        np.testing.assert_array_equal(one.value_codes, four.value_codes)
-        np.testing.assert_allclose(
-            one.posterior_store.probs, four.posterior_store.probs, atol=1e-10
-        )
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError, match="positive integer"):
-            EMLearner(EMConfig(n_shards=0))
-        with pytest.raises(ValueError, match="sgd"):
-            EMLearner(EMConfig(n_shards=2, solver="sgd"))
 
 
 class TestLazyPromotion:

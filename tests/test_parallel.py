@@ -1,10 +1,10 @@
 """The one process fan-out primitive, ``repro.parallel.WorkerPool``.
 
 A parallel sweep is its one consumer.  These tests pin the worker-count
-rule, the shared-memory transport — forced for the sweep cases, since
-under ``fork`` it is never taken on its own, and taken for real under
-``spawn`` — and that the segment is released.  The split rule and the
-pack round trip are pinned in
+rule, the balance of the split rule, the shared-memory transport — forced
+for the sweep cases, since under ``fork`` it is never taken on its own,
+and taken for real under ``spawn`` — and that the segment is released.
+The split's contiguity and the pack round trip are pinned in
 ``tests/experiments/test_sweeps.py::TestParallelHelpers``.
 """
 
@@ -19,7 +19,7 @@ import pytest
 from repro import parallel
 from repro.data import generate
 from repro.experiments import SweepRunner, leave_one_out_specs
-from repro.parallel import SharedArrayPack, WorkerPool, resolve_n_jobs
+from repro.parallel import SharedArrayPack, WorkerPool, chunk_indices, resolve_n_jobs
 from tests.experiments.test_sweeps import CONFIGS, TIGHT, _assert_fits_match, _em_specs
 
 
@@ -28,6 +28,18 @@ def test_n_jobs_none_counts_usable_cpus(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert resolve_n_jobs(None) == 1
+
+
+def test_chunk_indices_cover_and_balance():
+    chunks = chunk_indices(10, 4)
+    assert chunks[0].start == 0 and chunks[-1].stop == 10
+    sizes = [len(chunk) for chunk in chunks]
+    assert len(sizes) == 4
+    assert min(sizes) >= 2 and max(sizes) <= 3
+    with pytest.raises(ValueError, match="n_chunks must be a positive integer"):
+        chunk_indices(10, 0)
+    with pytest.raises(ValueError, match="n_items must be non-negative"):
+        chunk_indices(-1, 4)
 
 
 def _sweeps_case(config):

@@ -23,11 +23,16 @@ the shard E-step pool class and the ``repro.experiments.parallel`` module
 it lived in are gone.  A parallel sweep is its one consumer: the
 featurizer's statistics pass runs once over the whole source range (its
 source-range chunks, their concatenation and the pipeline's worker count
-are gone), and a sharded EM fit runs its shards in-process (the shard
-pool, the shards' transport state and ``EMConfig(shard_jobs=)`` are
-gone).  The encoding's ``shard`` shortcut duplicated
-``shard_structure(encoding, n)``, and ``FeatureSpace``'s pre-redesign
-aliases and dataset-fitting ``fit`` went with the deprecation shim.
+are gone).  ``FeatureSpace``'s pre-redesign aliases and dataset-fitting
+``fit`` went with the deprecation shim.
+
+EM has one E-step: every round scores the whole structure and reduces
+its per-observation soft labels per source.  Sharded EM
+(``EMConfig(n_shards=)``, the ``repro.fusion.sharding`` module with its
+shard pool, transport state and ``EMConfig(shard_jobs=)``, and the
+encoding's ``shard`` shortcut) is gone, and with it
+``repro.parallel.chunk_bounds``, which only it and ``chunk_indices``
+called.
 
 Labels have one coding, ``DenseEncoding.truth_codes``, read through each
 ``PairStructure``: the encoding's duplicate of the structure's
@@ -44,9 +49,16 @@ EM's SGD M-step with its epoch and seed knobs, the facade's ``seed`` and
 Newton's unused ``ftol`` are gone; SGD stays an ERM solver
 (``ERMConfig(solver="sgd")``).  ``FeaturizerPipeline(cache=)`` takes a
 directory path, so its ``cache_dir=`` alias is gone too.
+
+The facade passes no learner or optimizer knob through: its ``tau``,
+``objective``, penalties, ``solver`` and optimizer variants only copied
+the defaults of ``decide``, ``ERMConfig`` and ``EMConfig``, which take
+them directly.  ERM's ``"lbfgs-warm"`` alias existed only so the facade's
+shared ``solver=`` could reach ERM, and went with it.
 """
 
 import functools
+import importlib
 
 import numpy as np
 import pytest
@@ -56,21 +68,20 @@ from repro import parallel as parallel_module
 from repro.core import SLiMFast
 from repro.core import structure as structure_module
 from repro.core.em import EMConfig, EMLearner, fit_incremental
-from repro.core.erm import ERMConfig, correctness_training_pairs
+from repro.core.erm import ERMConfig, ERMLearner, correctness_training_pairs
 from repro.core.inference import expected_correctness, posteriors
 from repro.core.structure import build_masked_structure, build_pair_structure
 from repro.experiments import SweepRunner
 from repro.extensions import StreamingFuser
 from repro.factorgraph import GibbsSampler
 import repro.featurize
+import repro.fusion
 from repro.featurize import FeaturizerPipeline, ObjectStats, SourceStats, compute_source_stats
 from repro.featurize import stats as stats_module
 from repro.featurize.pipeline import FeaturizedSpace
 from repro.fusion import encoding as encoding_module
-from repro.fusion import sharding as sharding_module
 from repro.fusion.encoding import DenseEncoding, IncrementalEncoding
 from repro.fusion.features import FeatureSpace
-from repro.fusion.sharding import StructureShard, sharded_correctness_stats
 from repro.optim import solvers as solvers_module
 from repro.optim.solvers import WarmStartState, minimize_newton
 from repro.serve import FusionServer, ServeMetrics, Snapshot
@@ -102,8 +113,20 @@ RETIRED_OPTIONS = [
     (FeaturizerPipeline, "n_jobs"),
     (EMConfig, "shard_jobs"),
     (compute_source_stats, "n_jobs"),
-    (sharded_correctness_stats, "pool"),
     (SweepRunner, "warm_start"),
+    (EMConfig, "n_shards"),
+    *[
+        (SLiMFast, option)
+        for option in (
+            "tau",
+            "objective",
+            "l2_sources",
+            "l2_features",
+            "solver",
+            "optimizer_per_observation",
+            "optimizer_accuracy_method",
+        )
+    ],
 ]
 
 
@@ -164,9 +187,6 @@ RETIRED_NAMES = [
     (stats_module, "compute_source_stats_chunk"),
     (SourceStats, "concat"),
     (ObjectStats, "as_arrays"),
-    (sharding_module, "shard_stat_pool"),
-    (StructureShard, "to_state"),
-    (StructureShard, "from_state"),
     (DenseEncoding, "shard"),
     (FeatureSpace, "fit_metadata"),
     (FeatureSpace, "encode"),
@@ -175,6 +195,9 @@ RETIRED_NAMES = [
     (StreamingFuser(), "_none_labels"),
     (DenseEncoding, "label_rows"),
     (IncrementalEncoding().append([("s", "o", "v")]), "values"),
+    (repro.fusion, "StructureShard"),
+    (repro.fusion, "shard_structure"),
+    (parallel_module, "chunk_bounds"),
 ]
 
 
@@ -192,11 +215,16 @@ def test_retired_name_is_gone(owner, name):
     assert not hasattr(owner, name)
 
 
-@pytest.mark.parametrize(
-    "build",
-    [lambda: EMLearner(EMConfig(solver="sgd")), lambda: SLiMFast(solver="sgd")],
-    ids=["EMLearner", "SLiMFast"],
-)
-def test_em_sgd_solver_is_rejected(build):
+def test_sharding_module_is_gone():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.fusion.sharding")
+
+
+def test_em_sgd_solver_is_rejected():
     with pytest.raises(ValueError, match="unknown solver 'sgd'"):
-        build()
+        EMLearner(EMConfig(solver="sgd"))
+
+
+def test_erm_warm_alias_is_rejected():
+    with pytest.raises(ValueError, match="unknown solver 'lbfgs-warm'"):
+        ERMLearner(solver="lbfgs-warm")

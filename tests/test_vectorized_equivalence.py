@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.core import SLiMFast
-from repro.core.em import EMLearner
+from repro.core.em import EMConfig, EMLearner
 from repro.core.erm import ERMLearner, correctness_training_pairs
 from repro.core.inference import (
     expected_correctness,
@@ -497,16 +497,14 @@ class TestWarmSolverEquivalence:
         # docstring), not by the warm solver, which solves tighter.
         np.testing.assert_allclose(warm.accuracies(), reference.accuracies(), atol=5e-5)
 
-    def test_erm_accepts_warm_alias(self, dataset):
-        truth = _truth_fraction(dataset, 0.4, seed=6)
-        alias = ERMLearner(solver="lbfgs-warm").fit(dataset, truth)
-        plain = ERMLearner(solver="lbfgs").fit(dataset, truth)
-        np.testing.assert_array_equal(alias.accuracies(), plain.accuracies())
-
     def test_facade_warm_solver_end_to_end(self, dataset):
         truth = _truth_fraction(dataset, 0.3, seed=9)
-        warm = SLiMFast(learner="em", solver="lbfgs-warm").fit_predict(dataset, truth)
-        plain = SLiMFast(learner="em", solver="lbfgs").fit_predict(dataset, truth)
+        warm = SLiMFast(learner="em", em_config=EMConfig(solver="lbfgs-warm")).fit_predict(
+            dataset, truth
+        )
+        plain = SLiMFast(learner="em", em_config=EMConfig(solver="lbfgs")).fit_predict(
+            dataset, truth
+        )
         assert warm.has_arrays
         for source, acc in plain.source_accuracies.items():
             assert warm.source_accuracies[source] == pytest.approx(acc, abs=1e-3)

@@ -1,10 +1,10 @@
 """RA1 — determinism: all RNGs flow through ``repro._rng``.
 
-The reproduction's cross-process contracts (chunked featurizer
-statistics, sharded E-steps, scenario streams replayed in ``spawn``
-workers) hold only when every random stream is derived from an explicit
-seed through ``SeedSequence`` — which is exactly what
-:func:`repro._rng.as_generator` / ``spawn_generators`` do.  This rule
+The reproduction's cross-process contracts (parallel sweeps, scenario
+streams replayed in ``spawn`` workers) hold only when every random
+stream is derived from an explicit seed through ``SeedSequence`` —
+which is exactly what :func:`repro._rng.as_generator` /
+``spawn_generators`` do.  This rule
 flags the constructions that bypass that chokepoint in ``src/repro``
 and ``examples``:
 
