@@ -6,8 +6,9 @@ fusion workload in three steps:
 1. **Ratio cases** (gated like the engine benchmark's): ``serve_lookup``
    compares a posterior lookup against the published snapshot with the
    same query answered by the live streaming engine's softmax path, and
-   ``serve_topk`` compares the publish-time conflict index against
-   recomputing the MAP margins per query.  Both are single-threaded
+   ``serve_topk`` compares a snapshot's kept conflict index (built once,
+   by its first ranking read) against recomputing the MAP margins per
+   query.  Both are single-threaded
    medians via the engine benchmark's ``_median_time``.
 2. **Read-only phase**: ``--readers`` threads hammer the full serving
    path (``FusionServer.posterior``/``value``/``top_conflicts``) with raw
@@ -173,8 +174,9 @@ def run_benchmarks(
         lambda: fuser.posterior(next(reference_keys)),
         lambda: snapshot.posterior(next(snapshot_keys)),
     )
-    # Ratio case 2: publish-time conflict index vs recomputing the MAP
-    # margins on every top-k query.
+    # Ratio case 2: the snapshot's conflict index, built by its first
+    # ranking read and kept, vs recomputing the MAP margins on every
+    # top-k query.
     case(
         "serve_topk",
         lambda: build_conflict_index(snapshot.store),

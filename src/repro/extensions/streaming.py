@@ -476,11 +476,12 @@ class StreamingFuser:
     def to_result(self) -> FusionResult:
         """Snapshot the current state as an array-backed fusion result.
 
-        Read from the live state in O(pairs), with no compile: each object's
-        rows are its live claimed values in index order, their scores are
-        gathered from the ragged score table into one segmented softmax,
-        and the truth clamp comes from the truth-code table the batches
-        keep (:meth:`_clamp_codes`).
+        Read from the live state in O(pairs), with no compile and no Python
+        work per candidate: each object's rows are its live claimed values
+        in index order, read through the encoding's append-only value
+        table; their scores are gathered from the ragged score table into
+        one segmented softmax, and the truth clamp comes from the
+        truth-code table the batches keep (:meth:`_clamp_codes`).
         """
         from ..optim.objectives import segment_softmax
 
@@ -506,7 +507,7 @@ class StreamingFuser:
             clamp=self.truth,
             clamp_codes=self._clamp_codes(),
             accuracy_vector=self._correct[:n] / self._total[:n],
-            source_ids=encoding.sources.items,
+            source_ids=encoding.sources,
             method="streaming",
             diagnostics={"n_processed": self.n_processed, "n_refits": self.n_refits},
         )

@@ -524,6 +524,12 @@ class IncrementalEncoding(DenseEncoding):
     The sizes, the domain reads (:meth:`~DenseEncoding.value_code` and the
     like), :attr:`live_domain_sizes` and :meth:`object_claims` read the live
     append state and never compile, so the streaming hot path stays O(batch).
+
+    Every candidate value is also kept, once, in the append-only
+    :attr:`value_table`, in the order the intern minted them; each entry
+    remembers its object and value code, so :meth:`value_rows` maps any
+    live candidate-row layout onto the table with one scatter.  A publish
+    reads values through it instead of rebuilding :attr:`pair_values`.
     """
 
     def __init__(
@@ -556,6 +562,12 @@ class IncrementalEncoding(DenseEncoding):
         self._span_len = _AppendBuffer(np.int64)
         self._span_cap = _AppendBuffer(np.int64)
         self._live_sizes = _AppendBuffer(np.int64)
+
+        # Append-only value table: every candidate value in minting order,
+        # with its object index and value code.
+        self.value_table: List[Value] = []
+        self._table_object = _AppendBuffer(np.int64)
+        self._table_code = _AppendBuffer(np.int64)
 
         # use_features flag -> [row store (capacity array), n encoded, space]
         self._design_cache = {}
@@ -596,9 +608,14 @@ class IncrementalEncoding(DenseEncoding):
         n_objects = self.n_objects
         for buffer in (self._span_start, self._span_len, self._span_cap, self._live_sizes):
             buffer.grow(n_objects)
-        # Value codes are first-seen indices, so a domain's size is its
-        # largest code plus one.
-        np.maximum.at(self._live_sizes.data, object_idx, value_code + 1)
+        sizes = self._live_sizes.data
+        # Value codes are first-seen indices: a row whose code reaches its
+        # object's size before the batch claims a value the batch minted,
+        # and a domain's size is its largest code plus one.
+        minted = np.flatnonzero(value_code >= sizes[object_idx])
+        np.maximum.at(sizes, object_idx, value_code + 1)
+        if minted.shape[0]:
+            self._extend_table(values, object_idx, value_code, minted)
         touched, counts = self._place(object_idx, source_idx, value_code, first_row=self._n_obs)
         self._n_obs += len(values)
         self._arrays = None
@@ -614,6 +631,42 @@ class IncrementalEncoding(DenseEncoding):
             objects=touched,
             object_counts=counts,
         )
+
+    def _extend_table(
+        self,
+        values: List[Value],
+        object_idx: np.ndarray,
+        value_code: np.ndarray,
+        minted: np.ndarray,
+    ) -> None:
+        """Append the batch's new candidates to the value table, in minting order.
+
+        ``minted`` lists the rows that claim a new ``(object, code)`` pair;
+        a pair's first row minted it, and that row's value is the domain's
+        stored representative.
+        """
+        objects, codes = object_idx[minted], value_code[minted]
+        _, first = np.unique(objects * (int(codes.max()) + 1) + codes, return_index=True)
+        rows = minted[np.sort(first)]
+        n = len(self.value_table)
+        self.value_table.extend(map(values.__getitem__, rows.tolist()))
+        for buffer, column in ((self._table_object, object_idx), (self._table_code, value_code)):
+            buffer.grow(n + rows.shape[0])
+            buffer.data[n:] = column[rows]
+
+    def value_rows(self, pair_offsets: np.ndarray) -> np.ndarray:
+        """:attr:`value_table` index of each candidate row, read-only ``int64``.
+
+        ``pair_offsets`` lays the live domains out object by object (the
+        prefix sums of :attr:`live_domain_sizes`), so the entry minted for
+        ``(object, code)`` is row ``pair_offsets[object] + code``: one
+        scatter over the table, no Python work per candidate.
+        """
+        n = len(self.value_table)
+        rows = np.empty(n, dtype=np.int64)
+        rows[pair_offsets[self._table_object.data] + self._table_code.data] = np.arange(n)
+        rows.setflags(write=False)
+        return rows
 
     def _place(
         self,

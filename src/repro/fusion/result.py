@@ -33,7 +33,7 @@ accident.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -91,6 +91,8 @@ class FusionResult:
 
         # Array backing (None unless built by from_rows / attach_dataset).
         self._object_ids: Optional[List[ObjectId]] = None
+        self._value_table: Optional[List[Value]] = None
+        self._value_rows: Optional[np.ndarray] = None
         self._pair_values: Optional[List[Value]] = None
         self._pair_offsets: Optional[np.ndarray] = None
         self._value_codes: Optional[np.ndarray] = None
@@ -101,6 +103,7 @@ class FusionResult:
         self._source_ids: Optional[List[SourceId]] = None
         self._object_index: Optional[Indexer] = None
         self._source_index: Optional[Indexer] = None
+        self._position_index: Optional[Dict[ObjectId, int]] = None
         # Clamped objects whose known truth is outside the claimed domain
         # cannot be represented as a value code; they carry a dict override.
         self._overrides: Dict[ObjectId, Value] = {}
@@ -118,7 +121,7 @@ class FusionResult:
         row_probs: np.ndarray,
         clamp: Optional[Mapping[ObjectId, Value]] = None,
         accuracy_vector: Optional[np.ndarray] = None,
-        source_ids: Optional[Sequence[SourceId]] = None,
+        source_ids: Optional[Iterable[SourceId]] = None,
         method: str = "unknown",
         diagnostics: Optional[Dict[str, Any]] = None,
         *,
@@ -134,6 +137,13 @@ class FusionResult:
             :class:`~repro.fusion.encoding.IncrementalEncoding` whose rows
             are every object's live claimed values in index order (read
             without compiling; the streaming fuser publishes this way).
+            Candidate values are read through a value table and a row
+            index: a structure's ``pair_values`` with rows ``0..n-1``, or
+            the encoding's append-only
+            :attr:`~repro.fusion.encoding.IncrementalEncoding.value_table`
+            with its :meth:`~repro.fusion.encoding.IncrementalEncoding.value_rows`
+            (shared, not copied; the result reads only the entries that
+            existed when it was built).
         row_probs:
             Posterior probability of every flattened (object, value) row
             (one segmented softmax per object, see
@@ -143,7 +153,8 @@ class FusionResult:
             mass and their value code is forced to the known value.
         accuracy_vector, source_ids:
             Estimated per-source accuracies aligned with ``source_ids``
-            (typically ``model.accuracies()`` / ``model.source_ids``).
+            (typically ``model.accuracies()`` / ``model.source_ids``; any
+            iterable of ids, copied once into the result's list).
         clamp_codes:
             ``(labeled, codes)`` of ``clamp`` per object position, for a
             caller that keeps them (``codes`` is the truth's value code, or
@@ -168,6 +179,7 @@ class FusionResult:
         self._overrides = {}
         self._posterior_matrix = None
         self._promotion_dataset = None
+        self._pair_values = None
 
         if isinstance(structure, IncrementalEncoding):
             encoding = structure
@@ -175,15 +187,20 @@ class FusionResult:
                 [np.zeros(1, dtype=np.int64), np.cumsum(encoding.live_domain_sizes, dtype=np.int64)]
             )
             self._object_ids = encoding.objects.items
+            # The ids are the encoding's own, in index order.
+            self._position_index = encoding.objects.as_dict()
+            self._value_table = encoding.value_table
+            self._value_rows = encoding.value_rows(offsets)
         else:
             encoding = structure.encoding
             offsets = np.asarray(structure.pair_offsets, dtype=np.int64)
             self._object_ids = list(structure.object_ids)
+            self._position_index = None
+            self._value_table, self._value_rows = _identity_rows(structure.pair_values)
         # Clamping mutates rows in place; copy so callers keep their
         # probability vector (posterior_rows output is reusable).
         probs = np.array(row_probs, dtype=float, copy=True)
 
-        self._pair_values = structure.pair_values
         self._pair_offsets = offsets
         self._object_index = encoding.objects
         self._source_index = encoding.sources
@@ -261,7 +278,8 @@ class FusionResult:
                 codes[o_idx] = code
 
         self._object_ids = object_ids
-        self._pair_values = encoding.pair_values
+        self._value_table, self._value_rows = _identity_rows(encoding.pair_values)
+        self._pair_values = None
         self._pair_offsets = encoding.pair_offsets
         self._value_codes = codes
         self._overrides = overrides
@@ -410,24 +428,51 @@ class FusionResult:
         return self._pair_offsets
 
     @property
+    def value_table(self) -> List[Value]:
+        """Candidate values that :attr:`value_rows` index (array-backed only).
+
+        A structure's ``pair_values``, or a stream's append-only value
+        table shared with its encoding: entries appended after the result
+        was built are never indexed.  Raises ``ValueError`` on dict-backed
+        results.
+        """
+        if self._value_rows is None:
+            raise ValueError("result is dict-backed; call attach_dataset(dataset)")
+        return self._value_table
+
+    @property
+    def value_rows(self) -> np.ndarray:
+        """Read-only ``int64`` :attr:`value_table` index of each candidate row.
+
+        Row ``pair_offsets[i] + code`` holds object ``i``'s value
+        ``value_table[value_rows[pair_offsets[i] + code]]``.  Raises
+        ``ValueError`` on dict-backed results.
+        """
+        if self._value_rows is None:
+            raise ValueError("result is dict-backed; call attach_dataset(dataset)")
+        return self._value_rows
+
+    @property
     def pair_values(self) -> List[Value]:
         """Flat claimed values aligned with :attr:`pair_offsets` rows.
 
         Decoding a value code is ``pair_values[pair_offsets[i] + code]``;
-        :meth:`predicted_values` bulk-decodes.  Raises ``ValueError`` on
-        dict-backed results.
+        :meth:`predicted_values` bulk-decodes.  Gathered from
+        :attr:`value_table` on first access, then cached.  Raises
+        ``ValueError`` on dict-backed results.
         """
         if self._pair_values is None:
-            raise ValueError("result is dict-backed; call attach_dataset(dataset)")
+            self._pair_values = gather_values(self.value_table, self._value_rows)
         return self._pair_values
 
     def position_index(self) -> Dict[ObjectId, int]:
         """Object id -> position in the array backing (built once, cached).
 
-        A result over exactly its encoding's objects, in index order (and
-        no append since), copies the encoding's object index in C.
+        A stream's result maps its encoding's ids in C at build time; any
+        other result over exactly its encoding's objects, in index order,
+        copies the encoding's object index in C too.
         """
-        if getattr(self, "_position_index", None) is None:
+        if self._position_index is None:
             self._position_index = _positions(self._object_index, self.object_ids)
         return self._position_index
 
@@ -460,20 +505,20 @@ class FusionResult:
         """Decode MAP value codes to values for ``positions`` (default: all)."""
         codes = self.value_codes
         offsets = self._pair_offsets
-        pair_values = self._pair_values
+        table, rows = self._value_table, self._value_rows
         if positions is None:
-            # Bulk decode: one vectorized row computation, one list pass.
-            rows = (offsets[:-1] + np.maximum(codes, 0)).tolist()
+            # Bulk decode: one vectorized row gather, one list pass.
+            entries = rows.take(offsets[:-1] + np.maximum(codes, 0), mode="clip").tolist()
             return [
-                pair_values[row] if code >= 0 else self._overrides.get(obj)
-                for obj, code, row in zip(self._object_ids, codes.tolist(), rows)
+                table[entry] if code >= 0 else self._overrides.get(obj)
+                for obj, code, entry in zip(self._object_ids, codes.tolist(), entries)
             ]
         out: List[Value] = []
         for position in positions:
             position = int(position)
             code = int(codes[position])
             if code >= 0:
-                out.append(pair_values[int(offsets[position]) + code])
+                out.append(table[int(rows[int(offsets[position]) + code])])
             else:
                 out.append(self._overrides.get(self._object_ids[position]))
         return out
@@ -504,7 +549,7 @@ class FusionResult:
         """Posterior distribution per object (cached dict view)."""
         if self._posteriors is None and self._posterior_store is not None:
             offsets = self._pair_offsets.tolist()
-            pair_values = self._pair_values
+            pair_values = self.pair_values
             probs_list = self._posterior_store.probs.tolist()
             result: Dict[ObjectId, Dict[Value, float]] = {}
             for i, obj in enumerate(self._object_ids):
@@ -594,13 +639,19 @@ class FusionResult:
 
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
-        """Pickle without the position index and the id indexes it copies."""
-        return {
+        """Pickle without the position index, the id indexes it copies and
+        the gathered ``pair_values``; a shared value table pickles only the
+        entries the rows index."""
+        state = {
             **self.__dict__,
             "_position_index": None,
             "_object_index": None,
             "_source_index": None,
+            "_pair_values": None,
         }
+        if self._value_rows is not None:
+            state["_value_table"] = table_prefix(self._value_table, self._value_rows)
+        return state
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         backing = "array" if self.has_arrays else "dict"
@@ -618,6 +669,27 @@ class FusionResult:
             and self.posteriors == other.posteriors
             and self.source_accuracies == other.source_accuracies
         )
+
+
+def _identity_rows(values: List[Value]) -> Tuple[List[Value], np.ndarray]:
+    """``values`` as a value table whose row ``i`` is entry ``i``."""
+    rows = np.arange(len(values), dtype=np.int64)
+    rows.setflags(write=False)
+    return values, rows
+
+
+def gather_values(table: Sequence[Value], rows: np.ndarray) -> List[Value]:
+    """``[table[row] for row in rows]``, gathered in C."""
+    return list(map(table.__getitem__, rows.tolist()))
+
+
+def table_prefix(table: List[Value], rows: np.ndarray) -> List[Value]:
+    """The entries of ``table`` up to the last one ``rows`` index (a copy).
+
+    An append-only table shared with a live stream may have grown since
+    ``rows`` were taken; this is what persisting them needs.
+    """
+    return table[: int(rows.max()) + 1] if rows.shape[0] else []
 
 
 def _positions(indexer: Optional[Indexer], ids: List) -> Dict:

@@ -3,8 +3,8 @@
 The batch learners and the streaming fuser answer "what are the fused
 values right now?" inside one process; this package makes that state
 **servable**: an immutable published :class:`Snapshot` (ragged posterior
-store + claimed-value layout + per-source reliability + a publish-time
-conflict index) behind a :class:`FusionServer` whose readers load the
+store + claimed-value layout + per-source reliability + a conflict index
+built on the first ranking read) behind a :class:`FusionServer` whose readers load the
 current snapshot reference without a lock while a writer loop ingests
 batches and publishes new snapshots by reassigning that reference —
 readers never block on ingest.

@@ -205,10 +205,11 @@ class FusionServer:
     def publish(self) -> Snapshot:
         """Build a snapshot from the live state and publish it.
 
-        The build (the expensive part: one segmented softmax plus the
-        conflict index) holds only the writer lock, so readers keep
-        querying the previous snapshot until the single reference
-        assignment that publishes the new one.
+        The build (array work: one segmented softmax, the value-row
+        scatter and the lookup arrays; the conflict index waits for the
+        snapshot's first ranking read) holds only the writer lock, so
+        readers keep querying the previous snapshot until the single
+        reference assignment that publishes the new one.
         """
         with self._write_lock:
             build_start = time.perf_counter()

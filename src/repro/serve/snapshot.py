@@ -2,25 +2,30 @@
 
 A :class:`Snapshot` freezes one publishable state of a streaming fusion
 run — the ragged :class:`~repro.fusion.posterior_store.PosteriorStore`,
-the claimed-value layout (``object_ids`` / ``pair_values`` / CSR
-offsets), the per-source reliability vector, and the revealed-truth
-bookkeeping — and precomputes at publish time everything the query paths
-need in O(1)/O(k):
+the claimed-value layout (``object_ids``, CSR offsets, and a value table
+with a frozen row index: store row ``r`` holds
+``value_table[value_rows[r]]``), the per-source reliability vector, and
+the revealed-truth bookkeeping.  A publish is array work: it precomputes
+a position index (object id -> store position) and each object's MAP row
+and value entry, so a point lookup is a few plain indexings.
 
-* a position index (object id -> store position) and each object's MAP
-  row, so a point lookup is two plain indexings,
-* a **conflict index** (:func:`build_conflict_index`): per-object MAP
-  margin ``p_max - p_runner_up``, argsorted ascending so
-  :meth:`Snapshot.top_conflicts` is a slice — the lowest-margin objects
-  are the ones the fused estimate is least sure about, the natural
-  curation queue for a live system.
+The **conflict index** (:func:`build_conflict_index`: per-object MAP
+margin ``p_max - p_runner_up``, argsorted ascending so
+:meth:`Snapshot.top_conflicts` is a slice — the lowest-margin objects are
+the ones the fused estimate is least sure about, the natural curation
+queue for a live system) is derived state: the first ranking read
+(``top_conflicts``, ``margin`` or ``stats``) builds it and the snapshot
+keeps it.
 
 Snapshots never mutate after construction (the store's flat arrays are
-frozen via :meth:`~repro.fusion.posterior_store.PosteriorStore.freeze`),
-so any number of reader threads can query one concurrently without
-locks.  Construction, unpickling and :meth:`Snapshot.load` all run the
-same alignment check: the object ids, claimed values, conflict index and
-reliability vector must match the store's sizes.
+frozen via :meth:`~repro.fusion.posterior_store.PosteriorStore.freeze`;
+a stream's value table is append-only and a snapshot reads only the
+entries its rows index), so any number of reader threads can query one
+concurrently without locks.  Construction, unpickling and
+:meth:`Snapshot.load` all run the same alignment check: the object ids,
+value row index and reliability vector must match the store's sizes, and
+no row may point past the value table.  Pickled and saved state carries
+:data:`FORMAT_VERSION`; any other version is refused.
 
 Pickling a snapshot that carries an attached dataset ships the dataset's
 compiled :class:`~repro.fusion.encoding.DenseEncoding` explicitly via
@@ -42,12 +47,29 @@ import numpy as np
 
 from ..fusion.encoding import DenseEncoding
 from ..fusion.posterior_store import PosteriorStore, segmented_argmax
+from ..fusion.result import gather_values, table_prefix
 from ..fusion.types import ObjectId, SourceId, Value
 
 __all__ = ["Snapshot", "ConflictEntry", "ConflictIndex", "build_conflict_index"]
 
 _META_FILE = "meta.pkl"
 _STORE_DIR = "store"
+
+#: Version of the pickled and saved snapshot state.  Version 2 holds the
+#: candidate values as a value table plus a row index and no conflict
+#: index; unversioned state is the earlier layout.
+FORMAT_VERSION = 2
+
+#: Query lookups and caches rebuilt on construction and unpickling.
+_DERIVED = (
+    "_positions",
+    "_source_positions",
+    "_map_rows",
+    "_row_entries",
+    "_map_entries",
+    "_conflicts",
+    "_pair_values",
+)
 
 
 @dataclass(frozen=True)
@@ -69,7 +91,7 @@ class ConflictEntry:
 
 @dataclass(frozen=True)
 class ConflictIndex:
-    """Publish-time conflict precomputation (see :func:`build_conflict_index`).
+    """Per-snapshot conflict precomputation (see :func:`build_conflict_index`).
 
     ``margins``/``second_codes`` align with the store's object positions;
     ``order`` sorts positions by ascending margin with the ``n_ranked``
@@ -130,8 +152,10 @@ class Snapshot:
         Ragged per-object posteriors; frozen in place at construction.
     object_ids:
         Object ids in store position order.
-    pair_values:
-        Flat claimed values aligned with the store's CSR rows.
+    value_table, value_rows:
+        Candidate values and, per store row, the ``int64`` index of its
+        value in ``value_table`` (``np.arange(len(values))`` for a flat
+        list of row values).
     accuracy_vector, source_ids:
         Per-source reliability estimates (optional; given together, as a
         1-D vector with one entry per source id).
@@ -147,25 +171,30 @@ class Snapshot:
         encoding attached (see the module docstring for the pickling
         contract).
 
+    The constructor copies its inputs except the store, which it freezes
+    in place; :meth:`from_result` shares the result's parts instead.
     Queries never mutate the snapshot, so readers need no locks, and a
     superseded snapshot keeps answering with its own data for as long as
-    anyone holds it.  Raises ``ValueError`` when the ids, claimed values
-    or reliability vector do not match the store's sizes.
+    anyone holds it.  Raises ``ValueError`` when the ids, value rows or
+    reliability vector do not match the store's sizes, or a row points
+    past the value table.
 
     Construction and unpickling build the query lookups, which are never
     pickled: the object and source id -> position maps (:meth:`from_result`
     shares the result's ``position_index()`` and
     ``source_position_index()``, C-level copies of the encoding's id
-    indexes when the result spans the encoding) and each object's MAP row
-    ``offsets[pos] + max(code, 0)``, an ``array("q")`` that :meth:`value`
-    indexes directly.
+    indexes when the result spans the encoding), each object's MAP row
+    ``offsets[pos] + max(code, 0)``, its value-table entry, and the row
+    index itself, as ``array("q")`` that :meth:`confidence`,
+    :meth:`value` and :meth:`posterior` index directly.
     """
 
     def __init__(
         self,
         store: PosteriorStore,
         object_ids: Sequence[ObjectId],
-        pair_values: Sequence[Value],
+        value_table: Sequence[Value],
+        value_rows: np.ndarray,
         *,
         accuracy_vector: Optional[np.ndarray] = None,
         source_ids: Optional[Sequence[SourceId]] = None,
@@ -176,21 +205,32 @@ class Snapshot:
         n_refits: int = 0,
         dataset=None,
     ) -> None:
-        self.store = store.freeze()
-        self.object_ids = list(object_ids)
-        self.pair_values = list(pair_values)
-        self.accuracy_vector = (
-            None if accuracy_vector is None else np.asarray(accuracy_vector, dtype=float)
+        self._adopt(
+            {
+                "store": store,
+                "object_ids": list(object_ids),
+                "value_table": list(value_table),
+                "value_rows": np.array(value_rows, dtype=np.int64),
+                "accuracy_vector": (
+                    None if accuracy_vector is None else np.asarray(accuracy_vector, dtype=float)
+                ),
+                "source_ids": None if source_ids is None else list(source_ids),
+                "overrides": dict(overrides or {}),
+                "truth": dict(truth or {}),
+                "version": int(version),
+                "n_observations": int(n_observations),
+                "n_refits": int(n_refits),
+                "dataset": dataset,
+            }
         )
-        self.source_ids = None if source_ids is None else list(source_ids)
-        self.overrides = dict(overrides or {})
-        self.truth = dict(truth or {})
-        self.version = int(version)
-        self.n_observations = int(n_observations)
-        self.n_refits = int(n_refits)
-        self.dataset = dataset
-        self.conflicts = build_conflict_index(self.store)
+
+    def _adopt(self, parts: Dict[str, object]) -> None:
+        """Take ``parts`` as the snapshot's state as given (no copies), freeze
+        its arrays, check their alignment and build the query lookups."""
+        self.__dict__.update(parts)
+        self.store.freeze()
         self._check_alignment()
+        self.value_rows.setflags(write=False)
         self._build_indexes()
 
     # ------------------------------------------------------------------
@@ -200,7 +240,7 @@ class Snapshot:
     def empty(cls, version: int = 0) -> "Snapshot":
         """A snapshot with no objects (the server's pre-publish state)."""
         store = PosteriorStore(np.zeros(1, dtype=np.int64), np.zeros(0))
-        return cls(store, [], [], version=version)
+        return cls(store, [], [], np.zeros(0, dtype=np.int64), version=version)
 
     @classmethod
     def from_result(
@@ -215,9 +255,11 @@ class Snapshot:
     ) -> "Snapshot":
         """Publish an array-backed :class:`~repro.fusion.result.FusionResult`.
 
-        The result's posterior store is frozen **in place** (published
-        arrays must never mutate); dict-backed results must go through
-        ``attach_dataset`` first.
+        The snapshot shares the result's parts instead of copying them:
+        its posterior store (frozen **in place** — published arrays must
+        never mutate), id lists, value table and row index, overrides,
+        position maps, and the ``truth`` mapping given.  Dict-backed
+        results must go through ``attach_dataset`` first.
         """
         if not result.has_arrays:
             raise ValueError(
@@ -225,21 +267,24 @@ class Snapshot:
                 "attach_dataset(dataset) on dict-backed results first"
             )
         snapshot = cls.__new__(cls)
-        # Preset before __init__ so _build_indexes keeps them.
-        snapshot._positions = result.position_index()
-        snapshot._source_positions = result.source_position_index()
-        snapshot.__init__(
-            result.posterior_store,
-            result.object_ids,
-            result.pair_values,
-            accuracy_vector=result.source_accuracy_vector,
-            source_ids=result.source_ids,
-            overrides=result.overrides,
-            truth=truth,
-            version=version,
-            n_observations=n_observations,
-            n_refits=n_refits,
-            dataset=dataset,
+        snapshot._adopt(
+            {
+                "store": result.posterior_store,
+                "object_ids": result.object_ids,
+                "value_table": result.value_table,
+                "value_rows": result.value_rows,
+                "accuracy_vector": result.source_accuracy_vector,
+                "source_ids": result.source_ids,
+                "overrides": result.overrides,
+                "truth": {} if truth is None else truth,
+                "version": int(version),
+                "n_observations": int(n_observations),
+                "n_refits": int(n_refits),
+                "dataset": dataset,
+                # _build_indexes keeps these.
+                "_positions": result.position_index(),
+                "_source_positions": result.source_position_index(),
+            }
         )
         return snapshot
 
@@ -276,17 +321,18 @@ class Snapshot:
             raise ValueError(
                 f"{len(self.object_ids)} object ids for a store of {n_objects} objects"
             )
-        if len(self.pair_values) != self.store.n_rows:
+        n_rows = self.store.n_rows
+        rows = self.value_rows
+        if not (
+            isinstance(rows, np.ndarray) and rows.dtype == np.int64 and rows.shape == (n_rows,)
+        ):
             raise ValueError(
-                f"{len(self.pair_values)} pair values for a store of {self.store.n_rows} rows"
+                f"value row index must be an int64 array with one entry per row; "
+                f"got {getattr(rows, 'shape', None)} for a store of {n_rows} rows"
             )
-        for name in ("margins", "second_codes", "order"):
-            length = len(getattr(self.conflicts, name))
-            if length != n_objects:
-                raise ValueError(
-                    f"conflict index {name} has {length} entries for a store of "
-                    f"{n_objects} objects"
-                )
+        n_values = len(self.value_table)
+        if n_rows and (rows.min() < 0 or rows.max() >= n_values):
+            raise ValueError(f"value row index points outside a table of {n_values} values")
         if (self.accuracy_vector is None) != (self.source_ids is None):
             raise ValueError("accuracy_vector and source_ids must be given together")
         if self.source_ids is not None and self.accuracy_vector.shape != (len(self.source_ids),):
@@ -302,8 +348,15 @@ class Snapshot:
             self._source_positions = (
                 {} if self.source_ids is None else {s: i for i, s in enumerate(self.source_ids)}
             )
-        codes = np.maximum(self.store.value_codes, 0)
-        self._map_rows = array("q", (self.store.offsets[:-1] + codes).tobytes())
+        map_rows = self.store.offsets[:-1] + np.maximum(self.store.value_codes, 0)
+        self._map_rows = array("q", map_rows.tobytes())
+        self._row_entries = array("q", self.value_rows.tobytes())
+        # Only an empty span's map row can fall past the last row; its
+        # entry is never read (value() answers such objects from overrides).
+        entries = self.value_rows.take(map_rows, mode="clip") if self.store.n_rows else map_rows
+        self._map_entries = array("q", entries.tobytes())
+        self._conflicts: Optional[ConflictIndex] = None
+        self._pair_values: Optional[List[Value]] = None
 
     # ------------------------------------------------------------------
     # Shape / bookkeeping
@@ -319,7 +372,10 @@ class Snapshot:
         return 0 if self.source_ids is None else len(self.source_ids)
 
     def stats(self) -> Dict[str, object]:
-        """Publish bookkeeping: version, sizes, counters, byte footprint."""
+        """Publish bookkeeping: version, sizes, counters, byte footprint.
+
+        ``n_conflicted`` reads the conflict index, building it on first use.
+        """
         return {
             "version": self.version,
             "n_objects": self.n_objects,
@@ -330,6 +386,30 @@ class Snapshot:
             "n_conflicted": self.conflicts.n_ranked,
             "store_nbytes": self.store.nbytes,
         }
+
+    @property
+    def conflicts(self) -> ConflictIndex:
+        """The store's :class:`ConflictIndex`, built on first read and kept.
+
+        Readers racing on a fresh snapshot may each build it; they build
+        equal frozen arrays, and one attribute assignment keeps one of them.
+        """
+        index = self._conflicts
+        if index is None:
+            index = self._conflicts = build_conflict_index(self.store)
+        return index
+
+    @property
+    def pair_values(self) -> List[Value]:
+        """Claimed value of every store row, in row order.
+
+        Gathered from ``value_table`` through ``value_rows`` on first read,
+        then cached; the query paths read the table directly.
+        """
+        values = self._pair_values
+        if values is None:
+            values = self._pair_values = gather_values(self.value_table, self.value_rows)
+        return values
 
     # ------------------------------------------------------------------
     # Queries (lock-free; safe from any number of threads)
@@ -351,9 +431,9 @@ class Snapshot:
             return {}
         start = int(self.store.offsets[pos])
         stop = int(self.store.offsets[pos + 1])
-        values = self.pair_values[start:stop]
+        values = map(self.value_table.__getitem__, self._row_entries[start:stop])
         if obj in self.overrides:
-            clamped = {value: 0.0 for value in values}
+            clamped = dict.fromkeys(values, 0.0)
             clamped[self.overrides[obj]] = 1.0
             return clamped
         return dict(zip(values, self.store.probs[start:stop].tolist()))
@@ -365,7 +445,7 @@ class Snapshot:
             return None
         if obj in self.overrides:
             return self.overrides[obj]
-        return self.pair_values[self._map_rows[pos]]
+        return self.value_table[self._map_entries[pos]]
 
     def confidence(self, obj: ObjectId) -> Optional[float]:
         """Posterior mass of the MAP value (1.0 for overrides)."""
@@ -386,27 +466,27 @@ class Snapshot:
     def top_conflicts(self, k: int = 10) -> List[ConflictEntry]:
         """The ``k`` objects with the smallest MAP margin, ascending.
 
-        An O(k) slice of the publish-time conflict index; only
-        conflict-eligible objects (finite margin) are returned, so fewer
-        than ``k`` entries come back on small or fully-clamped snapshots.
+        An O(k) slice of the conflict index (built on the snapshot's first
+        ranking read); only conflict-eligible objects (finite margin) are
+        returned, so fewer than ``k`` entries come back on small or
+        fully-clamped snapshots.
         """
         if k < 0:
             raise ValueError("k must be non-negative")
         offsets = self.store.offsets
-        codes = self.store.value_codes
         probs = self.store.probs
+        table = self.value_table
         conflicts = self.conflicts
         entries = []
         for pos in conflicts.order[: min(k, conflicts.n_ranked)].tolist():
-            start = int(offsets[pos])
-            code = int(codes[pos])
+            runner_up = int(offsets[pos]) + int(conflicts.second_codes[pos])
             entries.append(
                 ConflictEntry(
                     object=self.object_ids[pos],
-                    map_value=self.pair_values[start + code],
-                    runner_up=self.pair_values[start + int(conflicts.second_codes[pos])],
+                    map_value=table[self._map_entries[pos]],
+                    runner_up=table[self._row_entries[runner_up]],
                     margin=float(conflicts.margins[pos]),
-                    confidence=float(probs[start + code]),
+                    confidence=float(probs[self._map_rows[pos]]),
                 )
             )
         return entries
@@ -431,11 +511,10 @@ class Snapshot:
     # Pickling / persistence
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
-        state = {
-            key: value
-            for key, value in self.__dict__.items()
-            if key not in ("_positions", "_map_rows", "_source_positions")
-        }
+        state = {key: value for key, value in self.__dict__.items() if key not in _DERIVED}
+        # A stream's table is shared and may have grown since the publish.
+        state["value_table"] = table_prefix(self.value_table, self.value_rows)
+        state["format_version"] = FORMAT_VERSION
         dataset = state.get("dataset")
         if dataset is not None:
             encoding = getattr(dataset, "_dense_encoding", None)
@@ -447,11 +526,16 @@ class Snapshot:
         return state
 
     def __setstate__(self, state: dict) -> None:
+        state = dict(state)
+        found = state.pop("format_version", None)
+        if found != FORMAT_VERSION:
+            saved = "no format version" if found is None else f"format version {found!r}"
+            raise ValueError(
+                f"snapshot state has {saved}; this version of repro reads format "
+                f"version {FORMAT_VERSION}: re-save the snapshot with this version"
+            )
         encoding_state = state.pop("_encoding_state", None)
-        self.__dict__.update(state)
-        self.store.freeze()
-        self._check_alignment()
-        self._build_indexes()
+        self._adopt(state)
         if encoding_state is not None and self.dataset is not None:
             self.dataset._dense_encoding = DenseEncoding.from_state(
                 self.dataset, encoding_state
@@ -461,8 +545,9 @@ class Snapshot:
         """Write the snapshot under ``directory`` for a memmapped reload.
 
         The posterior store lands as ``.npy`` files (``store/``), the rest
-        of the published state as a pickle (``meta.pkl``).  Returns the
-        directory, ready for :meth:`load`.
+        of the published state (with :data:`FORMAT_VERSION`, the value
+        table's published entries and the row index) as a pickle
+        (``meta.pkl``).  Returns the directory, ready for :meth:`load`.
         """
         os.makedirs(directory, exist_ok=True)
         self.store.save(os.path.join(directory, _STORE_DIR))
@@ -479,9 +564,10 @@ class Snapshot:
         With ``mmap=True`` the store's flat arrays attach as read-only
         ``numpy.memmap`` views — a warm start that serves posteriors from
         the OS page cache instead of loading them wholesale.  Raises
-        ``ValueError`` when ``store/`` and ``meta.pkl`` disagree in size
-        (e.g. a save interrupted between the two); parts of equal size
-        from different saves are not detected.
+        ``ValueError`` when ``meta.pkl`` holds another format version than
+        :data:`FORMAT_VERSION`, or when ``store/`` and ``meta.pkl``
+        disagree in size (e.g. a save interrupted between the two); parts
+        of equal size from different saves are not detected.
         """
         store = PosteriorStore.load(os.path.join(directory, _STORE_DIR), mmap=mmap)
         with open(os.path.join(directory, _META_FILE), "rb") as handle:

@@ -7,7 +7,9 @@ record at a time.  Through every production entry point —
 ``IncrementalEncoding.append`` — both must agree exactly: the id tables
 (each stored representative and its type), every value domain, the code
 columns, the error raised and its message, and a rejected batch must leave
-the tables and the seen pairs untouched.
+the tables and the seen pairs untouched.  An incremental encoding's value
+table must list every domain's values in the order the oracle mints them,
+and its row index must lay them out as the domains do.
 """
 
 from __future__ import annotations
@@ -117,11 +119,23 @@ def test_from_columns_matches_oracle(rows):
         assert dataset.observations == tuple(entries)
 
 
+def minted_values(domains, object_idx, value_code, sizes):
+    """The values a batch minted, in row order; ``sizes`` are the domain
+    sizes before the batch and advance as codes are minted."""
+    minted = []
+    for o_idx, code in zip(object_idx.tolist(), value_code.tolist()):
+        if code == sizes.setdefault(o_idx, 0):
+            minted.append(domains[o_idx].item(code))
+            sizes[o_idx] = code + 1
+    return minted
+
+
 @settings(max_examples=100, deadline=None)
 @given(batches=st.lists(batch(), min_size=1, max_size=5))
 def test_incremental_append_matches_oracle(batches):
     encoding = IncrementalEncoding()
     sources, objects, domains, seen = Indexer(), Indexer(), [], set()
+    table, sizes = [], {}
     for rows in batches:
         before = tables(encoding.sources, encoding.objects, encoding._domains)
         seen_before = set(encoding._seen_pairs)
@@ -133,9 +147,17 @@ def test_incremental_append_matches_oracle(batches):
             assert str(raised) == error
             assert tables(encoding.sources, encoding.objects, encoding._domains) == before
             assert encoding._seen_pairs == seen_before
+            assert typed(encoding.value_table) == typed(table)
             continue
         assert error is None
         _, source_idx, object_idx, value_code = expected
+        table.extend(minted_values(domains, object_idx, value_code, sizes))
+        assert typed(encoding.value_table) == typed(table)
+        if encoding.n_objects:
+            offsets = np.concatenate([[0], np.cumsum(encoding.live_domain_sizes)])
+            rows_of = encoding.value_rows(offsets)
+            laid_out = [encoding.value_table[entry] for entry in rows_of.tolist()]
+            assert typed(laid_out) == typed(value for domain in domains for value in domain)
         np.testing.assert_array_equal(appended.source_idx, source_idx)
         np.testing.assert_array_equal(appended.object_idx, object_idx)
         np.testing.assert_array_equal(appended.value_code, value_code)

@@ -7,13 +7,17 @@ The serving contract under test:
   :class:`~repro.extensions.streaming.StreamingFuser` state it was
   published from (posterior dicts, MAP values, overrides, source
   accuracies);
-* the publish-time conflict index ranks objects by brute-force MAP
-  margin and excludes objects that cannot conflict;
+* the conflict index ranks objects by brute-force MAP margin and
+  excludes objects that cannot conflict; a publish does not build it,
+  and the first ranking read (``top_conflicts``, ``margin``, ``stats``)
+  builds it exactly once per snapshot, racing readers included;
 * snapshots round-trip through ``save``/``load`` (plain and ``mmap=True``)
   and through pickle;
 * construction, unpickling and ``load`` reject parts whose sizes
-  disagree with the store (a torn save directory, a reliability vector
-  that does not match the source ids);
+  disagree with the store (a torn save directory, a row index that does
+  not fit the store or points past the value table, a reliability vector
+  that does not match the source ids) and state of another format
+  version, unversioned state included;
 * pickling a snapshot that carries the accumulated dataset ships the
   compiled encoding explicitly — ``FusionDataset.__getstate__`` drops the
   cache, so without the explicit state restore every unpickle would
@@ -24,14 +28,19 @@ The serving contract under test:
   live stream: objects appended after a publish stay unknown to it.  A
   ``slow`` replay checks the published claimed values against the ingest
   oracle at perfbench's ``stream_serve`` shape;
-* a publish reads the fuser's live spans and truth-code table without
-  compiling, and equals the compile-path oracle
+* a publish reads the fuser's live spans, truth-code table and
+  append-only value table without compiling, rebuilding the candidate
+  value list or ranking conflicts, and equals the compile-path oracle
   (``tests/oracles/streaming.py``) byte for byte: offsets, probabilities,
-  value codes, claimed values, overrides and MAP rows.
+  value codes, claimed values, overrides and MAP rows.  A snapshot shares
+  the stream's value table and answers from the entries it had at
+  publish, after later appends and through pickling.
 """
 
 import pickle
+import sys
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -43,6 +52,7 @@ from repro.fusion import encoding as encoding_module
 from repro.fusion.posterior_store import PosteriorStore
 from repro.fusion.types import Indexer
 from repro.serve import ConflictEntry, FusionServer, Snapshot, build_conflict_index
+from repro.serve import snapshot as snapshot_module
 from tests.oracles import ingest as oracle_ingest
 from tests.oracles import streaming as oracle_streaming
 
@@ -211,6 +221,75 @@ class TestConflictIndex:
             entry.margin = 0.0
 
 
+class TestLazyConflictIndex:
+    """A publish leaves the index to the snapshot's first ranking read."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+
+        def counting(store):
+            calls.append(store)
+            return build_conflict_index(store)
+
+        monkeypatch.setattr(snapshot_module, "build_conflict_index", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda snapshot: snapshot.top_conflicts(2),
+            lambda snapshot: snapshot.margin("o1"),
+            lambda snapshot: snapshot.stats(),
+        ],
+        ids=["top_conflicts", "margin", "stats"],
+    )
+    def test_first_ranking_read_builds_it_once(self, builds, read):
+        snapshot = FusionServer(build_fuser()).publish()
+        for obj in snapshot.object_ids:
+            for query in (snapshot.value, snapshot.posterior, snapshot.confidence):
+                query(obj)
+        assert builds == []
+        read(snapshot)
+        assert len(builds) == 1 and builds[0] is snapshot.store
+        snapshot.top_conflicts(10)
+        snapshot.margin("o2")
+        snapshot.stats()
+        assert len(builds) == 1
+        want = build_conflict_index(snapshot.store)
+        for name in ("margins", "second_codes", "order"):
+            assert_same_array(getattr(snapshot.conflicts, name), getattr(want, name), name)
+        assert snapshot.conflicts.n_ranked == want.n_ranked
+
+    def test_racing_first_readers_agree(self):
+        fuser = StreamingFuser()
+        fuser.observe_batch(
+            [(f"s{s}", f"o{o}", f"v{(o * s) % 3}") for o in range(300) for s in range(4)]
+        )
+        snapshot = Snapshot.from_fuser(fuser)
+        want = Snapshot.from_fuser(fuser).top_conflicts(10)
+        start = threading.Barrier(8)
+        results = [None] * 8
+
+        def reader(index):
+            start.wait(timeout=30)
+            results[index] = snapshot.top_conflicts(10)
+
+        threads = [threading.Thread(target=reader, args=(index,)) for index in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(want) == 10
+        assert all(entries == want for entries in results)
+
+
 class TestImmutability:
     def test_store_arrays_are_frozen(self):
         snapshot = Snapshot.from_fuser(build_fuser())
@@ -275,18 +354,54 @@ class TestAlignment:
         snapshot = Snapshot.from_fuser(build_fuser())
         for key, value, message in [
             ("object_ids", snapshot.object_ids[:-1], "3 object ids for a store of 4"),
-            ("pair_values", snapshot.pair_values[:-1], "pair values for a store of"),
-            (
-                "conflicts",
-                two_object_snapshot().conflicts,
-                "conflict index margins has 2 entries for a store of 4",
-            ),
+            ("value_rows", snapshot.value_rows[:-1], r"\(5,\) for a store of 6 rows"),
+            ("value_rows", snapshot.value_rows.astype(float), "must be an int64 array"),
+            ("value_table", snapshot.value_table[:-1], "outside a table of 5 values"),
             ("accuracy_vector", snapshot.accuracy_vector[:1], "accuracy_vector of shape"),
         ]:
             state = snapshot.__getstate__()
             state[key] = value
             with pytest.raises(ValueError, match=message):
                 Snapshot.__new__(Snapshot).__setstate__(state)
+
+    def test_unpickling_rejects_rows_before_the_table(self):
+        snapshot = Snapshot.from_fuser(build_fuser())
+        state = snapshot.__getstate__()
+        rows = snapshot.value_rows.copy()
+        rows[0] = -1
+        state["value_rows"] = rows
+        with pytest.raises(ValueError, match="outside a table of 6 values"):
+            Snapshot.__new__(Snapshot).__setstate__(state)
+
+    @pytest.mark.parametrize("found", [None, 1, 3])
+    def test_unpickling_rejects_another_format_version(self, found):
+        state = Snapshot.from_fuser(build_fuser()).__getstate__()
+        if found is None:
+            del state["format_version"]
+            saved = "no format version"
+        else:
+            state["format_version"] = found
+            saved = f"format version {found}"
+        with pytest.raises(ValueError, match=f"{saved}; .* reads format version 2: re-save"):
+            Snapshot.__new__(Snapshot).__setstate__(state)
+
+    def test_load_rejects_an_unversioned_save(self, tmp_path):
+        directory = Snapshot.from_fuser(build_fuser()).save(str(tmp_path / "snap"))
+        meta = tmp_path / "snap" / "meta.pkl"
+        state = pickle.loads(meta.read_bytes())
+        del state["format_version"]
+        meta.write_bytes(pickle.dumps(state))
+        with pytest.raises(ValueError, match="no format version"):
+            Snapshot.load(directory)
+
+    def test_derived_state_is_never_persisted(self):
+        snapshot = Snapshot.from_fuser(build_fuser())
+        snapshot.top_conflicts(1)
+        assert len(snapshot.pair_values) == snapshot.store.n_rows
+        state = snapshot.__getstate__()
+        assert state["format_version"] == snapshot_module.FORMAT_VERSION
+        assert not set(state) & set(snapshot_module._DERIVED)
+        assert Snapshot.__new__(Snapshot).__setstate__(state) is None
 
     @pytest.mark.parametrize(
         "vector, source_ids, message",
@@ -305,7 +420,8 @@ class TestAlignment:
             Snapshot(
                 snapshot.store,
                 snapshot.object_ids,
-                snapshot.pair_values,
+                snapshot.value_table,
+                snapshot.value_rows,
                 accuracy_vector=np.array(vector),
                 source_ids=source_ids,
             )
@@ -433,6 +549,34 @@ class TestPublishedLookups:
                     assert published.confidence(obj) == confidence
                     assert published.posterior(obj) == posterior
                 assert published.position("never-claimed") is None
+
+    def test_a_snapshot_answers_from_its_own_table_length(self, tmp_path):
+        fuser = build_fuser()
+        fuser.reveal_truth("o3", "UNSEEN")
+        first = Snapshot.from_fuser(fuser, version=1)
+        table = fuser.encoding.value_table
+        n_values = len(table)
+        answers = {
+            obj: (first.value(obj), first.confidence(obj), first.posterior(obj))
+            for obj in first.object_ids
+        }
+        # New values on published objects and new objects grow the shared table.
+        fuser.observe_batch([("s4", "o1", "c"), ("s4", "o2", "x"), ("s1", "o5", "n")])
+        second = Snapshot.from_fuser(fuser, version=2)
+        assert first.value_table is table is second.value_table
+        assert len(table) == n_values + 2
+        assert second.posterior("o1").keys() == {"a", "b", "c"}
+        directory = first.save(str(tmp_path / "first"))
+        for published in (first, pickle.loads(pickle.dumps(first)), Snapshot.load(directory)):
+            assert published.pair_values == first.pair_values
+            assert len(published.pair_values) == first.store.n_rows == n_values
+            for obj, (value, confidence, posterior) in answers.items():
+                assert published.value(obj) == value
+                assert published.confidence(obj) == confidence
+                assert published.posterior(obj) == posterior
+            assert published.value("o5") is None
+        for published in (pickle.loads(pickle.dumps(first)), Snapshot.load(directory)):
+            assert published.value_table == table[:n_values]
 
     def test_later_appends_never_reach_a_published_snapshot(self):
         fuser = build_fuser()
@@ -588,6 +732,30 @@ class TestPublishParity:
         compiled = oracle_streaming.compiled_result(fuser)
         assert_same_result(fuser.to_result(), compiled)
         assert_same_publish(fuser, Snapshot.from_fuser(fuser), compiled)
+
+    def test_publish_runs_no_python_work_per_candidate(self, monkeypatch):
+        server = FusionServer(build_fuser())
+        server.refit()
+        server.reveal_truth("o1", "b")
+        server.reveal_truth("o3", "UNSEEN")
+        server.append([("s1", "o9", "q"), ("s4", "o1", "c"), ("s2", "o9", "r")])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a publish rebuilt the candidate values or ranked conflicts")
+
+        monkeypatch.setattr(encoding_module.IncrementalEncoding, "pair_values", property(refuse))
+        monkeypatch.setattr(snapshot_module, "build_conflict_index", refuse)
+        snapshot = server.publish()
+        answers = {
+            obj: (snapshot.value(obj), snapshot.confidence(obj), snapshot.posterior(obj))
+            for obj in snapshot.object_ids
+        }
+        monkeypatch.undo()
+        result = oracle_streaming.compiled_result(server.fuser)
+        assert snapshot.object_ids == result.object_ids
+        for position, obj in enumerate(result.object_ids):
+            value, confidence, posterior = reference_decode(result, position)
+            assert answers[obj] == (value, confidence, posterior)
 
     def test_publish_after_an_append_does_not_compile(self, monkeypatch):
         fuser = build_fuser()
