@@ -38,8 +38,6 @@ class PairStructure:
         Dataset object index of each listed object.
     pair_object_pos:
         For each flattened row, the position of its object in ``object_ids``.
-    pair_values:
-        The candidate value of each flattened row.
     pair_offsets:
         Start row of each object's block; ``pair_offsets[i+1] - pair_offsets[i]``
         is ``|D_o|`` for the i-th object (a trailing sentinel is included).
@@ -61,18 +59,21 @@ class PairStructure:
         Encoding candidate row -> row of this structure (-1 for a row a
         source mask dropped); ``None`` when every listed object keeps its
         whole encoding block.
+    selected_values:
+        The candidate value of each row of a subset or masked structure;
+        ``None`` when the rows are the encoding's (see :attr:`pair_values`).
     """
 
     object_ids: List[ObjectId]
     object_dataset_idx: np.ndarray
     pair_object_pos: np.ndarray
-    pair_values: List[Value]
     pair_offsets: np.ndarray
     obs_source_idx: np.ndarray
     obs_pair_idx: np.ndarray
     base_scores: np.ndarray
     encoding: DenseEncoding = field(repr=False)
     row_map: Optional[np.ndarray] = field(default=None, repr=False)
+    selected_values: Optional[List[Value]] = field(default=None, repr=False)
 
     @property
     def n_objects(self) -> int:
@@ -80,7 +81,18 @@ class PairStructure:
 
     @property
     def n_pairs(self) -> int:
-        return len(self.pair_values)
+        return int(self.pair_offsets[-1])
+
+    @property
+    def pair_values(self) -> List[Value]:
+        """The candidate value of each flattened row, read only to decode rows.
+
+        The full-coverage structure reads its encoding's current list, so a
+        refit never builds it; decode before the encoding grows.
+        """
+        if self.selected_values is None:
+            return self.encoding.pair_values
+        return self.selected_values
 
     def rows_of(self, position: int) -> range:
         """Flattened row range of the object at ``position``."""
@@ -131,7 +143,6 @@ def build_pair_structure(
             object_ids=encoding.objects.items,
             object_dataset_idx=np.arange(encoding.n_objects, dtype=np.int64),
             pair_object_pos=encoding.pair_object_idx,
-            pair_values=encoding.pair_values,
             pair_offsets=encoding.pair_offsets,
             obs_source_idx=encoding.obs_source_idx,
             obs_pair_idx=encoding.obs_pair_idx,
@@ -167,12 +178,12 @@ def build_pair_structure(
         object_ids=object_ids,
         object_dataset_idx=selected,
         pair_object_pos=pair_object_pos,
-        pair_values=pair_values,
         pair_offsets=pair_offsets,
         obs_source_idx=encoding.obs_source_idx[positions],
         obs_pair_idx=obs_pair_idx,
         base_scores=base_scores,
         encoding=encoding,
+        selected_values=pair_values,
     )
 
 
@@ -242,12 +253,12 @@ def build_masked_structure(
         object_ids=[object_items[i] for i in kept_object_idx.tolist()],
         object_dataset_idx=kept_object_idx,
         pair_object_pos=pair_object_pos,
-        pair_values=pair_values,
         pair_offsets=pair_offsets,
         obs_source_idx=obs_source,
         obs_pair_idx=obs_pair_idx,
         base_scores=base_scores,
         encoding=encoding,
         row_map=new_row_of,
+        selected_values=pair_values,
     )
 

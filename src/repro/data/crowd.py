@@ -26,10 +26,10 @@ from typing import Dict, List
 import numpy as np
 
 from ..fusion.dataset import FusionDataset
-from ..fusion.types import Observation
 from .simulators import (
     SeedLike,
     as_generator,
+    claims_dataset,
     draw_claims,
     ensure_truth_claimed,
     feature_driven_accuracies,
@@ -106,11 +106,6 @@ def generate_crowd(
 
     worker_ids = [f"worker-{i}" for i in range(n_workers)]
     object_ids = [f"tweet-{obj}" for obj in range(n_objects)]
-    observations = [
-        Observation(worker_ids[source], object_ids[obj], value)
-        for (source, obj), value in sorted(claims.items())
-    ]
-    ground_truth = {object_ids[obj]: true_values[obj] for obj in range(n_objects)}
 
     # Coverage: fraction of tweets each worker judged, bucketed to one
     # decimal exactly like the paper's "coverage=0.2" style features.
@@ -128,11 +123,6 @@ def generate_crowd(
         }
         for i in range(n_workers)
     }
-    true_accuracy_map = {worker_ids[i]: float(accuracies[i]) for i in range(n_workers)}
-    return FusionDataset(
-        observations,
-        ground_truth=ground_truth,
-        source_features=source_features,
-        true_accuracies=true_accuracy_map,
-        name="crowd-sim",
+    return claims_dataset(
+        claims, worker_ids, object_ids, true_values, source_features, accuracies, "crowd-sim"
     )

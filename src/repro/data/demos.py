@@ -25,13 +25,14 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from ..fusion.dataset import FusionDataset
-from ..fusion.types import Observation
 from .simulators import (
     SeedLike,
     as_generator,
+    claims_dataset,
     draw_claims,
     ensure_truth_claimed,
     feature_driven_accuracies,
+    observed_objects,
     quantile_levels,
 )
 
@@ -95,18 +96,19 @@ def generate_demos(
         follower_set.update(members)
 
     # Independent sources (leaders included) draw their own claims.
-    independent_pairs: List[Tuple[int, int]] = []
-    mask = rng.random((n_sources, n_objects)) < density
-    for source in range(n_sources):
-        if source in follower_set:
-            continue
-        for obj in np.nonzero(mask[source])[0]:
-            independent_pairs.append((source, int(obj)))
+    observed = observed_objects(rng, n_sources, n_objects, density)
+    independent_pairs: List[Tuple[int, int]] = [
+        (source, obj)
+        for source in range(n_sources)
+        if source not in follower_set
+        for obj in observed[source].tolist()
+    ]
     claims = draw_claims(rng, accuracies, independent_pairs, true_values, wrong_value)
 
-    # Followers replicate their leader (claims *and* errors).
+    # Followers replicate their leader (claims *and* errors).  A leader is
+    # never a follower, so its claims so far are exactly its independent ones.
     for leader, members in followers_of.items():
-        leader_claims = {obj: v for (src, obj), v in claims.items() if src == leader}
+        leader_claims = {obj: claims[(leader, obj)] for obj in observed[leader].tolist()}
         for member in members:
             for obj, value in leader_claims.items():
                 if rng.random() < copy_fidelity:
@@ -130,20 +132,10 @@ def generate_demos(
 
     source_ids = [f"news-{i}.example.org" for i in range(n_sources)]
     object_ids = [f"event-{obj}" for obj in range(n_objects)]
-    observations = [
-        Observation(source_ids[source], object_ids[obj], value)
-        for (source, obj), value in sorted(claims.items())
-    ]
-    ground_truth = {object_ids[obj]: true_values[obj] for obj in range(n_objects)}
     source_features = {
         source_ids[i]: {name: levels[name][i] for name in FEATURE_EFFECTS}
         for i in range(n_sources)
     }
-    true_accuracy_map = {source_ids[i]: float(accuracies[i]) for i in range(n_sources)}
-    return FusionDataset(
-        observations,
-        ground_truth=ground_truth,
-        source_features=source_features,
-        true_accuracies=true_accuracy_map,
-        name="demos-sim",
+    return claims_dataset(
+        claims, source_ids, object_ids, true_values, source_features, accuracies, "demos-sim"
     )

@@ -29,10 +29,10 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from ..fusion.dataset import FusionDataset
-from ..fusion.types import Observation
 from .simulators import (
     SeedLike,
     as_generator,
+    claims_dataset,
     ensure_truth_claimed,
     feature_driven_accuracies,
 )
@@ -118,11 +118,6 @@ def generate_genomics(
 
     source_ids = [f"pmid-{100000 + i}" for i in range(n_sources)]
     object_ids = [f"gene-disease-{obj}" for obj in range(n_objects)]
-    observations = [
-        Observation(source_ids[source], object_ids[obj], value)
-        for (source, obj), value in sorted(claims.items())
-    ]
-    ground_truth = {object_ids[obj]: true_values[obj] for obj in range(n_objects)}
     source_features = {
         source_ids[i]: {
             "journal": journal[i],
@@ -133,11 +128,6 @@ def generate_genomics(
         }
         for i in range(n_sources)
     }
-    true_accuracy_map = {source_ids[i]: float(accuracies[i]) for i in range(n_sources)}
-    return FusionDataset(
-        observations,
-        ground_truth=ground_truth,
-        source_features=source_features,
-        true_accuracies=true_accuracy_map,
-        name="genomics-sim",
+    return claims_dataset(
+        claims, source_ids, object_ids, true_values, source_features, accuracies, "genomics-sim"
     )

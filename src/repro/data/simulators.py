@@ -8,7 +8,12 @@ correlated news sources for Demonstrations, feature-dominated accuracy for
 Genomics).  See DESIGN.md section 3 for the substitution rationale.
 
 This module holds the pieces all simulators share: feature-driven accuracy
-sampling and observation-noise models.  The seed-normalization helpers
+sampling, observation-noise models, the block-wise Bernoulli observation
+mask (:func:`observed_objects`), the single-truth fix
+(:func:`ensure_truth_claimed`) and the one way to build a dataset
+(:func:`claims_dataset`).  Each costs memory and Python work in proportion
+to the claims a simulator emits, never to ``n_sources * n_objects``.  The
+seed-normalization helpers
 (:data:`SeedLike`, :func:`as_generator`, :func:`spawn_generators`) live in
 the leaf module :mod:`repro._rng` and are re-exported here unchanged —
 this import path is the stable public one.
@@ -16,11 +21,14 @@ this import path is the stable public one.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Tuple
+from itertools import chain
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from .._rng import SeedLike, as_generator, spawn_generators
+from ..fusion.dataset import FusionDataset
+from ..fusion.types import Value
 from ..optim.numerics import logit, sigmoid
 
 __all__ = [
@@ -31,9 +39,14 @@ __all__ = [
     "quantile_levels",
     "draw_claims",
     "ensure_truth_claimed",
+    "observed_objects",
     "bernoulli_pairs",
     "panel_pairs",
+    "claims_dataset",
 ]
+
+#: Cells of the observation mask drawn at once by :func:`observed_objects`.
+MASK_BLOCK_CELLS = 1 << 20
 
 
 def feature_driven_accuracies(
@@ -116,13 +129,32 @@ def ensure_truth_claimed(
         claims[(lucky, obj)] = true_values[obj]
 
 
+def observed_objects(
+    rng: np.random.Generator, n_sources: int, n_objects: int, density: float
+) -> List[np.ndarray]:
+    """Each source's observed object indices, each object observed with probability ``density``.
+
+    Source ``s`` observes object ``o`` when cell ``(s, o)`` of one
+    ``rng.random((n_sources, n_objects))`` draw is below ``density``.  The
+    draw is made in row blocks of at most :data:`MASK_BLOCK_CELLS` cells
+    (one row when a row is longer), which consume the same values in the
+    same order, so only one block and the observed indices are ever held.
+    """
+    rows_per_block = max(1, MASK_BLOCK_CELLS // n_objects)
+    observed: List[np.ndarray] = []
+    for start in range(0, n_sources, rows_per_block):
+        n_rows = min(rows_per_block, n_sources - start)
+        rows, objects = np.nonzero(rng.random((n_rows, n_objects)) < density)
+        observed.extend(np.split(objects, np.searchsorted(rows, np.arange(1, n_rows))))
+    return observed
+
+
 def bernoulli_pairs(
     rng: np.random.Generator, n_sources: int, n_objects: int, density: float
 ) -> List[Tuple[int, int]]:
-    """All (source, object) pairs selected i.i.d. with probability ``density``."""
-    mask = rng.random((n_sources, n_objects)) < density
-    sources, objects = np.nonzero(mask)
-    return list(zip(sources.tolist(), objects.tolist()))
+    """All (source, object) pairs of :func:`observed_objects`, in row-major order."""
+    observed = observed_objects(rng, n_sources, n_objects, density)
+    return [(source, obj) for source, objects in enumerate(observed) for obj in objects.tolist()]
 
 
 def panel_pairs(
@@ -138,3 +170,35 @@ def panel_pairs(
         panel = rng.choice(n_sources, size=min(panel_size, n_sources), replace=False)
         pairs.extend((int(source), obj) for source in panel)
     return pairs
+
+
+def claims_dataset(
+    claims: Mapping[Tuple[int, int], Value],
+    source_ids: Sequence[str],
+    object_ids: Sequence[str],
+    true_values: Sequence[Value],
+    source_features: Mapping[str, Mapping[str, object]],
+    true_accuracies: np.ndarray,
+    name: str,
+) -> FusionDataset:
+    """The dataset of a simulator's ``(source, obj) -> value`` claims, keyed by index.
+
+    Rows are the claims sorted by ``(source, obj)``, handed to
+    :meth:`FusionDataset.from_columns` as id columns (no record per
+    claim).  Object ``obj``'s ground truth is ``true_values[obj]`` and
+    source ``i``'s true accuracy ``true_accuracies[i]``.
+    """
+    n = len(claims)
+    pairs = np.fromiter(chain.from_iterable(claims), dtype=np.int64, count=2 * n).reshape(n, 2)
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    sources, objects = pairs[order].T
+    values = list(claims.values())
+    return FusionDataset.from_columns(
+        np.asarray(source_ids, dtype=object)[sources].tolist(),
+        np.asarray(object_ids, dtype=object)[objects].tolist(),
+        [values[row] for row in order.tolist()],
+        ground_truth=dict(zip(object_ids, true_values)),
+        source_features=source_features,
+        true_accuracies=dict(zip(source_ids, true_accuracies.tolist())),
+        name=name,
+    )

@@ -26,11 +26,11 @@ from typing import Dict
 import numpy as np
 
 from ..fusion.dataset import FusionDataset
-from ..fusion.types import Observation
 from .simulators import (
     SeedLike,
     as_generator,
     bernoulli_pairs,
+    claims_dataset,
     ensure_truth_claimed,
     feature_driven_accuracies,
     quantile_levels,
@@ -116,20 +116,10 @@ def generate_stocks(
 
     source_ids = [f"stock-site-{i}" for i in range(n_sources)]
     object_ids = [f"stock-{obj}" for obj in range(n_objects)]
-    observations = [
-        Observation(source_ids[source], object_ids[obj], value)
-        for (source, obj), value in sorted(claims.items())
-    ]
-    ground_truth = {object_ids[obj]: true_values[obj] for obj in range(n_objects)}
     source_features = {
         source_ids[i]: {name: levels[name][i] for name in FEATURE_EFFECTS}
         for i in range(n_sources)
     }
-    true_accuracy_map = {source_ids[i]: float(accuracies[i]) for i in range(n_sources)}
-    return FusionDataset(
-        observations,
-        ground_truth=ground_truth,
-        source_features=source_features,
-        true_accuracies=true_accuracy_map,
-        name="stocks-sim",
+    return claims_dataset(
+        claims, source_ids, object_ids, true_values, source_features, accuracies, "stocks-sim"
     )

@@ -26,9 +26,15 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..fusion.dataset import FusionDataset
-from ..fusion.types import DatasetError, Observation
+from ..fusion.types import DatasetError
 from ..optim.numerics import sigmoid
-from .simulators import SeedLike, as_generator
+from .simulators import (
+    SeedLike,
+    as_generator,
+    claims_dataset,
+    ensure_truth_claimed,
+    observed_objects,
+)
 
 
 @dataclass
@@ -53,12 +59,13 @@ class SyntheticConfig:
     copy_groups, copy_group_size, copy_fidelity:
         Copying structure: ``copy_groups`` leaders each have
         ``copy_group_size - 1`` followers replicating their claims with
-        probability ``copy_fidelity``.
+        probability ``copy_fidelity`` (in [0, 1]).
     ensure_truth_claimed:
         Enforce single-truth semantics (at least one source provides the
         true value) by flipping one claim per violating object.
     min_observations:
-        Guarantee every object receives at least this many observations.
+        Guarantee every object receives at least this many observations
+        (at least 1: an object nobody claims cannot be in the dataset).
     """
 
     n_sources: int = 1000
@@ -90,6 +97,13 @@ class SyntheticConfig:
             raise DatasetError("domain_size_range must be (lo >= 2, hi >= lo)")
         if self.n_informative > self.n_features:
             raise DatasetError("n_informative cannot exceed n_features")
+        if self.min_observations < 1:
+            raise DatasetError(
+                f"min_observations must be at least 1 (got {self.min_observations}): "
+                "every object needs a claim to be in the dataset"
+            )
+        if not 0.0 <= self.copy_fidelity <= 1.0:
+            raise DatasetError(f"copy_fidelity must be in [0, 1] (got {self.copy_fidelity})")
 
 
 @dataclass
@@ -163,35 +177,37 @@ def generate(config: Optional[SyntheticConfig] = None, **overrides: object) -> S
             copy_groups.append([source_ids[leader]] + [source_ids[m] for m in members])
     follower_set = {m for members in followers_of.values() for m in members}
 
-    claims: Dict[Tuple[int, int], int] = {}
+    claims: Dict[Tuple[int, int], str] = {}
+    labels = [f"v{k}" for k in range(hi)]  # "v0" is every object's true value
 
-    def draw_claim(source: int, obj: int) -> int:
+    def draw_claim(source: int, obj: int) -> str:
         if rng.random() < accuracies[source]:
-            return 0  # canonical true value
-        return int(rng.integers(1, wrong_pool_sizes[obj] + 1))
+            return labels[0]
+        return labels[int(rng.integers(1, wrong_pool_sizes[obj] + 1))]
 
     # Independent observations.
-    observed = rng.random((config.n_sources, config.n_objects)) < config.density
+    observed = observed_objects(rng, config.n_sources, config.n_objects, config.density)
     for source in range(config.n_sources):
         if source in follower_set:
             continue
-        for obj in np.nonzero(observed[source])[0]:
-            claims[(source, int(obj))] = draw_claim(source, int(obj))
+        for obj in observed[source].tolist():
+            claims[(source, obj)] = draw_claim(source, obj)
 
     # Followers: replicate the leader's claims with given fidelity, plus
-    # their own independent draws elsewhere.
+    # their own independent draws elsewhere.  A leader is never a follower,
+    # so its claims so far are exactly its independent ones.
     for leader, members in followers_of.items():
-        leader_claims = {obj: value for (src, obj), value in claims.items() if src == leader}
+        leader_claims = {obj: claims[(leader, obj)] for obj in observed[leader].tolist()}
         for member in members:
             for obj, value in leader_claims.items():
                 if rng.random() < config.copy_fidelity:
                     claims[(member, obj)] = value
                 else:
                     claims[(member, obj)] = draw_claim(member, obj)
-            for obj in np.nonzero(observed[member])[0]:
-                key = (member, int(obj))
+            for obj in observed[member].tolist():
+                key = (member, obj)
                 if key not in claims:
-                    claims[key] = draw_claim(member, int(obj))
+                    claims[key] = draw_claim(member, obj)
 
     # Coverage guarantee: every object needs min_observations claims.
     per_object: Dict[int, List[int]] = {}
@@ -209,23 +225,10 @@ def generate(config: Optional[SyntheticConfig] = None, **overrides: object) -> S
             existing.append(source)
 
     # Single-truth semantics: at least one source must claim the truth.
+    true_values = [labels[0]] * config.n_objects
     if config.ensure_truth_claimed:
-        truth_claimed = {obj: False for obj in range(config.n_objects)}
-        for (source, obj), value in claims.items():
-            if value == 0:
-                truth_claimed[obj] = True
-        for obj, has_truth in truth_claimed.items():
-            if not has_truth:
-                holders = [src for (src, o) in claims if o == obj]
-                if holders:
-                    lucky = holders[int(rng.integers(len(holders)))]
-                    claims[(lucky, obj)] = 0
+        ensure_truth_claimed(rng, claims, true_values, config.n_objects)
 
-    observations = [
-        Observation(source_ids[source], object_ids[obj], f"v{value}")
-        for (source, obj), value in sorted(claims.items())
-    ]
-    ground_truth = {object_ids[obj]: "v0" for obj in range(config.n_objects)}
     source_features = {
         source_ids[i]: {
             f"{config.feature_prefix}{k}": bool(features[i, k])
@@ -233,17 +236,10 @@ def generate(config: Optional[SyntheticConfig] = None, **overrides: object) -> S
         }
         for i in range(config.n_sources)
     }
-    true_accuracy_map = {source_ids[i]: float(accuracies[i]) for i in range(config.n_sources)}
-
-    dataset = FusionDataset(
-        observations,
-        ground_truth=ground_truth,
-        source_features=source_features,
-        true_accuracies=true_accuracy_map,
-        name=config.name,
-    )
     return SyntheticInstance(
-        dataset=dataset,
+        dataset=claims_dataset(
+            claims, source_ids, object_ids, true_values, source_features, accuracies, config.name
+        ),
         true_accuracies=accuracies,
         feature_matrix=features,
         feature_weights=weights,

@@ -2,8 +2,11 @@
 
 import numpy as np
 
-from repro.core import build_pair_structure
+from repro.core import SLiMFast, build_pair_structure
+from repro.core.inference import map_rows, package_posteriors, posterior_rows
+from repro.extensions.streaming import StreamingFuser
 from repro.fusion import FusionDataset
+from repro.fusion.encoding import IncrementalEncoding
 
 
 class TestBuildPairStructure:
@@ -75,3 +78,37 @@ class TestBuildPairStructure:
         for position in range(structure.n_objects):
             for row in structure.rows_of(position):
                 assert structure.pair_object_pos[row] == position
+
+
+class TestFullCoverageValues:
+    """The full-coverage structure reads candidate values only to decode."""
+
+    def test_a_streaming_refit_never_builds_the_candidate_values(
+        self, monkeypatch, small_dataset
+    ):
+        fuser = StreamingFuser()
+        fuser.observe_batch(small_dataset.observations)
+        for obj in small_dataset.objects.items[:30]:
+            fuser.reveal_truth(obj, small_dataset.ground_truth[obj])
+
+        def refuse(self):
+            raise AssertionError("a refit built the candidate-value list")
+
+        monkeypatch.setattr(IncrementalEncoding, "pair_values", property(refuse))
+        fuser.refit()
+        assert fuser.n_refits == 1
+
+    def test_decoded_posteriors_of_a_batch_fit_are_unchanged(self, small_dataset):
+        truth = {obj: small_dataset.ground_truth[obj] for obj in small_dataset.objects.items[:30]}
+        model = SLiMFast(learner="em").fit(small_dataset, truth).model_
+        structure = build_pair_structure(small_dataset)
+        listed = build_pair_structure(small_dataset, small_dataset.objects.items)
+        assert structure.selected_values is None
+        assert structure.pair_values == listed.selected_values
+        assert structure.n_pairs == listed.n_pairs == len(listed.selected_values)
+        probs = posterior_rows(structure, model)
+        np.testing.assert_array_equal(probs, posterior_rows(listed, model))
+        assert package_posteriors(structure, probs, truth) == package_posteriors(
+            listed, probs, truth
+        )
+        assert map_rows(structure, probs, truth) == map_rows(listed, probs, truth)

@@ -28,6 +28,22 @@ class TestConfigValidation:
         with pytest.raises(DatasetError):
             generate(SyntheticConfig(n_features=2, n_informative=3))
 
+    @pytest.mark.parametrize("min_observations", [0, -1])
+    def test_min_observations_below_one_is_rejected_before_any_draw(self, min_observations):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        config = SyntheticConfig(
+            n_sources=10, n_objects=50, density=0.05, min_observations=min_observations, seed=rng
+        )
+        with pytest.raises(DatasetError, match="min_observations must be at least 1"):
+            generate(config)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("fidelity", [1.5, -0.1])
+    def test_copy_fidelity_outside_unit_interval(self, fidelity):
+        with pytest.raises(DatasetError, match=r"copy_fidelity must be in \[0, 1\]"):
+            generate(n_sources=10, n_objects=20, copy_groups=1, copy_fidelity=fidelity)
+
     def test_overrides_kwargs(self):
         instance = generate(n_sources=10, n_objects=20, density=0.3, seed=1)
         assert instance.dataset.n_objects == 20

@@ -29,7 +29,11 @@ as speedup denominators:
   replay in ``tests/serve/test_snapshot.py``);
 * :mod:`tests.oracles.stats` — ``RunningSourceStats.observe`` with its
   per-source reductions over the whole known source range
-  (``observe_running_stats``; ``tests/featurize/test_stats.py``).
+  (``observe_running_stats``; ``tests/featurize/test_stats.py``);
+* :mod:`tests.oracles.simulators` — the synthetic generator and the four
+  paper simulators as first written: one dense ``(S, O)`` mask draw, a
+  claim rescan per unclaimed truth and a sorted ``Observation`` list
+  (``tests/data/test_simulator_identity.py``).
 
 An oracle never calls the production code it checks.  It may share the
 unforked pieces both sides build on: the dataset and model containers, the

@@ -65,12 +65,12 @@ def build_pair_structure(
         object_ids=object_ids,
         object_dataset_idx=object_dataset_idx,
         pair_object_pos=np.asarray(pair_object_pos, dtype=np.int64),
-        pair_values=pair_values,
         pair_offsets=np.asarray(offsets, dtype=np.int64),
         obs_source_idx=np.asarray(obs_source, dtype=np.int64),
         obs_pair_idx=obs_pair_arr,
         base_scores=base_scores,
         encoding=None,
+        selected_values=pair_values,
     )
 
 
@@ -131,12 +131,12 @@ def _mask(structure: PairStructure, exclude_idx: set) -> PairStructure:
         object_ids=object_ids,
         object_dataset_idx=np.asarray(object_dataset_idx, dtype=np.int64),
         pair_object_pos=np.asarray(pair_object_pos, dtype=np.int64),
-        pair_values=pair_values,
         pair_offsets=np.asarray(offsets, dtype=np.int64),
         obs_source_idx=np.asarray(obs_source, dtype=np.int64),
         obs_pair_idx=obs_pair_arr,
         base_scores=base_scores,
         encoding=None,
+        selected_values=pair_values,
     )
 
 
