@@ -46,15 +46,19 @@ def _parse_scalar(text: str) -> object:
 
 
 def save_dataset(dataset: FusionDataset, directory: Union[str, Path]) -> Path:
-    """Write ``dataset`` into ``directory`` (created if missing)."""
+    """Write ``dataset`` into ``directory`` (created if missing).
+
+    ``observations.csv`` is written from :meth:`FusionDataset.id_columns`,
+    so each value is its domain's stored representative (claims that agree
+    in the dataset agree on reload) and no record is built per claim.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
 
     with open(directory / _OBSERVATIONS, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["source", "object", "value"])
-        for obs in dataset.observations:
-            writer.writerow([obs.source, obs.obj, obs.value])
+        writer.writerows(zip(*dataset.id_columns()))
 
     if dataset.ground_truth:
         with open(directory / _GROUND_TRUTH, "w", newline="") as handle:

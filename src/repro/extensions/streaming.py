@@ -521,28 +521,22 @@ class StreamingFuser:
         table = self._truth_code[: self.encoding.n_objects]
         return table != -1, np.maximum(table, -1)
 
-    def publish_state(self, with_dataset: bool = False) -> Dict[str, object]:
+    def publish_state(self) -> Dict[str, object]:
         """Package the current state for the serving layer.
 
         Returns everything ``repro.serve`` needs to publish an immutable
         snapshot: ``result`` (the array-backed :meth:`to_result`
-        snapshot), ``truth`` (a copy of the revealed labels), the stream
-        counters ``n_observations`` / ``n_processed`` / ``n_refits``, and
-        — when ``with_dataset`` is True — ``dataset``, the accumulated
-        stream exported via ``IncrementalEncoding.to_dataset`` with the
-        frozen compiled encoding attached (an O(n) walk; leave it off on
-        hot publish paths).
+        snapshot), ``truth`` (a copy of the revealed labels) and the stream
+        counters ``n_observations`` / ``n_processed`` / ``n_refits``.  The
+        accumulated stream's one dataset export is
+        ``self.encoding.to_dataset()``.
         """
-        dataset = None
-        if with_dataset and self.encoding.n_observations:
-            dataset = self.encoding.to_dataset()
         return {
             "result": self.to_result(),
             "truth": dict(self.truth),
             "n_observations": self.encoding.n_observations,
             "n_processed": self.n_processed,
             "n_refits": self.n_refits,
-            "dataset": dataset,
         }
 
     # ------------------------------------------------------------------

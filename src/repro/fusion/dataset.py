@@ -17,6 +17,7 @@ the test set).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, compress
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -33,20 +34,24 @@ from .types import (
 )
 
 
-def as_records(
-    observations: Iterable[Observation | Tuple[SourceId, ObjectId, Value]],
-) -> List[Observation]:
-    """``observations`` as :class:`Observation` records (triples are wrapped)."""
-    return [obs if isinstance(obs, Observation) else Observation(*obs) for obs in observations]
+def claim_columns(rows: Iterable[Sequence]) -> Tuple[Sequence, Sequence, Sequence]:
+    """Transpose ``(source, obj, value)`` rows, records or triples, into id columns.
 
-
-def record_columns(records: Sequence[Observation]) -> Tuple[List, List, List]:
-    """Transpose records into ``(sources, objects, values)`` id columns."""
-    return (
-        [obs.source for obs in records],
-        [obs.obj for obs in records],
-        [obs.value for obs in records],
-    )
+    The one transpose at the ingest boundary.  ``zip`` would drop a fourth
+    field silently, so a row that is not a triple raises
+    :class:`DatasetError` naming it, before anything is interned.
+    """
+    rows = tuple(rows)
+    try:
+        triples = {3}.issuperset(map(len, rows))
+    except TypeError:  # a row without a length
+        triples = False
+    if not triples:
+        for position, row in enumerate(rows):
+            if not hasattr(row, "__len__") or len(row) != 3:
+                message = f"claim row {position} is not a (source, obj, value) triple: {row!r}"
+                raise DatasetError(message)
+    return tuple(zip(*rows)) or ((), (), ())
 
 
 def _first_offender(
@@ -131,6 +136,28 @@ def intern_columns(
     )
 
 
+def gather_values(table: Sequence[Value], rows: np.ndarray) -> List[Value]:
+    """``[table[row] for row in rows]``, gathered in C."""
+    return list(map(table.__getitem__, rows.tolist()))
+
+
+def decode_columns(tables, source_idx, object_idx, value_code) -> Tuple[List, List, List]:
+    """The id columns that aligned code columns name: :func:`intern_columns` undone.
+
+    ``tables`` is a dataset or an encoding (which shares its id tables).
+    One gather in C per column, no Python work per claim; each value is
+    its domain's stored representative.
+    """
+    domains = tables._domains
+    sizes = np.fromiter(map(len, domains), dtype=np.int64, count=len(domains))
+    starts = np.cumsum(sizes) - sizes
+    return (
+        gather_values(tables.sources.items, source_idx),
+        gather_values(tables.objects.items, object_idx),
+        gather_values(list(chain.from_iterable(domains)), starts[object_idx] + value_code),
+    )
+
+
 @dataclass(frozen=True)
 class Split:
     """A train/test split of the ground truth.
@@ -153,9 +180,9 @@ class FusionDataset:
     Parameters
     ----------
     observations:
-        Iterable of :class:`Observation` (or ``(source, obj, value)`` triples).
-        A duplicate ``(source, obj)`` pair or a NaN value raises
-        :class:`DatasetError`.
+        Iterable of ``(source, obj, value)`` rows: :class:`Observation`
+        records or plain triples.  A row of another length, a duplicate
+        ``(source, obj)`` pair or a NaN value raises :class:`DatasetError`.
     ground_truth:
         Optional mapping ``object id -> true value``.  In the paper's
         evaluation all datasets come with full ground truth which is then
@@ -177,8 +204,9 @@ class FusionDataset:
     only those.  Each object's domain is a plain dict from claimed value to
     code, in code (first-seen) order: :meth:`domain` lists it,
     :meth:`value_code` looks one value up, and :meth:`domain_by_index`
-    returns a copy.  :meth:`from_columns` builds a dataset straight from
-    three id columns without creating a record per claim.
+    returns a copy.  Both constructors ingest three id columns (the
+    constructor transposes its rows first), and :meth:`id_columns` decodes
+    them back; no record is kept per claim.
     """
 
     def __init__(
@@ -189,13 +217,9 @@ class FusionDataset:
         true_accuracies: Optional[Mapping[SourceId, float]] = None,
         name: str = "fusion-dataset",
     ) -> None:
-        records = as_records(observations)
         self._ingest(
-            *record_columns(records), ground_truth, source_features, true_accuracies, name
+            *claim_columns(observations), ground_truth, source_features, true_accuracies, name
         )
-        # The given records stay the observation view: a claim of ``True``
-        # on an object whose domain stores ``1`` keeps its own value.
-        self._observations = tuple(records)
 
     @classmethod
     def from_columns(
@@ -212,11 +236,8 @@ class FusionDataset:
 
         Row ``i`` is the claim ``(sources[i], objects[i], values[i])``;
         the columns must have equal lengths.  Validation and the other
-        parameters are those of the constructor.  No :class:`Observation`
-        record is created: :attr:`observations` is materialized from the
-        id tables and code columns on first read, so each claim's value
-        there is its domain's stored representative (the first-seen of
-        equal values, e.g. ``1`` for a later ``True``).
+        parameters are those of the constructor, which transposes its rows
+        into such columns (:func:`claim_columns`).
         """
         dataset = cls.__new__(cls)
         dataset._ingest(
@@ -262,7 +283,7 @@ class FusionDataset:
     # Pickling
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
-        """Pickle without the cached dense encoding and row spans.
+        """Pickle without the cached dense encoding, records and row spans.
 
         The compiled :class:`~repro.fusion.encoding.DenseEncoding` is a
         cache, not state: shipping it implicitly with every dataset pickle
@@ -272,7 +293,7 @@ class FusionDataset:
         """
         state = dict(self.__dict__)
         state.pop("_dense_encoding", None)
-        state["_object_spans"] = state["_source_spans"] = None
+        state["_observations"] = state["_object_spans"] = state["_source_spans"] = None
         return state
 
     # ------------------------------------------------------------------
@@ -280,24 +301,22 @@ class FusionDataset:
     # ------------------------------------------------------------------
     @property
     def observations(self) -> Tuple[Observation, ...]:
-        """All observations in input order.
+        """All observations in input order, decoded from :meth:`id_columns`.
 
-        A dataset built from records returns those records.  One built by
-        :meth:`from_columns` materializes them from the id tables and code
-        columns on first read and caches them.
+        Cached on first read and never pickled.  Each value is its domain's
+        stored representative, the first-seen of equal values (``1`` for a
+        later ``True``).
         """
         if self._observations is None:
-            source_items, object_items = self.sources.items, self.objects.items
-            domains = list(map(list, self._domains))
-            self._observations = tuple(
-                Observation(source_items[s], object_items[o], domains[o][v])
-                for s, o, v in zip(
-                    self.obs_source_idx.tolist(),
-                    self.obs_object_idx.tolist(),
-                    self.obs_value_idx.tolist(),
-                )
-            )
+            self._observations = tuple(map(Observation, *self.id_columns()))
         return self._observations
+
+    def id_columns(self) -> Tuple[List[SourceId], List[ObjectId], List[Value]]:
+        """The claims as ``(sources, objects, values)`` lists, in input order.
+
+        The dataset's one decoder (:func:`decode_columns`); no record is built.
+        """
+        return decode_columns(self, self.obs_source_idx, self.obs_object_idx, self.obs_value_idx)
 
     @property
     def n_sources(self) -> int:
@@ -497,7 +516,8 @@ class FusionDataset:
         the compiled index arrays in O(batch) instead of re-walking the
         accumulated observations.
         """
-        combined = [*self.observations, *as_records(observations)]
+        new_sources, new_objects, new_values = claim_columns(observations)
+        sources, objects, values = self.id_columns()
         merged_truth = dict(self.ground_truth)
         merged_truth.update(ground_truth or {})
         merged_features: Dict[SourceId, Dict[str, object]] = {
@@ -507,8 +527,10 @@ class FusionDataset:
             merged_features.setdefault(src, {}).update(feats)
         merged_accuracies = dict(self.true_accuracies)
         merged_accuracies.update(true_accuracies or {})
-        return FusionDataset(
-            combined,
+        return FusionDataset.from_columns(
+            [*sources, *new_sources],
+            [*objects, *new_objects],
+            [*values, *new_values],
             ground_truth=merged_truth,
             source_features=merged_features,
             true_accuracies=merged_accuracies,
@@ -534,10 +556,12 @@ def subset_sources(dataset: FusionDataset, keep: Sequence[SourceId]) -> FusionDa
     the restricted dataset (and from its ground truth).
     """
     keep_set = set(keep)
-    observations = [obs for obs in dataset.observations if obs.source in keep_set]
-    if not observations:
+    sources, objects, values = dataset.id_columns()
+    kept = list(map(keep_set.__contains__, sources))
+    if not any(kept):
         raise DatasetError("source subset leaves no observations")
-    remaining_objects = {obs.obj for obs in observations}
+    objects = list(compress(objects, kept))
+    remaining_objects = set(objects)
     ground_truth = {
         obj: value for obj, value in dataset.ground_truth.items() if obj in remaining_objects
     }
@@ -545,8 +569,10 @@ def subset_sources(dataset: FusionDataset, keep: Sequence[SourceId]) -> FusionDa
         src: feats for src, feats in dataset.source_features.items() if src in keep_set
     }
     true_accuracies = {src: acc for src, acc in dataset.true_accuracies.items() if src in keep_set}
-    return FusionDataset(
-        observations,
+    return FusionDataset.from_columns(
+        list(compress(sources, kept)),
+        objects,
+        list(compress(values, kept)),
         ground_truth=ground_truth,
         source_features=source_features,
         true_accuracies=true_accuracies,

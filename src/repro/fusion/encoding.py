@@ -41,13 +41,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dataset import FusionDataset, as_records, intern_columns, record_columns
+from .dataset import FusionDataset, claim_columns, decode_columns, intern_columns
 from .features import FeatureSpace, build_design_matrix
-from .types import Indexer, ObjectId, Observation, SourceId, Value
+from .types import Indexer, ObjectId, SourceId, Value
 
 
 def frozen_copy(array: np.ndarray) -> np.ndarray:
@@ -577,28 +577,31 @@ class IncrementalEncoding(DenseEncoding):
     # ------------------------------------------------------------------
     @classmethod
     def from_dataset(cls, dataset: FusionDataset) -> "IncrementalEncoding":
-        """Seed an incremental encoding with an existing dataset's stream."""
+        """Seed an incremental encoding with an existing dataset's id columns."""
         encoding = cls(source_features=dataset.source_features, name=dataset.name)
-        encoding.append(dataset.observations)
+        encoding._append_columns(*dataset.id_columns())
         return encoding
 
     # ------------------------------------------------------------------
     # Appending
     # ------------------------------------------------------------------
-    def append(
-        self, observations: Iterable[Observation | Tuple[SourceId, ObjectId, Value]]
-    ) -> AppendBatch:
-        """Ingest one batch of observations in O(batch) amortized time.
+    def append(self, observations: Iterable[Tuple[SourceId, ObjectId, Value]]) -> AppendBatch:
+        """Ingest one batch of ``(source, obj, value)`` rows in O(batch) amortized time.
 
         Returns the batch's :class:`AppendBatch` index view.  An empty
         batch is a no-op.  Raises
-        :class:`~repro.fusion.types.DatasetError` on a duplicate
-        ``(source, object)`` claim or a NaN claim value, mirroring the
-        dataset container.
+        :class:`~repro.fusion.types.DatasetError` on a row that is not a
+        triple, a duplicate ``(source, object)`` claim or a NaN claim
+        value, mirroring the dataset container.
         """
+        return self._append_columns(*claim_columns(observations))
+
+    def _append_columns(
+        self, sources: Sequence[SourceId], objects: Sequence[ObjectId], values: Sequence[Value]
+    ) -> AppendBatch:
+        """:meth:`append` on a batch already transposed into id columns."""
         n_sources_before = self.n_sources
         n_objects_before = self.n_objects
-        sources, objects, values = record_columns(as_records(observations))
         source_idx, object_idx, value_code = intern_columns(
             sources, objects, values, self.sources, self.objects, self._domains, self._seen_pairs
         )
@@ -634,7 +637,7 @@ class IncrementalEncoding(DenseEncoding):
 
     def _extend_table(
         self,
-        values: List[Value],
+        values: Sequence[Value],
         object_idx: np.ndarray,
         value_code: np.ndarray,
         minted: np.ndarray,
@@ -803,22 +806,18 @@ class IncrementalEncoding(DenseEncoding):
     # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------
-    def observations(self) -> List[Observation]:
-        """The accumulated observations in arrival order."""
-        rows = self.obs_order
-        by_row_source = np.empty(self._n_obs, dtype=np.int64)
-        by_row_object = np.empty(self._n_obs, dtype=np.int64)
-        by_row_pair = np.empty(self._n_obs, dtype=np.int64)
-        by_row_source[rows] = self.obs_source_idx
-        by_row_object[rows] = self.obs_object_idx
-        by_row_pair[rows] = self.obs_pair_idx
-        source_items = self.sources.items
-        object_items = self.objects.items
-        pair_values = self.pair_values
-        return [
-            Observation(source_items[s], object_items[o], pair_values[p])
-            for s, o, p in zip(by_row_source.tolist(), by_row_object.tolist(), by_row_pair.tolist())
-        ]
+    def id_columns(self) -> Tuple[List[SourceId], List[ObjectId], List[Value]]:
+        """The accumulated claims as ``(sources, objects, values)`` lists, in arrival order.
+
+        The compiled code columns, scattered back to arrival rows and
+        decoded as :meth:`FusionDataset.id_columns` decodes.
+        """
+        columns = []
+        for grouped in (self.obs_source_idx, self.obs_object_idx, self.obs_value_code):
+            column = np.empty(self._n_obs, dtype=np.int64)
+            column[self.obs_order] = grouped
+            columns.append(column)
+        return decode_columns(self, *columns)
 
     def to_dataset(
         self,
@@ -827,17 +826,20 @@ class IncrementalEncoding(DenseEncoding):
     ) -> FusionDataset:
         """Export the accumulated stream as a :class:`FusionDataset`.
 
-        The dataset's cached :class:`DenseEncoding` is rebuilt from this
+        Built by :meth:`FusionDataset.from_columns` from :meth:`id_columns`;
+        the dataset's cached :class:`DenseEncoding` is rebuilt from this
         encoding's compiled arrays (:meth:`~DenseEncoding.export_state` /
-        :meth:`~DenseEncoding.from_state`, no recompile; only the O(dataset)
-        container walk remains).  Every exported array and design matrix
-        is a frozen (read-only) **copy**: the export must stay a faithful
-        snapshot of the stream at export time, so it cannot alias the live
-        buffers that later ``append``/``design`` calls replace or grow (the
-        aliasing hazard is pinned in ``tests/test_incremental_encoding.py``).
+        :meth:`~DenseEncoding.from_state`, no recompile).  Every exported
+        array and design matrix is a frozen (read-only) **copy**: the export
+        must stay a faithful snapshot of the stream at export time, so it
+        cannot alias the live buffers that later ``append``/``design`` calls
+        replace or grow (the aliasing hazard is pinned in
+        ``tests/test_incremental_encoding.py``).  It reads the live tables:
+        call it where no append runs (on the appending thread, or after
+        ``FusionServer.flush()`` with no producer running).
         """
-        dataset = FusionDataset(
-            self.observations(),
+        dataset = FusionDataset.from_columns(
+            *self.id_columns(),
             ground_truth=ground_truth,
             source_features=self.source_features,
             true_accuracies=true_accuracies,

@@ -33,11 +33,11 @@ accident.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .dataset import FusionDataset
+from .dataset import FusionDataset, gather_values
 from .encoding import IncrementalEncoding
 from .metrics import (
     dataset_source_accuracy_error,
@@ -676,11 +676,6 @@ def _identity_rows(values: List[Value]) -> Tuple[List[Value], np.ndarray]:
     rows = np.arange(len(values), dtype=np.int64)
     rows.setflags(write=False)
     return values, rows
-
-
-def gather_values(table: Sequence[Value], rows: np.ndarray) -> List[Value]:
-    """``[table[row] for row in rows]``, gathered in C."""
-    return list(map(table.__getitem__, rows.tolist()))
 
 
 def table_prefix(table: List[Value], rows: np.ndarray) -> List[Value]:

@@ -15,7 +15,18 @@ contiguous integer indices produced by :class:`Indexer`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generic, Hashable, Iterable, Iterator, List, Optional, Sequence, TypeVar
+from typing import (
+    Dict,
+    Generic,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    TypeVar,
+)
 
 SourceId = Hashable
 ObjectId = Hashable
@@ -24,9 +35,12 @@ Value = Hashable
 T = TypeVar("T", bound=Hashable)
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(NamedTuple):
     """A single claim: ``source`` asserts that ``obj`` has value ``value``.
+
+    A named triple: it unpacks as ``source, obj, value``, is immutable,
+    and equals (and hashes like) the plain tuple ``(source, obj, value)``,
+    so records and triples are one shape wherever claims are taken in.
 
     Attributes
     ----------
@@ -41,10 +55,6 @@ class Observation:
     source: SourceId
     obj: ObjectId
     value: Value
-
-    def __iter__(self) -> Iterator[Hashable]:
-        """Allow ``source, obj, value = observation`` unpacking."""
-        return iter((self.source, self.obj, self.value))
 
 
 class Indexer(Generic[T]):

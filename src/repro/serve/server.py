@@ -78,11 +78,6 @@ class FusionServer:
     publish_every:
         Auto-publish after this many ingested batches (None = publish
         only on explicit :meth:`publish` calls).
-    with_dataset:
-        When True every publish also exports the accumulated stream as a
-        dataset with its frozen compiled encoding attached (O(n) per
-        publish; useful when snapshots feed batch tooling or are
-        pickled/shipped elsewhere).
     metrics:
         A :class:`~repro.serve.metrics.ServeMetrics` to record into
         (a fresh one by default).
@@ -93,7 +88,6 @@ class FusionServer:
         fuser: Optional[StreamingFuser] = None,
         *,
         publish_every: Optional[int] = None,
-        with_dataset: bool = False,
         metrics: Optional[ServeMetrics] = None,
         **fuser_kwargs: object,
     ) -> None:
@@ -105,7 +99,6 @@ class FusionServer:
             raise ValueError("publish_every must be a positive batch count")
         self.fuser = fuser
         self.publish_every = publish_every
-        self.with_dataset = with_dataset
         self.metrics = metrics if metrics is not None else ServeMetrics()
         self._snapshot = Snapshot.empty(version=0)
         self._write_lock = threading.RLock()
@@ -213,9 +206,7 @@ class FusionServer:
         """
         with self._write_lock:
             build_start = time.perf_counter()
-            snapshot = Snapshot.from_fuser(
-                self.fuser, version=self._snapshot.version + 1, with_dataset=self.with_dataset
-            )
+            snapshot = Snapshot.from_fuser(self.fuser, version=self._snapshot.version + 1)
             build_seconds = time.perf_counter() - build_start
             self._snapshot = snapshot
             self._batches_since_publish = 0

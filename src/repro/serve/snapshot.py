@@ -26,13 +26,6 @@ concurrently without locks.  Construction, unpickling and
 value row index and reliability vector must match the store's sizes, and
 no row may point past the value table.  Pickled and saved state carries
 :data:`FORMAT_VERSION`; any other version is refused.
-
-Pickling a snapshot that carries an attached dataset ships the dataset's
-compiled :class:`~repro.fusion.encoding.DenseEncoding` explicitly via
-``export_state()``: ``FusionDataset.__getstate__`` deliberately drops the
-cached encoding (it is a cache, and workers rebuild it), but for a
-serving snapshot the frozen encoding *is* part of the published state —
-without this, unpickling would silently recompile on first use.
 """
 
 from __future__ import annotations
@@ -45,7 +38,6 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..fusion.encoding import DenseEncoding
 from ..fusion.posterior_store import PosteriorStore, segmented_argmax
 from ..fusion.result import gather_values, table_prefix
 from ..fusion.types import ObjectId, SourceId, Value
@@ -55,10 +47,11 @@ __all__ = ["Snapshot", "ConflictEntry", "ConflictIndex", "build_conflict_index"]
 _META_FILE = "meta.pkl"
 _STORE_DIR = "store"
 
-#: Version of the pickled and saved snapshot state.  Version 2 holds the
-#: candidate values as a value table plus a row index and no conflict
-#: index; unversioned state is the earlier layout.
-FORMAT_VERSION = 2
+#: Version of the pickled and saved snapshot state.  Version 3 holds the
+#: candidate values as a value table plus a row index, no conflict index
+#: and no dataset; version 2 could carry a dataset, and unversioned state
+#: is the earlier layout.
+FORMAT_VERSION = 3
 
 #: Query lookups and caches rebuilt on construction and unpickling.
 _DERIVED = (
@@ -166,10 +159,6 @@ class Snapshot:
         Revealed ground-truth labels at publish time.
     version, n_observations, n_refits:
         Publish bookkeeping surfaced by :meth:`stats`.
-    dataset:
-        Optional accumulated-stream dataset view with its compiled
-        encoding attached (see the module docstring for the pickling
-        contract).
 
     The constructor copies its inputs except the store, which it freezes
     in place; :meth:`from_result` shares the result's parts instead.
@@ -203,7 +192,6 @@ class Snapshot:
         version: int = 0,
         n_observations: int = 0,
         n_refits: int = 0,
-        dataset=None,
     ) -> None:
         self._adopt(
             {
@@ -220,7 +208,6 @@ class Snapshot:
                 "version": int(version),
                 "n_observations": int(n_observations),
                 "n_refits": int(n_refits),
-                "dataset": dataset,
             }
         )
 
@@ -251,7 +238,6 @@ class Snapshot:
         n_observations: int = 0,
         n_refits: int = 0,
         truth: Optional[Dict[ObjectId, Value]] = None,
-        dataset=None,
     ) -> "Snapshot":
         """Publish an array-backed :class:`~repro.fusion.result.FusionResult`.
 
@@ -280,7 +266,6 @@ class Snapshot:
                 "version": int(version),
                 "n_observations": int(n_observations),
                 "n_refits": int(n_refits),
-                "dataset": dataset,
                 # _build_indexes keeps these.
                 "_positions": result.position_index(),
                 "_source_positions": result.source_position_index(),
@@ -289,18 +274,13 @@ class Snapshot:
         return snapshot
 
     @classmethod
-    def from_fuser(
-        cls, fuser, *, version: int = 0, with_dataset: bool = False
-    ) -> "Snapshot":
+    def from_fuser(cls, fuser, *, version: int = 0) -> "Snapshot":
         """Publish the current state of a ``StreamingFuser``.
 
         Uses :meth:`~repro.extensions.streaming.StreamingFuser.publish_state`;
-        an empty stream publishes :meth:`empty`.  ``with_dataset=True``
-        additionally exports the accumulated stream as a dataset with its
-        frozen compiled encoding attached (an O(n) walk — leave it off on
-        hot publish paths).
+        an empty stream publishes :meth:`empty`.
         """
-        state = fuser.publish_state(with_dataset=with_dataset)
+        state = fuser.publish_state()
         result = state["result"]
         if not result.has_arrays:
             return cls.empty(version=version)
@@ -310,7 +290,6 @@ class Snapshot:
             n_observations=state["n_observations"],
             n_refits=state["n_refits"],
             truth=state["truth"],
-            dataset=state["dataset"],
         )
 
     def _check_alignment(self) -> None:
@@ -515,14 +494,6 @@ class Snapshot:
         # A stream's table is shared and may have grown since the publish.
         state["value_table"] = table_prefix(self.value_table, self.value_rows)
         state["format_version"] = FORMAT_VERSION
-        dataset = state.get("dataset")
-        if dataset is not None:
-            encoding = getattr(dataset, "_dense_encoding", None)
-            if encoding is not None:
-                # FusionDataset.__getstate__ drops its cached encoding (a
-                # cache to workers, published state to us) — ship the
-                # compile explicitly so unpickling never recompiles.
-                state["_encoding_state"] = encoding.export_state()
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -534,12 +505,7 @@ class Snapshot:
                 f"snapshot state has {saved}; this version of repro reads format "
                 f"version {FORMAT_VERSION}: re-save the snapshot with this version"
             )
-        encoding_state = state.pop("_encoding_state", None)
         self._adopt(state)
-        if encoding_state is not None and self.dataset is not None:
-            self.dataset._dense_encoding = DenseEncoding.from_state(
-                self.dataset, encoding_state
-            )
 
     def save(self, directory: str) -> str:
         """Write the snapshot under ``directory`` for a memmapped reload.

@@ -1,12 +1,13 @@
 """Tests for CSV dataset persistence."""
 
+import csv
 import pickle
 
 import numpy as np
 import pytest
 
 from repro import SLiMFast
-from repro.data import load_dataset, save_dataset
+from repro.data import generate, load_dataset, save_dataset
 from repro.featurize import FeaturizerPipeline
 from repro.fusion import DatasetError, FusionDataset, Observation
 from repro.fusion.encoding import encode_dataset
@@ -73,6 +74,43 @@ class TestRoundTrip:
         assert set(loaded.ground_truth.values()) == set(small_dataset.ground_truth.values())
 
 
+class TestSaveFromColumns:
+    """``observations.csv`` is written from the id-column decoder."""
+
+    def test_round_trip_keeps_which_claims_agree(self, tmp_path):
+        dataset = FusionDataset([("s1", "o", 1), ("s2", "o", True), ("s3", "o", 2)])
+        np.testing.assert_array_equal(dataset.obs_value_idx, [0, 0, 1])
+        save_dataset(dataset, tmp_path)
+        np.testing.assert_array_equal(load_dataset(tmp_path).obs_value_idx, [0, 0, 1])
+
+    def test_save_builds_no_record(self, small_dataset, tmp_path):
+        loaded = load_dataset(save_dataset(small_dataset, tmp_path / "first"))
+        save_dataset(loaded, tmp_path / "second")
+        assert loaded._observations is None
+        first = (tmp_path / "first" / "observations.csv").read_bytes()
+        assert (tmp_path / "second" / "observations.csv").read_bytes() == first
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_batch_fuse_shape_matches_a_record_loop_writer(self, seed, tmp_path):
+        # perfbench's batch_fuse input: about 100k claims.
+        dataset = generate(
+            seed=seed,
+            name="perfbench",
+            n_sources=2000,
+            n_objects=10000,
+            density=0.005,
+            domain_size_range=(2, 4),
+        ).dataset
+        save_dataset(dataset, tmp_path / "columns")
+        with open(tmp_path / "records.csv", "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["source", "object", "value"])
+            for obs in dataset.observations:
+                writer.writerow([obs.source, obs.obj, obs.value])
+        saved = (tmp_path / "columns" / "observations.csv").read_bytes()
+        assert saved == (tmp_path / "records.csv").read_bytes()
+
+
 class TestMalformedFiles:
     """Every CSV file goes through one validated row reader."""
 
@@ -125,6 +163,13 @@ class TestColumnarLoad:
         assert loaded._observations is None
         assert loaded.observations == tiny_dataset.observations
         assert loaded.observations is loaded.observations
+
+    def test_pickle_holds_no_records(self, small_dataset, tmp_path):
+        loaded = load_dataset(save_dataset(small_dataset, tmp_path))
+        before = len(pickle.dumps(loaded))
+        assert loaded.observations
+        assert len(pickle.dumps(loaded)) == before
+        assert pickle.loads(pickle.dumps(loaded))._observations is None
 
     def test_pickle_keeps_records_lazy(self, small_dataset, tmp_path):
         save_dataset(small_dataset, tmp_path)

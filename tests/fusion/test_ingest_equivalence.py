@@ -9,18 +9,25 @@ record at a time.  Through every production entry point —
 columns, the error raised and its message, and a rejected batch must leave
 the tables and the seen pairs untouched.  An incremental encoding's value
 table must list every domain's values in the order the oracle mints them,
-and its row index must lay them out as the domains do.
+and its row index must lay them out as the domains do.  A row that is not
+a ``(source, obj, value)`` triple is refused at the same boundary, before
+any table changes.
 """
 
 from __future__ import annotations
 
+import re
+from itertools import chain
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fusion.dataset import FusionDataset
 from repro.fusion.encoding import IncrementalEncoding
 from repro.fusion.types import DatasetError, Indexer, Observation
+from repro.serve import FusionServer
 from tests.oracles import ingest as oracle
 
 # Small pools, so sources, objects and values collide within and across
@@ -93,7 +100,12 @@ def assert_dataset_matches(build, rows):
     np.testing.assert_array_equal(dataset.obs_object_idx, object_idx)
     np.testing.assert_array_equal(dataset.obs_value_idx, value_code)
     assert dataset.n_observations == len(entries)
-    return dataset, entries
+    assert dataset._observations is None
+    stored = [
+        (sources.item(s), objects.item(o), domains[o].item(v))
+        for s, o, v in zip(source_idx.tolist(), object_idx.tolist(), value_code.tolist())
+    ]
+    return dataset, entries, stored
 
 
 @settings(max_examples=100, deadline=None)
@@ -101,11 +113,11 @@ def assert_dataset_matches(build, rows):
 def test_fusion_dataset_matches_oracle(rows):
     built = assert_dataset_matches(FusionDataset, rows)
     if built is not None:
-        dataset, entries = built
-        # Record-built datasets keep the records given, with their own types.
-        assert typed(obs.value for obs in dataset.observations) == typed(
-            obs.value for obs in entries
-        )
+        dataset, _, stored = built
+        # Record-built datasets decode their records like column-built
+        # ones: each value is the oracle's stored representative.
+        decoded = typed(chain.from_iterable(dataset.observations))
+        assert decoded == typed(chain.from_iterable(stored))
 
 
 @settings(max_examples=100, deadline=None)
@@ -114,9 +126,10 @@ def test_from_columns_matches_oracle(rows):
     columns = [list(column) for column in zip(*rows)] if rows else [[], [], []]
     built = assert_dataset_matches(lambda _: FusionDataset.from_columns(*columns), rows)
     if built is not None:
-        dataset, entries = built
-        assert dataset._observations is None
+        dataset, entries, stored = built
         assert dataset.observations == tuple(entries)
+        columns = typed(chain.from_iterable(dataset.id_columns()))
+        assert columns == typed(chain.from_iterable(zip(*stored)))
 
 
 def minted_values(domains, object_idx, value_code, sizes):
@@ -167,3 +180,58 @@ def test_incremental_append_matches_oracle(batches):
             sources, objects, domains
         )
         assert encoding._seen_pairs == seen
+
+
+GOOD_ROWS = [(f"s{i}", f"o{i % 2}", i % 3) for i in range(5)]
+MALFORMED = [
+    pytest.param(width, position, id=f"{width}-fields-{where}")
+    for width in (2, 4)
+    for position, where in ((0, "first"), (2, "middle"), (4, "last"))
+]
+
+
+def malformed(width, position):
+    """``GOOD_ROWS`` with one row cut or padded to ``width`` fields, and the
+    message that must name it."""
+    rows = list(GOOD_ROWS)
+    rows[position] = row = (*rows[position], "extra")[:width]
+    return rows, re.escape(f"claim row {position} is not a (source, obj, value) triple: {row!r}")
+
+
+@pytest.mark.parametrize("width, position", MALFORMED)
+def test_fusion_dataset_rejects_a_row_that_is_not_a_triple(width, position):
+    rows, message = malformed(width, position)
+    with pytest.raises(DatasetError, match=message):
+        FusionDataset(rows)
+
+
+@pytest.mark.parametrize("width, position", MALFORMED)
+def test_append_rejects_a_row_that_is_not_a_triple_and_changes_nothing(width, position):
+    encoding = IncrementalEncoding()
+    encoding.append([("s9", "o0", 1), ("s9", "o7", "x")])
+    before = tables(encoding.sources, encoding.objects, encoding._domains)
+    seen, table = set(encoding._seen_pairs), typed(encoding.value_table)
+    rows, message = malformed(width, position)
+    with pytest.raises(DatasetError, match=message):
+        encoding.append(rows)
+    assert tables(encoding.sources, encoding.objects, encoding._domains) == before
+    assert encoding._seen_pairs == seen
+    assert typed(encoding.value_table) == table
+    assert encoding.n_observations == 2
+
+
+@pytest.mark.parametrize("width, position", MALFORMED)
+def test_server_ingest_counts_a_row_that_is_not_a_triple(width, position):
+    server = FusionServer().start()
+    rows, message = malformed(width, position)
+    try:
+        server.ingest(rows)
+        server.ingest(GOOD_ROWS)
+        server.flush()
+    finally:
+        server.stop(publish=True)
+    assert isinstance(server.last_ingest_error, DatasetError)
+    assert re.search(message, str(server.last_ingest_error))
+    assert server.metrics.ingest_errors == 1
+    assert server.metrics.ingest_batches == 1
+    assert server.snapshot.n_observations == len(GOOD_ROWS)

@@ -29,6 +29,12 @@ class TestObservation:
         assert hash(Observation("s", "o", 1)) == hash(Observation("s", "o", 1))
         assert Observation("s", "o", 1) != Observation("s", "o", 2)
 
+    def test_a_record_is_its_triple(self):
+        record = Observation("s", "o", 1)
+        assert isinstance(record, tuple)
+        assert record == ("s", "o", 1)
+        assert hash(record) == hash(("s", "o", 1))
+
 
 class TestIndexer:
     def test_add_returns_stable_indices(self):

@@ -373,7 +373,7 @@ class TestAlignment:
         with pytest.raises(ValueError, match="outside a table of 6 values"):
             Snapshot.__new__(Snapshot).__setstate__(state)
 
-    @pytest.mark.parametrize("found", [None, 1, 3])
+    @pytest.mark.parametrize("found", [None, 2, 4])
     def test_unpickling_rejects_another_format_version(self, found):
         state = Snapshot.from_fuser(build_fuser()).__getstate__()
         if found is None:
@@ -382,7 +382,7 @@ class TestAlignment:
         else:
             state["format_version"] = found
             saved = f"format version {found}"
-        with pytest.raises(ValueError, match=f"{saved}; .* reads format version 2: re-save"):
+        with pytest.raises(ValueError, match=f"{saved}; .* reads format version 3: re-save"):
             Snapshot.__new__(Snapshot).__setstate__(state)
 
     def test_load_rejects_an_unversioned_save(self, tmp_path):
@@ -428,13 +428,9 @@ class TestAlignment:
 
 
 class TestAttachedEncodingPickling:
-    """Regression: Snapshot pickling must not silently recompile.
-
-    ``FusionDataset.__getstate__`` drops the cached ``_dense_encoding``
-    (for datasets it is a cache), so a snapshot that just pickled its
-    dataset would come back without the compiled encoding and the first
-    batch consumer would recompile it.  Snapshots ship the encoding
-    explicitly via ``export_state``/``from_state``.
+    """``FusionDataset.__getstate__`` drops the cached ``_dense_encoding``
+    (for datasets it is a cache); a stream's one dataset export,
+    ``IncrementalEncoding.to_dataset``, attaches it and a pickle drops it.
     """
 
     def test_plain_dataset_pickle_drops_encoding(self):
@@ -443,39 +439,6 @@ class TestAttachedEncodingPickling:
         assert dataset._dense_encoding is not None
         restored = pickle.loads(pickle.dumps(dataset))
         assert getattr(restored, "_dense_encoding", None) is None
-
-    def test_snapshot_round_trips_attached_encoding(self):
-        snapshot = Snapshot.from_fuser(build_fuser(), with_dataset=True)
-        original = snapshot.dataset._dense_encoding
-        assert original is not None
-        clone = pickle.loads(pickle.dumps(snapshot))
-        restored = clone.dataset._dense_encoding
-        assert restored is not None
-        np.testing.assert_array_equal(restored.pair_offsets, original.pair_offsets)
-        np.testing.assert_array_equal(restored.obs_value_code, original.obs_value_code)
-        assert restored.pair_values == original.pair_values
-
-    def test_unpickling_never_recompiles(self, monkeypatch):
-        snapshot = Snapshot.from_fuser(build_fuser(), with_dataset=True)
-        blob = pickle.dumps(snapshot)
-        calls = []
-        original_init = encoding_module.DenseEncoding.__init__
-
-        def counting_init(self, *args, **kwargs):
-            calls.append(1)
-            return original_init(self, *args, **kwargs)
-
-        monkeypatch.setattr(encoding_module.DenseEncoding, "__init__", counting_init)
-        clone = pickle.loads(blob)
-        assert clone.dataset._dense_encoding is not None
-        # from_state rebuilds the object shell without recompiling; a
-        # compile would have gone through __init__.
-        assert calls == []
-
-    def test_without_dataset_no_dataset_travels(self):
-        snapshot = Snapshot.from_fuser(build_fuser())
-        assert snapshot.dataset is None
-        assert pickle.loads(pickle.dumps(snapshot)).dataset is None
 
 
 def reference_decode(result, position):

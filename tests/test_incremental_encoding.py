@@ -668,30 +668,30 @@ class TestAsDenseAliasing:
 
 
 class TestDatasetViewFastPath:
-    """fit_incremental fits over the encoding itself (no observations() walk)."""
+    """fit_incremental fits over the encoding itself (no id-column decode)."""
 
     def test_streaming_refit_uses_fast_path(self, dataset):
-        # A periodic re-fit must not materialize the observation list or
+        # A periodic re-fit must not decode the accumulated claims or
         # export a dataset.
         fuser = StreamingFuser(refit_every=60, refit_overrides={"max_iterations": 2})
         walked = []
-        original_observations = IncrementalEncoding.observations
+        original_id_columns = IncrementalEncoding.id_columns
         original_to_dataset = IncrementalEncoding.to_dataset
 
-        def _spy_observations(self):
-            walked.append("observations")
-            return original_observations(self)
+        def _spy_id_columns(self):
+            walked.append("id_columns")
+            return original_id_columns(self)
 
         def _spy_to_dataset(self, *args, **kwargs):
             walked.append("to_dataset")
             return original_to_dataset(self, *args, **kwargs)
 
-        IncrementalEncoding.observations = _spy_observations
+        IncrementalEncoding.id_columns = _spy_id_columns
         IncrementalEncoding.to_dataset = _spy_to_dataset
         try:
             fuser.run(dataset.observations, truth=dataset.split(0.3, seed=0).train_truth)
         finally:
-            IncrementalEncoding.observations = original_observations
+            IncrementalEncoding.id_columns = original_id_columns
             IncrementalEncoding.to_dataset = original_to_dataset
         assert fuser.n_refits > 0
         assert not walked

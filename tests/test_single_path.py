@@ -12,6 +12,13 @@ its cold-recompile and dense-export side doors, the separate incremental
 structure builder and the options that chose between those routes are
 gone.
 
+A claim has one shape: ``Observation`` is a named triple equal to its
+plain tuple, every dataset and append ingests through one transpose into
+id columns and decodes through one, so the record helpers
+(``as_records``, ``record_columns``), the encoding's ``observations()``
+and a publish's dataset export (``with_dataset``, ``Snapshot(dataset=)``)
+are gone; ``IncrementalEncoding.to_dataset`` is the one export.
+
 Serving reads are lease-free: the published snapshot is one reference
 that readers load without a lock, so the reader-lease, retirement and
 drain protocol, the swap lock and the metrics only it could feed are
@@ -79,7 +86,10 @@ import repro.fusion
 from repro.featurize import FeaturizerPipeline, ObjectStats, SourceStats, compute_source_stats
 from repro.featurize import stats as stats_module
 from repro.featurize.pipeline import FeaturizedSpace
+from repro.data import save_dataset
+from repro.fusion import dataset as dataset_module
 from repro.fusion import encoding as encoding_module
+from repro.fusion.dataset import FusionDataset, subset_sources
 from repro.fusion.encoding import DenseEncoding, IncrementalEncoding
 from repro.fusion.features import FeatureSpace
 from repro.optim import solvers as solvers_module
@@ -115,6 +125,11 @@ RETIRED_OPTIONS = [
     (compute_source_stats, "n_jobs"),
     (SweepRunner, "warm_start"),
     (EMConfig, "n_shards"),
+    (FusionServer, "with_dataset"),
+    (Snapshot.from_fuser, "with_dataset"),
+    (StreamingFuser().publish_state, "with_dataset"),
+    (Snapshot, "dataset"),
+    (Snapshot.from_result, "dataset"),
     *[
         (SLiMFast, option)
         for option in (
@@ -198,6 +213,10 @@ RETIRED_NAMES = [
     (repro.fusion, "StructureShard"),
     (repro.fusion, "shard_structure"),
     (parallel_module, "chunk_bounds"),
+    (dataset_module, "as_records"),
+    (dataset_module, "record_columns"),
+    (IncrementalEncoding, "observations"),
+    (Snapshot.empty(), "dataset"),
 ]
 
 
@@ -228,3 +247,20 @@ def test_em_sgd_solver_is_rejected():
 def test_erm_warm_alias_is_rejected():
     with pytest.raises(ValueError, match="unknown solver 'lbfgs-warm'"):
         ERMLearner(solver="lbfgs-warm")
+
+
+def test_column_paths_build_no_record(monkeypatch, tmp_path):
+    dataset = FusionDataset(
+        [("s1", "o1", 1), ("s2", "o1", True), ("s1", "o2", "x"), ("s3", "o2", "y")],
+        ground_truth={"o1": 1},
+    )
+
+    def refuse(self):
+        raise AssertionError("a column path read FusionDataset.observations")
+
+    monkeypatch.setattr(FusionDataset, "observations", property(refuse))
+    exported = IncrementalEncoding.from_dataset(dataset).to_dataset()
+    save_dataset(exported, tmp_path)
+    assert subset_sources(dataset, ["s1"]).n_observations == 2
+    assert dataset.extended([("s3", "o1", 2)]).n_observations == 5
+    np.testing.assert_array_equal(exported.obs_value_idx, dataset.obs_value_idx)
